@@ -435,16 +435,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_range_values(argv):
-    """Join `--x0-range -a:-b:n` into one token so argparse does not read
-    the leading-dash value as an option."""
+    """Join `--x0 -v` and `--x0-range -a:-b:n` into one token each, so that
+    argparse does not read a leading-dash value such as -1e-3 as an option."""
     out, it = [], iter(argv)
     for tok in it:
-        if tok == "--x0-range":
+        if tok in ("--x0", "--x0-range"):
             nxt = next(it, None)
-            if nxt is None:
-                out.append(tok)
-            else:
-                out.append(f"--x0-range={nxt}")
+            out.append(tok if nxt is None else f"{tok}={nxt}")
         else:
             out.append(tok)
     return out

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -59,7 +59,6 @@ class Grid:
     xs: np.ndarray
     ys: np.ndarray
     inside: np.ndarray      # (nx, ny) bool, node strictly usable as unknown
-    labels: np.ndarray = field(default=None)
 
     @classmethod
     def build(cls, dom: TricomiDomain, nx: int, ny: int) -> "Grid":
@@ -85,46 +84,6 @@ class Grid:
         return float(self.ys[1] - self.ys[0])
 
 
-def _crossing_kind(dom: TricomiDomain, x: float, y: float, dx: float, dy: float) -> int:
-    """Which boundary an axis-aligned stencil arm from an interior node crosses.
-
-    Horizontal arms in y >= 0 and upward arms exit through sigma; for y < 0
-    a rightward arm crosses BC, a leftward arm crosses AC, and a downward
-    arm is classified by the side of the axis x = x0.
-    """
-    if dy > 0:
-        return DIRICHLET                      # sigma
-    if dy < 0:
-        return FREE_BC if x >= dom.x0 else DIRICHLET  # BC vs AC near C
-    if y >= 0.0:
-        return DIRICHLET                      # sigma
-    return FREE_BC if dx > 0 else DIRICHLET   # BC right, AC left
-
-
-_FRACTION_FLOOR = 1e-3
-
-
-def _dirichlet_fraction(dom: TricomiDomain, x: float, y: float,
-                        dx: float, dy: float) -> float:
-    """Fraction of the arm (dx, dy) from an interior node to the Dirichlet
-    boundary crossing, from the closed forms of sigma and AC."""
-    x0 = dom.x0
-    if dy > 0.0:                                   # upward into sigma
-        y_b = np.cbrt(max(9.0 * (x0 * x0 - (x - x0) ** 2) / 4.0, 0.0))
-        theta = (y_b - y) / dy
-    elif dy < 0.0:                                 # downward into AC (x < x0)
-        y_b = -((1.5 * max(x - 2.0 * x0, 0.0)) ** (2.0 / 3.0))
-        theta = (y_b - y) / dy
-    elif y >= 0.0:                                 # horizontal into sigma
-        half = math.sqrt(max(x0 * x0 - (4.0 / 9.0) * y**3, 0.0))
-        x_b = x0 + half if dx > 0.0 else x0 - half
-        theta = (x_b - x) / dx
-    else:                                          # leftward into AC
-        x_b = 2.0 * x0 + (2.0 / 3.0) * (-y) ** 1.5
-        theta = (x_b - x) / dx
-    return min(max(theta, _FRACTION_FLOOR), 1.0)
-
-
 @dataclass
 class TricomiOperator:
     """Assembled sparse operator restricted to the interior unknowns."""
@@ -135,6 +94,7 @@ class TricomiOperator:
     index: np.ndarray        # (nx, ny) int, -1 for non-unknowns
     nodes: np.ndarray        # (n_unknowns, 2) node (i, j)
     full_stencil: np.ndarray  # rows whose stencil is fully centered interior
+    labels: np.ndarray       # (nx, ny) int8 node classification codes
 
     @property
     def n(self) -> int:
@@ -149,109 +109,157 @@ class TricomiOperator:
         return F
 
 
+_FRACTION_FLOOR = 1e-3
+
+
+def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise power through Python floats, i.e. libm pow.
+
+    numpy's SIMD pow can differ from libm in the last ulp, depending on the
+    CPU's vector unit; cancellation in the cut-cell rows amplifies that.
+    Using libm for the cut-cell crossings and the BC sample points keeps
+    the matrix and the traces the same on every CPU."""
+    return (base.astype(object) ** exponent).astype(float)
+
+
+def _cut_fraction(dom: TricomiDomain, x: np.ndarray, y: np.ndarray,
+                  axis: int, step: float) -> np.ndarray:
+    """Fraction of the arm `step` along `axis` from nodes (x, y) to the
+    Dirichlet crossing, from the closed forms of sigma and AC."""
+    x0 = dom.x0
+    if axis == 1:
+        if step > 0.0:                             # upward into sigma
+            y_b = np.cbrt(np.maximum(
+                9.0 * (x0 * x0 - _libm_pow(x - x0, 2)) / 4.0, 0.0))
+        else:                                      # downward into AC (x < x0)
+            y_b = -_libm_pow(1.5 * np.maximum(x - 2.0 * x0, 0.0), 2.0 / 3.0)
+        theta = (y_b - y) / step
+    else:
+        sigma = y >= 0.0                           # horizontal into sigma
+        x_b = np.empty_like(x)                     # else leftward into AC
+        half = np.sqrt(np.maximum(x0 * x0 - (4.0 / 9.0) * _libm_pow(y[sigma], 3), 0.0))
+        x_b[sigma] = x0 + half if step > 0.0 else x0 - half
+        x_b[~sigma] = 2.0 * x0 + (2.0 / 3.0) * _libm_pow(-y[~sigma], 1.5)
+        theta = (x_b - x) / step
+    return np.clip(theta, _FRACTION_FLOOR, 1.0)
+
+
+def _stage(pidx: np.ndarray, P: np.ndarray, stride: int, slots):
+    """COO (rows, cols, values) triples of one stencil stage.
+
+    Each slot is (offset in nodes along the axis of `stride`, value,
+    present) per unknown row, P the rows' flat positions in `pidx`.
+    Entries are laid out slot by slot, so every row keeps its stencil order
+    and repeated (row, col) pairs are summed in that order by the CSR
+    conversion."""
+    for off, val, present in slots:
+        r = np.flatnonzero(present)
+        o = np.broadcast_to(off, present.shape)[r]
+        yield r, pidx[P[r] + o * stride], np.broadcast_to(val, present.shape)[r]
+
+
 def assemble(dom: TricomiDomain, grid: Grid,
              stabilization: float = 0.5) -> TricomiOperator:
-    """Second-order centered differences inside, one-sided toward BC.
+    """Second-order differences for -y u_xx - u_yy on the unknown nodes.
+
+    Row r is -y u_xx - u_yy at its node (the x term is left out where
+    |y| <= 1e-14).  Each axis takes one of these second differences:
+
+    - centered, when both neighbours along the axis are unknowns;
+    - unequal-arm, when every missing neighbour lies across AC or sigma:
+      the Dirichlet zero sits at the closed-form crossing, a fraction
+      theta in [1e-3, 1] of the arm away, and drops out of the row;
+    - one-sided, when a missing neighbour lies across BC: the chain
+      (i, i -/+ 1, i -/+ 2) pointing away from BC.  If that chain itself
+      leaves the unknowns the row gets no term for that axis (on the
+      square grids 64..320 that is the x term of at most one row, next
+      to C).
 
     In the hyperbolic half the centered scheme admits a parasitic branch of
     grid-oscillatory modes (the matrix is similar, via an alternating-sign
     diagonal, to one whose Perron mode is an x-checkerboard); a fourth-
     difference term of size O(h^2) per direction damps that branch without
-    changing the second-order interior consistency.  `stabilization` scales
-    it; 0 disables.
+    changing the second-order interior consistency.  It is added in rows
+    with y < 0, along each axis whose five-point stencil is all unknowns.
+    `stabilization` scales it; 0 disables.
+
+    `labels` on the result marks each node INTERIOR (an unknown),
+    DIRICHLET or FREE_BC (an exterior node reached by a stencil arm across
+    AC/sigma resp. BC) or EXTERIOR.
     """
-    nx, ny = grid.nx, grid.ny
     hx, hy = grid.hx, grid.hy
-    inside = grid.inside
-    index = -np.ones((nx, ny), dtype=np.int64)
-    nodes = np.argwhere(inside)
-    index[nodes[:, 0], nodes[:, 1]] = np.arange(len(nodes))
-    labels = np.where(inside, INTERIOR, EXTERIOR).astype(np.int8)
+    index = -np.ones((grid.nx, grid.ny), dtype=np.int64)
+    nodes = np.argwhere(grid.inside)
+    n = len(nodes)
+    index[nodes[:, 0], nodes[:, 1]] = np.arange(n)
+    x, y = grid.xs[nodes[:, 0]], grid.ys[nodes[:, 1]]
 
-    rows, cols, vals = [], [], []
-    full = np.ones(len(nodes), dtype=bool)
+    # Flat positions in the grid padded by two nodes: every stencil offset
+    # stays in range, and padded nodes are not unknowns.
+    strides = (grid.ny + 4, 1)
+    P = (nodes[:, 0] + 2) * strides[0] + nodes[:, 1] + 2
+    pin = np.pad(grid.inside, 2).ravel()
+    pidx = np.pad(index, 2, constant_values=-1).ravel()
+    plabels = np.pad(np.where(grid.inside, INTERIOR, EXTERIOR).astype(np.int8), 2)
 
-    def add(r, i, j, v):
-        rows.append(r)
-        cols.append(index[i, j])
-        vals.append(v)
+    def unknown(axis, off):
+        return pin[P + off * strides[axis]]
 
-    def second_diff(r, i, j, axis, coeff, h):
-        """coeff * u'' along one axis at node (i, j), biased off BC arms."""
-        if axis == 0:
-            nb = [(i - 1, j), (i + 1, j)]
-        else:
-            nb = [(i, j - 1), (i, j + 1)]
-        ok = [0 <= a < nx and 0 <= b < ny and inside[a, b] for a, b in nb]
-        x, y = grid.xs[i], grid.ys[j]
-        inv = coeff / h**2
-        if all(ok):
-            add(r, *nb[0], inv)
-            add(r, i, j, -2.0 * inv)
-            add(r, *nb[1], inv)
-            return True
-        full[r] = False
-        free_arm = [False, False]
-        frac = [1.0, 1.0]
-        for k, (a, b) in enumerate(nb):
-            if ok[k]:
-                continue
-            dx = (a - i) * hx if axis == 0 else 0.0
-            dy = (b - j) * hy if axis == 1 else 0.0
-            kind = _crossing_kind(dom, x, y, dx, dy)
-            if 0 <= a < nx and 0 <= b < ny and labels[a, b] == EXTERIOR:
-                labels[a, b] = kind
-            free_arm[k] = kind == FREE_BC
-            if kind == DIRICHLET:
-                frac[k] = _dirichlet_fraction(dom, x, y, dx, dy)
-        if not any(free_arm):
-            # Zero imposed at the boundary crossings: unequal-arm second
-            # difference with arm lengths frac*h (boundary values drop out).
-            a_f, b_f = frac
-            add(r, i, j, -2.0 * inv / (a_f * b_f))
-            for k, (nbi, nbj) in enumerate(nb):
-                if ok[k]:
-                    add(r, nbi, nbj, 2.0 * inv / (frac[k] * (a_f + b_f)))
-            return True
-        # Interior-biased one-sided second difference away from BC.
-        step = -1 if free_arm[1] else 1
-        if axis == 0:
-            chain = [(i, j), (i + step, j), (i + 2 * step, j)]
-        else:
-            chain = [(i, j), (i, j + step), (i, j + 2 * step)]
-        usable = all(0 <= a < nx and 0 <= b < ny and inside[a, b] for a, b in chain[1:])
-        if not usable:
-            return False
-        add(r, *chain[0], inv)
-        add(r, *chain[1], -2.0 * inv)
-        add(r, *chain[2], inv)
-        return True
-
-    for r, (i, j) in enumerate(nodes):
-        x, y = grid.xs[i], grid.ys[j]
-        if abs(y) > 1e-14:
-            second_diff(r, i, j, 0, -y, hx)
-        second_diff(r, i, j, 1, -1.0, hy)
+    entries = []
+    full = np.ones(n, dtype=bool)
+    never = np.zeros(n, dtype=bool)
+    # Per axis: coefficient / h^2, the rows the term applies to, and whether
+    # a missing (-, +) neighbour lies across BC rather than AC or sigma.
+    # BC is crossed by rightward arms from rows with y < 0 and by downward
+    # arms at x >= x0; every other missing arm crosses AC or sigma.
+    for axis, inv, h, active, free_minus, free_plus in (
+            (0, -y / hx**2, hx, np.abs(y) > 1e-14, never, y < 0.0),
+            (1, np.full(n, -1.0 / hy**2), hy, ~never, x >= dom.x0, never)):
+        ok_m, ok_p = unknown(axis, -1), unknown(axis, 1)
+        centered = active & ok_m & ok_p
+        full &= centered | ~active
+        miss_m, miss_p = active & ~ok_m, active & ~ok_p
+        for sign, miss, free in ((-1, miss_m, free_minus), (1, miss_p, free_plus)):
+            plabels.flat[P[miss] + sign * strides[axis]] = np.where(
+                free[miss], FREE_BC, DIRICHLET)
+        free_p = miss_p & free_plus
+        one_sided = (miss_m & free_minus) | free_p
+        cut = active & ~centered & ~one_sided
+        frac_m, frac_p = np.ones(n), np.ones(n)
+        for frac, miss, sign in ((frac_m, miss_m, -1), (frac_p, miss_p, 1)):
+            sel = cut & miss
+            frac[sel] = _cut_fraction(dom, x[sel], y[sel], axis, sign * h)
+        step = np.where(free_p, -1, 1)
+        one_sided &= unknown(axis, step) & unknown(axis, 2 * step)
+        span = frac_m + frac_p
+        # Three slots per row: centered (i-1, i, i+1), unequal-arm
+        # (i, i-1, i+1) without the missing neighbours, or one-sided
+        # (i, i+step, i+2 step) with step pointing away from BC.
+        entries.extend(_stage(pidx, P, strides[axis], (
+            (np.where(centered, -1, 0),
+             np.where(cut, -2.0 * inv / (frac_m * frac_p), inv),
+             centered | cut | one_sided),
+            (np.where(centered, 0, np.where(cut, -1, step)),
+             np.where(cut, 2.0 * inv / (frac_m * span), -2.0 * inv),
+             centered | (cut & ok_m) | one_sided),
+            (np.where(one_sided, 2 * step, 1),
+             np.where(cut, 2.0 * inv / (frac_p * span), inv),
+             centered | (cut & ok_p) | one_sided))))
 
     if stabilization > 0.0:
         d4 = ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))
-        for r, (i, j) in enumerate(nodes):
-            y = grid.ys[j]
-            if y >= 0.0:
-                continue
-            if 2 <= i < nx - 2 and all(inside[i + k, j] for k in (-2, -1, 1, 2)):
-                c = stabilization * abs(y) / hx**2
-                for k, wgt in d4:
-                    add(r, i + k, j, c * wgt)
-            if 2 <= j < ny - 2 and all(inside[i, j + k] for k in (-2, -1, 1, 2)):
-                c = stabilization / hy**2
-                for k, wgt in d4:
-                    add(r, i, j + k, c * wgt)
+        for axis, c in ((0, stabilization * np.abs(y) / hx**2),
+                        (1, stabilization / hy**2)):
+            present = y < 0.0
+            for k in (-2, -1, 1, 2):
+                present &= unknown(axis, k)
+            entries.extend(_stage(pidx, P, strides[axis],
+                                  [(k, c * w, present) for k, w in d4]))
 
-    A = sp.csr_matrix((vals, (rows, cols)), shape=(len(nodes), len(nodes)))
-    object.__setattr__(grid, "labels", labels)
-    return TricomiOperator(dom=dom, grid=grid, matrix=A, index=index,
-                           nodes=nodes, full_stencil=full)
+    rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
+    A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+    return TricomiOperator(dom=dom, grid=grid, matrix=A, index=index, nodes=nodes,
+                           full_stencil=full, labels=plabels[2:-2, 2:-2].copy())
 
 
 @dataclass
@@ -311,46 +319,39 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3):
 
 # -- boundary trace extraction ---------------------------------------------
 
-class _FieldSampler:
-    """Bilinear sampling of a nodal field restricted to fully-interior cells."""
+def _bilinear(grid: Grid, F: np.ndarray, valid: np.ndarray, x: np.ndarray, y: np.ndarray):
+    """Bilinear values of F at points (x, y), and whether each point's cell
+    has all four corners valid."""
+    i = np.clip(np.searchsorted(grid.xs, x) - 1, 0, grid.nx - 2)
+    j = np.clip(np.searchsorted(grid.ys, y) - 1, 0, grid.ny - 2)
+    ok = valid[i, j] & valid[i + 1, j] & valid[i, j + 1] & valid[i + 1, j + 1]
+    tx = (x - grid.xs[i]) / grid.hx
+    ty = (y - grid.ys[j]) / grid.hy
+    v = ((1 - tx) * (1 - ty) * F[i, j] + tx * (1 - ty) * F[i + 1, j]
+         + (1 - tx) * ty * F[i, j + 1] + tx * ty * F[i + 1, j + 1])
+    return v, ok
 
-    def __init__(self, grid: Grid, F: np.ndarray, valid: np.ndarray | None = None):
-        self.grid = grid
-        self.F = F
-        self.valid = grid.inside if valid is None else valid
 
-    def __call__(self, x: float, y: float):
-        g = self.grid
-        i = int(np.clip(np.searchsorted(g.xs, x) - 1, 0, g.nx - 2))
-        j = int(np.clip(np.searchsorted(g.ys, y) - 1, 0, g.ny - 2))
-        if not (self.valid[i, j] and self.valid[i + 1, j]
-                and self.valid[i, j + 1] and self.valid[i + 1, j + 1]):
-            return None
-        tx = (x - g.xs[i]) / g.hx
-        ty = (y - g.ys[j]) / g.hy
-        f = self.F
-        return ((1 - tx) * (1 - ty) * f[i, j] + tx * (1 - ty) * f[i + 1, j]
-                + (1 - tx) * ty * f[i, j + 1] + tx * ty * f[i + 1, j + 1])
-
-    def inward(self, x: float, y: float, nx_in: float, ny_in: float, d0: float):
-        """Sample stepping further along the inward direction if needed."""
-        for mult in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
-            v = self(x + mult * d0 * nx_in, y + mult * d0 * ny_in)
-            if v is not None:
-                return v
-        return 0.0
+def _sample_inward(grid: Grid, F: np.ndarray, valid: np.ndarray, x, y,
+                   nx_in, ny_in, d0: float) -> np.ndarray:
+    """Sample F at distance d0 along the inward normal from each point,
+    stepping further in while the cell is not fully valid; 0 if it never is."""
+    out = np.zeros_like(x)
+    todo = np.arange(len(x))
+    for mult in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
+        v, ok = _bilinear(grid, F, valid, x[todo] + mult * d0 * nx_in[todo],
+                          y[todo] + mult * d0 * ny_in[todo])
+        out[todo[ok]] = v[ok]
+        todo = todo[~ok]
+    return out
 
 
 def _gradient_grids(grid: Grid, F: np.ndarray):
     """One-sided/centered difference gradients on interior nodes."""
     nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
     inside = grid.inside
-    Ux = np.zeros_like(F)
-    Uy = np.zeros_like(F)
-    valid = np.zeros_like(inside)
 
     def axis_grad(shift_minus, shift_plus, shift_2plus, shift_2minus, h):
-        g = np.full_like(F, np.nan)
         ok_c = shift_minus[0] & shift_plus[0]
         g_c = (shift_plus[1] - shift_minus[1]) / (2 * h)
         ok_f = ~shift_minus[0] & shift_plus[0] & shift_2plus[0]
@@ -390,36 +391,25 @@ def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid,
     """
     F = pair.field
     Ux, Uy, valid = _gradient_grids(grid, F)
-    s_u = _FieldSampler(grid, F)
-    s_x = _FieldSampler(grid, Ux, valid)
-    s_y = _FieldSampler(grid, Uy, valid)
     d = 2.0 * max(grid.hx, grid.hy)
 
     # BC: free boundary, sample u and grad at pulled-back points.
     bc = bc_trace(dom, n_bc)
-    curve = bc.curve
-    u, ux, uy = [], [], []
-    for t in bc.params:
-        x, y = curve.position(t)
-        nx_o, ny_o = curve.normal(t)
-        u.append(s_u.inward(x, y, -nx_o, -ny_o, d))
-        ux.append(s_x.inward(x, y, -nx_o, -ny_o, d))
-        uy.append(s_y.inward(x, y, -nx_o, -ny_o, d))
-    bc = bc_trace(dom, n_bc, u=np.array(u), ux=np.array(ux), uy=np.array(uy))
+    y = bc.params
+    x = -(2.0 / 3.0) * _libm_pow(-y, 1.5)   # BC: 3x = -2(-y)^(3/2), see _libm_pow
+    nx_o, ny_o = bc.curve.normal(y)
+    u, ux, uy = (_sample_inward(grid, G, ok, x, y, -nx_o, -ny_o, d)
+                 for G, ok in ((F, grid.inside), (Ux, valid), (Uy, valid)))
+    bc = bc_trace(dom, n_bc, u=u, ux=ux, uy=uy)
 
     # sigma: Dirichlet side, u = 0, grad = (normal derivative) * n.
     sg = sigma_trace(dom, n_sigma)
-    curve = sg.curve
-    ux, uy = [], []
-    for t in sg.params:
-        x, y = curve.position(t)
-        nx_o, ny_o = curve.normal(t)
-        u1 = s_u.inward(x, y, -nx_o, -ny_o, d)
-        u2 = s_u.inward(x, y, -nx_o, -ny_o, 2.0 * d)
-        un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
-        ux.append(un * nx_o)
-        uy.append(un * ny_o)
-    sg = sigma_trace(dom, n_sigma, ux=np.array(ux), uy=np.array(uy))
+    x, y = sg.positions
+    nx_o, ny_o = sg.curve.normal(sg.params)
+    u1 = _sample_inward(grid, F, grid.inside, x, y, -nx_o, -ny_o, d)
+    u2 = _sample_inward(grid, F, grid.inside, x, y, -nx_o, -ny_o, 2.0 * d)
+    un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
+    sg = sigma_trace(dom, n_sigma, ux=un * nx_o, uy=un * ny_o)
     return {"BC": bc, "Sigma": sg}
 
 

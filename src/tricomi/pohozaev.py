@@ -359,6 +359,8 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000,
     >= -1e-10 (they are exact pointwise/Cauchy-Schwarz consequences when
     both sides share the quadrature weights).
     """
+    if n_traces < 1:
+        raise ValueError("need at least 1 random trace bundle")
     dom = TricomiDomain(x0)
     led = ledger(x0)
     rng = np.random.default_rng(seed)
@@ -397,6 +399,8 @@ def verify_integrand_equivalence(x0: float, n_states: int = 1000,
     out); omega1 on sigma with zero trace against the G1/G2 form.  The
     agreement tolerance is 1e-12 relative to the state's magnitude.
     """
+    if n_states < 1:
+        raise ValueError("need at least 1 random state per curve")
     dom = TricomiDomain(x0)
     rng = np.random.default_rng(seed)
     tol = 1e-12

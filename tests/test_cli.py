@@ -60,6 +60,13 @@ class TestConstants:
         assert first == pytest.approx(-2.0, rel=1e-12)
         assert last == pytest.approx(-0.1, rel=1e-12)
 
+    def test_x0_in_scientific_notation(self, capsys):
+        # argparse alone reads "-1e-3" as an option, not a negative number.
+        code, out, err = _run(capsys, "constants", "--x0", "-1e-3")
+        assert code == 0 and err == ""
+        assert (code, out) == _run(capsys, "constants", "--x0=-1e-3")[:2]
+        assert json.loads(out)["x0"] == -1e-3
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "ledger.json"
         code, out, _ = _run(capsys, "constants", "--x0", "-0.5",
@@ -94,6 +101,15 @@ class TestVerify:
         rec = json.loads(out)
         assert rec["passed"] is False
         assert "star_shaped" in json.loads(err)["failed"]
+
+    @pytest.mark.parametrize("check", ["inequalities", "integrands"])
+    @pytest.mark.parametrize("grid", ["0", "-320"])
+    def test_nonpositive_sample_count_exits_1(self, capsys, check, grid):
+        # An empty sample must not pass vacuously with an infinite margin.
+        code, out, err = _run(capsys, "verify", check, "--x0", "-0.5",
+                              "--grid", grid)
+        assert code == 1 and out == ""
+        assert "at least 1" in json.loads(err)["error"]
 
     def test_tol_override_flips_outcome(self, capsys):
         code, _, _ = _run(capsys, "verify", "starshape",

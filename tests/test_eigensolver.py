@@ -62,15 +62,18 @@ class TestGrid:
 
     def test_labels_populated_by_assembly(self, dom):
         grid = Grid.build(dom, 64, 64)
-        assert grid.labels is None
-        assemble(dom, grid)
-        labels = grid.labels
+        snapshot = [a.copy() for a in (grid.xs, grid.ys, grid.inside)]
+        labels = assemble(dom, grid).labels
         assert set(np.unique(labels)) <= {EXTERIOR, INTERIOR, DIRICHLET, FREE_BC}
         assert np.count_nonzero(labels == DIRICHLET) > 0
         assert np.count_nonzero(labels == FREE_BC) > 0
         # Free-boundary ghosts only appear in the hyperbolic half.
         ii, jj = np.nonzero(labels == FREE_BC)
         assert np.all(grid.ys[jj] < 1e-12)
+        # Assembly leaves the frozen grid as it was.
+        assert not hasattr(grid, "labels")
+        for a, b in zip((grid.xs, grid.ys, grid.inside), snapshot):
+            assert np.array_equal(a, b)
 
 
 class TestConsistency:
@@ -88,6 +91,21 @@ class TestConsistency:
         r = op64.matrix @ op64.to_vector(U) - op64.to_vector(F)
         scale = 1.0 / grid64.hx**2
         assert float(np.max(np.abs(r[op64.full_stencil]))) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("n, x0, nnz, sum_sq, bilinear", [
+        (64, -0.5, 17710, 448147327040.05164, 44441.779871381),
+        (96, -1.0, 40721, 647056281324.953, 280936.34888713673),
+    ])
+    def test_matrix_values_pinned(self, n, x0, nnz, sum_sq, bilinear):
+        # Frozen regression anchor over every row, cut cells and one-sided
+        # rows included (the checks above see only full-stencil rows).
+        d = TricomiDomain(x0)
+        A = assemble(d, Grid.build(d, n, n)).matrix
+        k = np.arange(A.shape[0])
+        v, w = np.cos(0.37 * k), np.sin(0.11 * k + 0.5)
+        assert A.nnz == nnz
+        assert float(np.sum(A.data**2)) == pytest.approx(sum_sq, rel=1e-12)
+        assert float(w @ (A @ v)) == pytest.approx(bilinear, rel=1e-12)
 
     def test_interior_order_at_least_1_8(self, dom):
         def truncation(n):
