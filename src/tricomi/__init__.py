@@ -13,18 +13,6 @@ from .constants import (
     ledger,
     optimize_epsilons,
 )
-from .eigensolver import (
-    EigenPair,
-    Grid,
-    TricomiOperator,
-    assemble,
-    extract_traces,
-    read_field_binary,
-    solve_real_spectrum,
-    trace_norms,
-    write_field_binary,
-    write_field_csv,
-)
 from .geometry import (
     MEMBERSHIP_TOL,
     BoundaryCurve,
@@ -64,3 +52,16 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
+
+# eigensolver imports scipy.sparse, which costs more than the rest of the
+# package together; its names are loaded on first use (PEP 562).
+_EIGENSOLVER_NAMES = {"EigenPair", "Grid", "TricomiOperator", "assemble", "extract_traces",
+                      "read_field_binary", "solve_real_spectrum", "trace_norms",
+                      "write_field_binary", "write_field_csv"}
+
+
+def __getattr__(name):
+    if name in _EIGENSOLVER_NAMES:
+        from . import eigensolver
+        return getattr(eigensolver, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -19,7 +19,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import eigensolver, pohozaev, verifier
+from . import pohozaev, verifier
 from .constants import ledger
 from .geometry import TricomiDomain, reflected_membership, verify_star_shaped
 from .report import fmt, reports_to_csv, reports_to_jsonl
@@ -165,6 +165,8 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _solve(x0: float, nx: int, ny: int, count: int):
+    from . import eigensolver   # scipy.sparse: imported only by commands that solve
+
     dom = TricomiDomain(x0)
     grid = eigensolver.Grid.build(dom, nx, ny)
     op = eigensolver.assemble(dom, grid)
@@ -173,6 +175,8 @@ def _solve(x0: float, nx: int, ny: int, count: int):
 
 
 def _cmd_eigen(args, parser) -> int:
+    from . import eigensolver
+
     if args.x0 is None:
         parser.error("eigen requires --x0")
     try:
@@ -206,6 +210,8 @@ def _cmd_eigen(args, parser) -> int:
 
 
 def _cmd_bound(args, parser) -> int:
+    from . import eigensolver
+
     if args.x0 is None:
         parser.error("bound requires --x0")
     tol = args.tol if args.tol is not None else 1e-2

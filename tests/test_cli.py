@@ -181,3 +181,21 @@ class TestDeterminism:
         a = subprocess.run(cmd, capture_output=True, check=True)
         b = subprocess.run(cmd, capture_output=True, check=True)
         assert a.stdout == b.stdout and a.stdout
+
+
+class TestLazyImport:
+    def test_commands_without_solve_do_not_load_scipy_sparse(self):
+        code = (
+            "import contextlib, io, sys\n"
+            "import tricomi.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert tricomi.cli.run(['constants', '--x0', '-0.5']) == 0\n"
+            "    assert tricomi.cli.run(['verify', 'g1-bounds', '--x0', '-0.5',"
+            " '--grid', '1000']) == 0\n"
+            "    assert tricomi.cli.run(['plot', 'h', '--x0', '-0.5']) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "import tricomi, tricomi.eigensolver\n"
+            "print(tricomi.Grid is tricomi.eigensolver.Grid)\n")
+        out = subprocess.run([sys.executable, "-c", code],
+                             capture_output=True, text=True, check=True).stdout
+        assert out.split() == ["False", "True"]

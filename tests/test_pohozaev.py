@@ -116,6 +116,17 @@ class TestQuadrature:
         exact = (8.0 / 7.0) * (-dom.y_C) ** 3.5
         assert val == pytest.approx(exact, rel=1e-6)
 
+    @pytest.mark.parametrize("make", [bc_trace, sigma_trace])
+    def test_batched_trace_matches_rows(self, dom, make):
+        rng = np.random.default_rng(3)
+        u, ux, uy = rng.uniform(-1.0, 1.0, (3, 5, 48))
+        integrand = lambda x, y, u, ux, uy: u * ux + np.abs(y) * uy**2 - x * ux
+        batched = line_integral(make(dom, 48, u=u, ux=ux, uy=uy), integrand)
+        rows = [line_integral(make(dom, 48, u=u[k], ux=ux[k], uy=uy[k]), integrand)
+                for k in range(5)]
+        assert batched.shape == (5,)
+        assert batched.tolist() == rows
+
     def test_too_few_nodes(self, dom):
         tr = bc_trace(dom, 8)
         tr2 = bc_trace(dom, 2)
@@ -233,3 +244,15 @@ class TestRandomizedInequalities:
         a = verify_trace_inequalities(-0.5, n_traces=20, seed=11)
         b = verify_trace_inequalities(-0.5, n_traces=20, seed=11)
         assert a.worst_margin == b.worst_margin
+
+    @pytest.mark.parametrize("x0, seed, n_nodes, worst, note", [
+        (-0.5, 0, 64, 0.26252158021410665, "bc_omega2 at draw 430"),
+        (-0.05, 0, 64, 0.01623377097445991, "bc_omega1_eps2 at draw 279"),
+        (-1.0, 11, 48, 0.4786421787286533, "bc_omega2 at draw 157"),
+    ])
+    def test_worst_margin_pinned(self, x0, seed, n_nodes, worst, note):
+        # Values of the one-bundle-at-a-time implementation: same draws, same
+        # quadrature, same first-worst tie-break.
+        rep = verify_trace_inequalities(x0, seed=seed, n_nodes=n_nodes)
+        assert rep.worst_margin == worst
+        assert rep.notes == f"tolerance=1e-10; worst: {note}"
