@@ -386,15 +386,14 @@ def _cmd_plot(args, parser) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sub, fmt_choices=("json", "csv")):
+def _add_common(sub, fmt_choices=("json", "csv"), sweep=False):
     sub.add_argument("--x0", type=_neg_float, default=None,
                      help="domain parameter, a negative real")
-    sub.add_argument("--x0-range", type=_parse_range, default=None,
-                     help="sweep a:b:n, log-spaced between negative a and b")
+    if sweep:   # elsewhere argparse rejects --x0-range (exit 2), not ignores it
+        sub.add_argument("--x0-range", type=_parse_range, default=None,
+                         help="sweep a:b:n, log-spaced between negative a and b")
     sub.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
     sub.add_argument("--out", default=None, help="output path (default stdout)")
-    sub.add_argument("--jobs", type=int, default=None,
-                     help="parallel workers for sweeps (default: cpu count)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,11 +404,13 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sc = subs.add_parser("constants", help="x0-dependent constant ledger")
-    _add_common(sc)
+    _add_common(sc, sweep=True)
 
     sv = subs.add_parser("verify", help="dense-grid and randomized checks")
     sv.add_argument("check", choices=_VERIFY_CHECKS)
-    _add_common(sv)
+    _add_common(sv, sweep=True)
+    sv.add_argument("--jobs", type=int, default=None,
+                    help="parallel workers for sweeps (default: cpu count)")
     sv.add_argument("--grid", type=int, default=100000,
                     help="sweep grid size (or sample count for randomized checks)")
     sv.add_argument("--tol", type=float, default=None,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import TricomiDomain
+from .geometry import TricomiDomain, _libm_pow
 from .pohozaev import (
     BoundaryNormBundle,
     BoundaryTrace,
@@ -110,16 +110,6 @@ class TricomiOperator:
 
 
 _FRACTION_FLOOR = 1e-3
-
-
-def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise power through Python floats, i.e. libm pow.
-
-    numpy's SIMD pow can differ from libm in the last ulp, depending on the
-    CPU's vector unit; cancellation in the cut-cell rows amplifies that.
-    Using libm for the cut-cell crossings and the BC sample points keeps
-    the matrix and the traces the same on every CPU."""
-    return (base.astype(object) ** exponent).astype(float)
 
 
 def _cut_fraction(dom: TricomiDomain, x: np.ndarray, y: np.ndarray,

@@ -32,6 +32,17 @@ MEMBERSHIP_TOL = 1e-12
 _ENDPOINT_GUARD = 1e-12
 
 
+def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
+    """Elementwise power through Python floats, i.e. libm pow.
+
+    numpy's SIMD pow can differ from libm in the last ulp, depending on the
+    CPU's vector unit, while a Python float power always calls libm.  The
+    membership slack, the cut-cell crossings and the BC sample points all
+    take their powers here, so array and scalar evaluations agree bit for
+    bit and the results are the same on every CPU."""
+    return (base.astype(object) ** exponent).astype(float)
+
+
 def _real_cbrt(v):
     """Real cube root of a nonnegative quantity, clamping tiny negative residue."""
     v = np.asarray(v, dtype=float)
@@ -112,19 +123,33 @@ class TricomiDomain:
         9(x - x0)^2 + 4y^3 <= 9 x0^2; for y_C <= y < 0 the point must lie
         between the two characteristics.  The value is the worst constraint
         margin, in the natural units of each inequality.
+
+        p = (x, y) may hold scalars, giving a Python float, or coordinate
+        arrays, giving an array of their shape.  The powers go through libm
+        (`_libm_pow`), so each array entry equals the scalar call bit for bit.
         """
-        x, y = float(p[0]), float(p[1])
-        if y >= 0.0:
-            return 9.0 * self.x0**2 - (9.0 * (x - self.x0) ** 2 + 4.0 * y**3)
-        c = (2.0 / 3.0) * (-y) ** 1.5
-        return min(x - (2.0 * self.x0 + c), -c - x, y - self.y_C)
+        x, y = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
+        up = y >= 0.0
+        out = np.empty(x.shape)
+        xu, yu = x[up], y[up]
+        out[up] = 9.0 * self.x0**2 - (9.0 * _libm_pow(xu - self.x0, 2)
+                                      + 4.0 * _libm_pow(yu, 3))
+        xl, yl = x[~up], y[~up]
+        c = (2.0 / 3.0) * _libm_pow(-yl, 1.5)
+        out[~up] = np.minimum(np.minimum(xl - (2.0 * self.x0 + c), -c - xl),
+                              yl - self.y_C)
+        return float(out) if out.ndim == 0 else out
 
     def contains(self, p):
         """True iff p lies in the closed domain, with tolerance MEMBERSHIP_TOL."""
         return self.membership_slack(p) >= -MEMBERSHIP_TOL
 
     def membership_slack_grid(self, X, Y):
-        """Vectorized membership_slack over coordinate arrays."""
+        """Vectorized membership_slack over coordinate arrays, with numpy powers.
+
+        Grid.build sets the finite-difference mask from this; it keeps
+        numpy's powers so the mask, the matrix and the solve stay as they
+        are.  It can differ from membership_slack in the last ulp."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         upper = 9.0 * self.x0**2 - (9.0 * (X - self.x0) ** 2 + 4.0 * Y**3)
@@ -252,16 +277,23 @@ def flow(p, t):
     return (x * math.exp(-3.0 * t), y * math.exp(-2.0 * t))
 
 
-def boundary_points(dom: TricomiDomain, n: int):
-    """n points distributed over the three boundary pieces (corners included)."""
+def _boundary_arrays(dom: TricomiDomain, n: int):
+    """x and y arrays of the n points of boundary_points."""
     n_piece = max(2, n // 3)
-    pts = []
+    xs, ys = [], []
     for kind in ("Sigma", "AC", "BC"):
         curve = dom.boundary_curve(kind)
-        for t in curve.params(n_piece):
-            x, y = curve.position(t)
-            pts.append((float(x), float(y)))
-    return pts
+        # Python-float parameters keep t**1.5 on AC and BC in libm pow.
+        x, y = curve.position(curve.params(n_piece).astype(object))
+        xs.append(np.asarray(x, dtype=float))
+        ys.append(np.asarray(y, dtype=float))
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+def boundary_points(dom: TricomiDomain, n: int):
+    """n points distributed over the three boundary pieces (corners included)."""
+    xs, ys = _boundary_arrays(dom, n)
+    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def verify_star_shaped(
@@ -277,27 +309,33 @@ def verify_star_shaped(
     [0, t_max] plus the t = +inf limit, and records the worst membership
     slack.  A different `membership` predicate turns this into a negative
     control (e.g. the x-reflected domain, which the flow of Omega exits).
+    The predicate is called once, with the (points, times) coordinate
+    arrays (X, Y), and returns the slack array of that shape.
     """
     if n_boundary < 2 or n_times < 2:
         raise ValueError("need at least 2 boundary points and 2 flow times")
     slack_of = membership if membership is not None else dom.membership_slack
     times = np.concatenate([[0.0], np.geomspace(1e-6, t_max, n_times - 1), [math.inf]])
-    worst = math.inf
-    worst_at = (dom.B, 0.0)
-    for p in boundary_points(dom, n_boundary):
-        for t in times:
-            s = slack_of(flow(p, t))
-            if s < worst:
-                worst, worst_at = s, (p, float(t))
+    xs, ys = _boundary_arrays(dom, n_boundary)
+    # The flow factors of `flow`, one libm exp per time; t = inf maps to (0, 0).
+    X = np.zeros((len(xs), len(times)))
+    Y = np.zeros_like(X)
+    X[:, :-1] = xs[:, None] * [math.exp(-3.0 * t) for t in times[:-1]]
+    Y[:, :-1] = ys[:, None] * [math.exp(-2.0 * t) for t in times[:-1]]
+    slack = np.asarray(slack_of((X, Y)))
+    # C order is point-major, and argmin keeps the first of equal minima.
+    i, j = divmod(int(np.argmin(slack)), len(times))
+    worst = float(slack[i, j])
+    p = (float(xs[i]), float(ys[i]))
     tol = 1e-10
     return VerificationReport(
         claim_id="star_shaped",
         x0=dom.x0,
         grid_size=n_boundary * len(times),
         worst_margin=worst,
-        worst_location=worst_at[0][0],
+        worst_location=p[0],
         passed=worst >= -tol,
-        notes=f"tolerance={tol:g}; worst point={worst_at[0]}, t={worst_at[1]:g}",
+        notes=f"tolerance={tol:g}; worst point={p}, t={float(times[j]):g}",
     )
 
 

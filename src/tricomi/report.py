@@ -41,6 +41,7 @@ class VerificationReport:
         d = self.to_dict()
         for k in ("x0", "worst_margin", "worst_location"):
             d[k] = float(d[k])
+        d["passed"] = bool(d["passed"])     # a numpy.bool_ would dump as 1.0
         return json.dumps(d, sort_keys=True, default=float)
 
 
@@ -52,6 +53,6 @@ def reports_to_csv(reports) -> str:
     lines = ["claim_id,x0,worst_margin,passed"]
     for r in reports:
         lines.append(
-            f"{r.claim_id},{fmt(float(r.x0))},{fmt(float(r.worst_margin))},{fmt(r.passed)}"
+            f"{r.claim_id},{fmt(float(r.x0))},{fmt(float(r.worst_margin))},{fmt(bool(r.passed))}"
         )
     return "\n".join(lines) + "\n"

@@ -29,6 +29,12 @@ class TestArgumentContract:
         ["plot", "h", "--x0", "-0.5", "--format", "json"],
         ["eigen", "--x0", "-0.5", "--format", "csv"],   # csv needs --out
         ["nosuchcommand"],
+        # Sweep options exist only where x0 is swept; elsewhere they are
+        # rejected rather than silently ignored.
+        ["eigen", "--x0", "-0.5", "--x0-range", "-2:-0.5:3"],
+        ["plot", "eigen", "--x0", "-0.5", "--x0-range", "-2:-0.5:3"],
+        ["bound", "--x0", "-0.5", "--jobs", "3"],
+        ["constants", "--x0", "-0.5", "--jobs", "3"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:

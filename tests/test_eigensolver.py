@@ -146,6 +146,21 @@ class TestSpectrum:
             1.0, rel=1e-10)
         assert float(np.sum(F)) >= 0.0
 
+    def test_dilation_self_similarity(self):
+        # x -> |x0| x, y -> |x0|^(2/3) y maps the x0 = -1 problem, grid and
+        # all, onto any x0: lambda scales as |x0|^(-4/3) and the unit-norm
+        # field as |x0|^(-5/6).
+        scaled = []
+        for x0 in (-0.05, -0.5, -4.0):
+            d = TricomiDomain(x0)
+            pair = solve_real_spectrum(assemble(d, Grid.build(d, 64, 64)), 1)[0][0]
+            scaled.append((pair.lam * abs(x0) ** (4.0 / 3.0),
+                           abs(x0) ** (5.0 / 6.0) * pair.field))
+        lam, F = scaled[0]
+        for lam_i, F_i in scaled[1:]:
+            assert lam_i == pytest.approx(lam, rel=1e-10)
+            assert np.max(np.abs(F_i - F)) <= 1e-10 * np.max(np.abs(F))
+
     def test_determinism(self, dom, op64, solved64):
         pairs2, _ = solve_real_spectrum(op64, 4)
         pairs1, _ = solved64

@@ -198,6 +198,91 @@ class TestStarShaped:
             verify_star_shaped(dom, 30, 1)
 
 
+def _slack_reference(dom, x, y):
+    """membership_slack in plain Python floats (libm powers), one point."""
+    x, y = float(x), float(y)
+    if y >= 0.0:
+        return 9.0 * dom.x0**2 - (9.0 * (x - dom.x0) ** 2 + 4.0 * y**3)
+    c = (2.0 / 3.0) * (-y) ** 1.5
+    return min(x - (2.0 * dom.x0 + c), -c - x, y - dom.y_C)
+
+
+def _star_shaped_reference(dom, n_boundary, n_times, slack):
+    """Worst slack over boundary points x flow times, one point at a time."""
+    times = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, n_times - 1), [math.inf]])
+    worst, worst_at = math.inf, None
+    for p in boundary_points(dom, n_boundary):
+        for t in times:
+            s = slack(flow(p, t))
+            if s < worst:
+                worst, worst_at = s, (p, float(t))
+    return worst, worst_at
+
+
+class TestStarShapedArrayPass:
+    @pytest.mark.parametrize("x0, n, reflected, margin, point, t", [
+        (-0.5, 200, False, "-0x1.0000000000000p-51",
+         (-0.24615384615384617, 0.7474072205585838), "0"),
+        (-0.5, 200, True, "-0x1.2000000000000p+4", (-1.0, 0.0), "0"),
+        (-4.0, 2000, False, "-0x1.0000000000000p-44",
+         (-2.297744360902256, 3.0891830041612183), "0"),
+        (-0.07, 120, False, "-0x1.0000000000000p-55",
+         (-0.0646850198228093, -0.21115270517970505), "5.36002e-06"),
+    ])
+    def test_reports_pinned(self, x0, n, reflected, margin, point, t):
+        # Frozen regression anchor: the worst slack is a last-ulp residue,
+        # so any change in how a power or product is evaluated shows here.
+        d = TricomiDomain(x0)
+        rep = verify_star_shaped(d, n, 50,
+                                 membership=reflected_membership(d) if reflected else None)
+        assert rep.worst_margin.hex() == margin
+        assert rep.worst_location == point[0]
+        assert rep.notes == f"tolerance=1e-10; worst point={point}, t={t}"
+        assert rep.passed is (not reflected)
+        assert rep.grid_size == n * 51
+
+    @pytest.mark.parametrize("x0", [-0.05, -0.5, -4.0])
+    @pytest.mark.parametrize("reflected", [False, True])
+    def test_matches_point_by_point_reference(self, x0, reflected):
+        d = TricomiDomain(x0)
+        sign = -1.0 if reflected else 1.0
+        worst, (p, t) = _star_shaped_reference(
+            d, 120, 30, lambda q: _slack_reference(d, sign * q[0], q[1]))
+        rep = verify_star_shaped(d, 120, 30,
+                                 membership=reflected_membership(d) if reflected else None)
+        assert rep.worst_margin.hex() == worst.hex()
+        assert rep.worst_location == p[0]
+        assert rep.notes == f"tolerance=1e-10; worst point={p}, t={t:g}"
+
+    def test_membership_slack_arrays_match_scalar_calls(self):
+        dom = TricomiDomain(-0.7)
+        rng = np.random.default_rng(5)
+        bx, by = (np.array(c) for c in zip(*boundary_points(dom, 90)))
+        # Random points, both signed zeros of y, the t = inf origin and the
+        # boundary points themselves.
+        X = np.concatenate([rng.uniform(2.5 * dom.x0, 0.5, 400),
+                            [0.3, -0.4, 0.0, -0.0, 0.0], bx])
+        Y = np.concatenate([rng.uniform(1.5 * dom.y_C, 1.5, 400),
+                            [0.0, -0.0, 0.0, -0.0, -0.0], by])
+        arr = dom.membership_slack((X.reshape(-1, 5), Y.reshape(-1, 5)))
+        assert arr.shape == (len(X) // 5, 5)
+        scalar = [dom.membership_slack((x, y)) for x, y in zip(X, Y)]
+        assert all(type(s) is float for s in scalar)
+        ref = [_slack_reference(dom, x, y).hex() for x, y in zip(X, Y)]
+        assert [s.hex() for s in arr.ravel().tolist()] == ref
+        assert [s.hex() for s in scalar] == ref
+
+    @pytest.mark.parametrize("n", [7, 60, 200])
+    def test_boundary_points_match_per_point_positions(self, dom, n):
+        ref = []
+        for kind in ("Sigma", "AC", "BC"):
+            curve = dom.boundary_curve(kind)
+            for t in curve.params(max(2, n // 3)):
+                x, y = curve.position(t)
+                ref.append((float(x).hex(), float(y).hex()))
+        assert [(x.hex(), y.hex()) for x, y in boundary_points(dom, n)] == ref
+
+
 def test_membership_grid_matches_scalar():
     dom = TricomiDomain(-0.7)
     rng = np.random.default_rng(3)
