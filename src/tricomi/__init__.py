@@ -49,6 +49,7 @@ from .verifier import (
     verify_G1_bounds,
     verify_G2_bounds,
     verify_h_profile,
+    verify_profiles,
 )
 
 __version__ = "0.1.0"

@@ -64,6 +64,16 @@ def _neg_float(text: str) -> float:
     return v
 
 
+def _pos_int(text: str) -> int:
+    try:
+        v = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+    if v < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
+    return v
+
+
 def _x0_list(args, parser) -> list:
     if args.x0 is not None and args.x0_range is not None:
         parser.error("give either --x0 or --x0-range, not both")
@@ -133,8 +143,8 @@ def _verify_one(check: str, x0: float, grid: int, reflected: bool):
         n = grid if grid < 10000 else 1000
         return [pohozaev.verify_trace_inequalities(x0, n_traces=n)]
     if check == "all":
-        out = []
-        for c in _VERIFY_CHECKS[:-1]:
+        out = verifier.verify_profiles(x0, grid)
+        for c in ("starshape", "integrands", "inequalities"):
             out.extend(_verify_one(c, x0, grid, reflected))
         return out
     raise ValueError(f"unknown check {check!r}")
@@ -145,11 +155,16 @@ def _cmd_verify(args, parser) -> int:
     jobs = args.jobs or min(os.cpu_count() or 1, len(x0s))
     log.info("verify %s over %d value(s) of x0 with %d job(s)",
              args.check, len(x0s), jobs)
+
+    def one(x0):
+        # An overflow is a numerical failure, reported below as JSON, not a
+        # numpy warning on stderr.  The error state is per thread.
+        with np.errstate(over="raise"):
+            return _verify_one(args.check, x0, args.grid, args.reflected)
+
     try:
-        with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-            batches = list(pool.map(
-                lambda x0: _verify_one(args.check, x0, args.grid, args.reflected),
-                x0s))
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            batches = list(pool.map(one, x0s))
     except Exception as exc:  # numerical failure inside a worker
         return _fail(f"verification failed: {exc}", check=args.check)
     reports = [r for batch in batches for r in batch]
@@ -409,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv = subs.add_parser("verify", help="dense-grid and randomized checks")
     sv.add_argument("check", choices=_VERIFY_CHECKS)
     _add_common(sv, sweep=True)
-    sv.add_argument("--jobs", type=int, default=None,
+    sv.add_argument("--jobs", type=_pos_int, default=None,
                     help="parallel workers for sweeps (default: cpu count)")
     sv.add_argument("--grid", type=int, default=100000,
                     help="sweep grid size (or sample count for randomized checks)")

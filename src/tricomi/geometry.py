@@ -327,7 +327,9 @@ def verify_star_shaped(
     i, j = divmod(int(np.argmin(slack)), len(times))
     worst = float(slack[i, j])
     p = (float(xs[i]), float(ys[i]))
-    tol = 1e-10
+    # The slack's rounding residue scales with its 9 x0^2 terms.  A float
+    # power raises on overflow rather than giving an infinite tolerance.
+    tol = 1e-10 * max(1.0, float(dom.x0) ** 2)
     return VerificationReport(
         claim_id="star_shaped",
         x0=dom.x0,

@@ -9,10 +9,11 @@ independent route (divided differences vs. printed closed forms).
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import G1, G2, X0_CRITICAL, ledger
+from .constants import X0_CRITICAL, ConstantLedger, g1, ledger
 from .geometry import TricomiDomain
 from .report import VerificationReport
 
@@ -21,6 +22,7 @@ __all__ = [
     "verify_h_profile",
     "verify_G1_bounds",
     "verify_G2_bounds",
+    "verify_profiles",
     "find_inflection",
     "proof_internals",
     "N_of_X",
@@ -90,11 +92,6 @@ def find_inflection(x0: float) -> float:
     return x0 + 0.5 * (lo + hi)
 
 
-def _second_differences(f, xs: np.ndarray, delta: float):
-    """Central second divided differences at the points of xs."""
-    return (f(xs - delta) - 2.0 * f(xs) + f(xs + delta)) / delta**2
-
-
 def _finish(claim_id, x0, grid, checks, notes_extra=""):
     """Fold named (margin, tol, location) triples into one report."""
     worst_name, worst = None, math.inf
@@ -123,14 +120,36 @@ def _finish(claim_id, x0, grid, checks, notes_extra=""):
     )
 
 
-def verify_h_profile(x0: float, grid_size: int) -> VerificationReport:
-    """Bounds, evenness and convexity pattern of the normal-modulus h."""
+@dataclass(frozen=True)
+class _Sweep:
+    """The dense sweep of one (x0, grid_size): the grid and g, h on it.
+
+    The h-profile, G1 and G2 checks all read these arrays, so `verify all`
+    sorts the grid and evaluates g and h once per x0 instead of once per
+    check.  The arrays are read-only because the checks share them."""
+
+    grid_size: int
+    dom: TricomiDomain
+    led: ConstantLedger
+    xs: np.ndarray
+    g: np.ndarray
+    h: np.ndarray
+
+
+def _sweep(x0: float, grid_size: int) -> _Sweep:
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     dom = TricomiDomain(x0)
-    led = ledger(x0)
     xs = sweep_grid(x0, grid_size)
-    hx = np.asarray(dom.h(xs))
+    arrays = (xs, np.asarray(dom.g(xs)), np.asarray(dom.h(xs)))
+    for a in arrays:
+        a.flags.writeable = False
+    return _Sweep(grid_size, dom, ledger(x0), *arrays)
+
+
+def _h_profile(sw: _Sweep) -> VerificationReport:
+    dom, led, xs, hx = sw.dom, sw.led, sw.xs, sw.h
+    x0 = dom.x0
     scale = float(np.max(hx))
     tol = _MARGIN_RTOL * max(1.0, scale)
 
@@ -148,9 +167,12 @@ def verify_h_profile(x0: float, grid_size: int) -> VerificationReport:
     even = -float(np.max(np.abs(hx - np.asarray(dom.h(2.0 * x0 - xs)))))
     checks["evenness"] = (even, 1e-12 * max(1.0, scale), x0)
 
-    delta = abs(2.0 * x0) / grid_size
-    interior = xs[(xs > 2.0 * x0 + 2.0 * delta) & (xs < -2.0 * delta)]
-    d2 = _second_differences(dom.h, interior, delta)
+    # Central second divided differences; h is elementwise, so the centre
+    # term is read from the sweep rather than evaluated again.
+    delta = abs(2.0 * x0) / sw.grid_size
+    keep = (xs > 2.0 * x0 + 2.0 * delta) & (xs < -2.0 * delta)
+    interior = xs[keep]
+    d2 = (dom.h(interior - delta) - 2.0 * hx[keep] + dom.h(interior + delta)) / delta**2
     curv_tol = _CURVATURE_TOL * x0 * x0
     if x0 >= X0_CRITICAL:
         j = int(np.argmin(d2))
@@ -175,41 +197,35 @@ def verify_h_profile(x0: float, grid_size: int) -> VerificationReport:
     return _finish("h_profile", x0, xs, checks)
 
 
-def verify_G1_bounds(x0: float, grid_size: int) -> VerificationReport:
-    """Regime-correct two-sided bound on G1 = g1/h over [2x0, 0]."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    dom = TricomiDomain(x0)
-    led = ledger(x0)
-    xs = sweep_grid(x0, grid_size)
-    vals = np.asarray(G1(dom, xs))
+def _bound_notes(lo_gap, hi_gap) -> str:
+    return (f"lower_gap={float(np.min(lo_gap)):.3e}; "
+            f"upper_gap={float(np.min(hi_gap)):.3e}; "
+            f"sharp_lower={float(np.min(lo_gap)) <= _SHARP_TOL}; "
+            f"sharp_upper={float(np.min(hi_gap)) <= _SHARP_TOL}")
+
+
+def _G1_bounds(sw: _Sweep) -> VerificationReport:
+    dom, led, xs = sw.dom, sw.led, sw.xs
+    vals = g1(dom, xs) / sw.h
     tol = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    lower = led.C5 if x0 >= X0_CRITICAL else led.C7
-    upper = led.C6 if x0 >= X0_CRITICAL else led.C8
+    lower = led.C5 if dom.x0 >= X0_CRITICAL else led.C7
+    upper = led.C6 if dom.x0 >= X0_CRITICAL else led.C8
 
     lo_gap = vals - lower
     hi_gap = upper - vals
     margin = np.minimum(lo_gap, hi_gap)
     i = int(np.argmin(margin))
     checks = {"bounds": (float(margin[i]), tol, float(xs[i]))}
-    extra = (f"lower_gap={float(np.min(lo_gap)):.3e}; "
-             f"upper_gap={float(np.min(hi_gap)):.3e}; "
-             f"sharp_lower={float(np.min(lo_gap)) <= _SHARP_TOL}; "
-             f"sharp_upper={float(np.min(hi_gap)) <= _SHARP_TOL}")
-    return _finish("G1_bounds", x0, xs, checks, extra)
+    return _finish("G1_bounds", dom.x0, xs, checks, _bound_notes(lo_gap, hi_gap))
 
 
-def verify_G2_bounds(x0: float, grid_size: int) -> VerificationReport:
-    """Two-sided bound on G2 = g2/h plus the symmetric bound |G2| <= C13."""
-    if grid_size < 1000:
-        raise ValueError("grid_size must be at least 1000")
-    dom = TricomiDomain(x0)
-    led = ledger(x0)
-    xs = sweep_grid(x0, grid_size)
-    vals = np.asarray(G2(dom, xs))
+def _G2_bounds(sw: _Sweep) -> VerificationReport:
+    dom, led, xs = sw.dom, sw.led, sw.xs
+    # g2/h in the operation order of constants.g2 and constants.G2.
+    vals = 4.0 * (2.0 * xs - dom.x0) * sw.g**1.5 / sw.h
     tol = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    lower = led.C9 if x0 >= X0_CRITICAL else led.C11
-    upper = led.C10 if x0 >= X0_CRITICAL else led.C12
+    lower = led.C9 if dom.x0 >= X0_CRITICAL else led.C11
+    upper = led.C10 if dom.x0 >= X0_CRITICAL else led.C12
 
     lo_gap = vals - lower
     hi_gap = upper - vals
@@ -221,11 +237,31 @@ def verify_G2_bounds(x0: float, grid_size: int) -> VerificationReport:
         "bounds": (float(margin[i]), tol, float(xs[i])),
         "abs_bound": (float(abs_margin[j]), tol, float(xs[j])),
     }
-    extra = (f"lower_gap={float(np.min(lo_gap)):.3e}; "
-             f"upper_gap={float(np.min(hi_gap)):.3e}; "
-             f"sharp_lower={float(np.min(lo_gap)) <= _SHARP_TOL}; "
-             f"sharp_upper={float(np.min(hi_gap)) <= _SHARP_TOL}")
-    return _finish("G2_bounds", x0, xs, checks, extra)
+    return _finish("G2_bounds", dom.x0, xs, checks, _bound_notes(lo_gap, hi_gap))
+
+
+def verify_h_profile(x0: float, grid_size: int) -> VerificationReport:
+    """Bounds, evenness and convexity pattern of the normal-modulus h."""
+    return _h_profile(_sweep(x0, grid_size))
+
+
+def verify_G1_bounds(x0: float, grid_size: int) -> VerificationReport:
+    """Regime-correct two-sided bound on G1 = g1/h over [2x0, 0]."""
+    return _G1_bounds(_sweep(x0, grid_size))
+
+
+def verify_G2_bounds(x0: float, grid_size: int) -> VerificationReport:
+    """Two-sided bound on G2 = g2/h plus the symmetric bound |G2| <= C13."""
+    return _G2_bounds(_sweep(x0, grid_size))
+
+
+def verify_profiles(x0: float, grid_size: int) -> list:
+    """The h-profile, G1 and G2 reports, in that order, from one shared sweep.
+
+    Equal to the three single calls, but builds the grid and evaluates g and
+    h on it once."""
+    sw = _sweep(x0, grid_size)
+    return [_h_profile(sw), _G1_bounds(sw), _G2_bounds(sw)]
 
 
 def proof_internals(x0: float, X=None, x=None) -> dict:

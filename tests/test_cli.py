@@ -35,6 +35,8 @@ class TestArgumentContract:
         ["plot", "eigen", "--x0", "-0.5", "--x0-range", "-2:-0.5:3"],
         ["bound", "--x0", "-0.5", "--jobs", "3"],
         ["constants", "--x0", "-0.5", "--jobs", "3"],
+        ["verify", "all", "--x0", "-0.5", "--jobs", "0"],
+        ["verify", "all", "--x0-range", "-2:-0.5:3", "--jobs", "-3"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -130,6 +132,30 @@ class TestVerify:
         ids = [json.loads(line)["claim_id"] for line in out.strip().splitlines()]
         assert ids == ["h_profile", "G1_bounds", "G2_bounds", "star_shaped",
                        "integrand_equivalence", "trace_inequalities"]
+
+    def test_all_builds_one_sweep_grid(self, capsys, monkeypatch):
+        from tricomi import verifier
+        calls = []
+        sweep_grid = verifier.sweep_grid
+        monkeypatch.setattr(verifier, "sweep_grid",
+                            lambda *a: calls.append(a) or sweep_grid(*a))
+        code, _, _ = _run(capsys, "verify", "all", "--x0", "-0.5", "--grid", "1200")
+        assert code == 0 and calls == [(-0.5, 1200)]
+
+    def test_all_sweep_independent_of_jobs(self, capsys):
+        argv = ("verify", "all", "--x0-range", "-4:-0.05:6")
+        one = _run(capsys, *argv, "--jobs", "1")
+        assert one == _run(capsys, *argv, "--jobs", "2")
+        assert one[0] == 0 and len(one[1].splitlines()) == 6 * 6
+
+    @pytest.mark.parametrize("x0", ["-1e200", "-1e300"])
+    def test_overflow_reports_json_only(self, x0):
+        # A numpy overflow warning must not precede the JSON diagnostic.
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricomi.cli", "verify", "starshape", "--x0", x0],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "overflow" in json.loads(proc.stderr)["error"]
 
 
 class TestEigenAndBound:

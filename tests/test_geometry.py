@@ -219,6 +219,10 @@ def _star_shaped_reference(dom, n_boundary, n_times, slack):
     return worst, worst_at
 
 
+# The tolerance 1e-10 * max(1, x0^2) as the notes print it, where it is not 1e-10.
+_STAR_TOL = {-4.0: "1.6e-09"}
+
+
 class TestStarShapedArrayPass:
     @pytest.mark.parametrize("x0, n, reflected, margin, point, t", [
         (-0.5, 200, False, "-0x1.0000000000000p-51",
@@ -237,7 +241,8 @@ class TestStarShapedArrayPass:
                                  membership=reflected_membership(d) if reflected else None)
         assert rep.worst_margin.hex() == margin
         assert rep.worst_location == point[0]
-        assert rep.notes == f"tolerance=1e-10; worst point={point}, t={t}"
+        assert rep.notes == (f"tolerance={_STAR_TOL.get(x0, '1e-10')}; "
+                             f"worst point={point}, t={t}")
         assert rep.passed is (not reflected)
         assert rep.grid_size == n * 51
 
@@ -252,7 +257,19 @@ class TestStarShapedArrayPass:
                                  membership=reflected_membership(d) if reflected else None)
         assert rep.worst_margin.hex() == worst.hex()
         assert rep.worst_location == p[0]
-        assert rep.notes == f"tolerance=1e-10; worst point={p}, t={t:g}"
+        assert rep.notes == (f"tolerance={_STAR_TOL.get(x0, '1e-10')}; "
+                             f"worst point={p}, t={t:g}")
+
+    @pytest.mark.parametrize("x0", [-300.0, -1000.0, -1e6, -1e150])
+    def test_tolerance_scales_with_x0_squared(self, x0):
+        # The slack's rounding residue grows like ulp(9 x0^2) and the
+        # reflected control's worst slack like -72 x0^2, so a tolerance
+        # relative to x0^2 tells them apart at every scale.
+        d = TricomiDomain(x0)
+        plain = verify_star_shaped(d, 200, 50)
+        reflected = verify_star_shaped(d, 200, 50, membership=reflected_membership(d))
+        assert plain.passed is True and reflected.passed is False
+        assert plain.notes.startswith(f"tolerance={1e-10 * x0 * x0:g}; ")
 
     def test_membership_slack_arrays_match_scalar_calls(self):
         dom = TricomiDomain(-0.7)

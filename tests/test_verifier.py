@@ -13,9 +13,10 @@ from tricomi import (
     verify_G1_bounds,
     verify_G2_bounds,
     verify_h_profile,
+    verify_profiles,
 )
 from tricomi.constants import X0_CRITICAL, X3, X4, ledger
-from tricomi.verifier import N_of_X, N_of_X_alt
+from tricomi.verifier import N_of_X, N_of_X_alt, _sweep
 
 X0_SAMPLES = [-0.2, -0.4, -0.45, -0.55, -0.8, -1.5]
 
@@ -70,6 +71,86 @@ class TestG1G2Bounds:
     def test_bounds_not_sharp_generic(self):
         rep = verify_G1_bounds(-0.25, 50000)
         assert "sharp_lower=False" in rep.notes
+
+
+# Reports at grid size 20000, frozen from the per-check implementation that
+# built the grid and evaluated g and h separately in each check:
+# (x0, check) -> (worst_margin.hex(), worst_location.hex(), passed, grid_size, notes).
+# The x0 cover R1, R2a, R2b and R2c, plus the sharp cases of G1 and G2.
+_PINNED = {
+    (-0.05, "h"): ("-0x1.8000000000000p-57", "-0x1.999999999999ap-5", True, 20005,
+        "worst=evenness; bounds=-3.469e-18(tol=1.0e-10); evenness=-1.041e-17(tol=1.0e-12); convexity=9.250e+00(tol=2.5e-11)"),
+    (-0.05, "G1"): ("0x1.80d1c7d7ee950p-6", "-0x1.68f5232b2166fp-5", True, 20005,
+        "worst=bounds; bounds=2.349e-02(tol=1.0e-10); lower_gap=2.349e-02; upper_gap=1.924e-01; sharp_lower=False; sharp_upper=False"),
+    (-0.05, "G2"): ("0x1.a3814b740fb30p-5", "-0x1.3ddd90f79d970p-7", True, 20005,
+        "worst=bounds; bounds=5.121e-02(tol=1.0e-10); abs_bound=3.305e-01(tol=1.0e-10); lower_gap=3.305e-01; upper_gap=5.121e-02; sharp_lower=False; sharp_upper=False"),
+    (-0.45, "h"): ("-0x1.8000000000000p-53", "-0x1.ccccccccccccdp-2", True, 20007,
+        "worst=evenness; bounds=0.000e+00(tol=1.0e-10); evenness=-1.665e-16(tol=1.0e-12); convex_outer=2.511e-04(tol=2.0e-09); concave_inner=1.716e-04(tol=2.0e-09); inflection_in_range=5.135e-02(tol=1.0e-12)"),
+    (-0.45, "G1"): ("0x1.bf5f49f8e0000p-16", "-0x1.596ed5eb4f1dap-2", True, 20007,
+        "worst=bounds; bounds=2.667e-05(tol=2.7e-10); lower_gap=2.667e-05; upper_gap=3.683e-01; sharp_lower=False; sharp_upper=False"),
+    (-0.45, "G2"): ("0x1.864a432198900p-5", "-0x1.6aa50a8cdfa48p-1", True, 20007,
+        "worst=bounds; bounds=4.764e-02(tol=5.4e-10); abs_bound=4.764e-02(tol=5.4e-10); lower_gap=4.764e-02; upper_gap=5.477e-02; sharp_lower=False; sharp_upper=False"),
+    (-0.55, "h"): ("-0x1.0000000000000p-52", "-0x1.199999999999ap-1", True, 20007,
+        "worst=evenness; bounds=-1.110e-16(tol=1.0e-10); evenness=-2.220e-16(tol=1.0e-12); convex_outer=4.478e-04(tol=3.0e-09); concave_inner=5.598e-04(tol=3.0e-09); inflection_in_range=1.352e-01(tol=1.0e-12)"),
+    (-0.55, "G1"): ("0x1.ce14d521c26c0p-6", "-0x1.9f6fe54074d2ep-2", True, 20007,
+        "worst=bounds; bounds=2.820e-02(tol=3.3e-10); lower_gap=2.820e-02; upper_gap=2.898e-01; sharp_lower=False; sharp_upper=False"),
+    (-0.55, "G2"): ("0x1.7c7edefd4a000p-11", "-0x1.c1424a15c1872p-1", True, 20007,
+        "worst=bounds; bounds=7.257e-04(tol=6.3e-10); abs_bound=7.257e-04(tol=6.3e-10); lower_gap=7.257e-04; upper_gap=2.486e-02; sharp_lower=False; sharp_upper=False"),
+    (-1.0, "h"): ("-0x1.0000000000000p-51", "-0x1.0000000000000p+0", True, 20007,
+        "worst=evenness; bounds=0.000e+00(tol=1.1e-10); evenness=-4.441e-16(tol=1.1e-12); convex_outer=1.013e-03(tol=1.0e-08); concave_inner=7.368e-04(tol=1.0e-08); inflection_in_range=2.941e-01(tol=1.0e-12)"),
+    (-1.0, "G1"): ("0x1.2a8995fd916e0p-3", "-0x1.0000000000000p+1", True, 20007,
+        "worst=bounds; bounds=1.458e-01(tol=6.0e-10); lower_gap=4.463e-01; upper_gap=1.458e-01; sharp_lower=False; sharp_upper=False"),
+    (-1.0, "G2"): ("0x1.2acd6e4700f00p-7", "-0x1.388a596cde940p-3", True, 20007,
+        "worst=bounds; bounds=9.119e-03(tol=1.0e-09); abs_bound=5.957e-01(tol=1.0e-09); lower_gap=5.957e-01; upper_gap=9.119e-03; sharp_lower=False; sharp_upper=False"),
+    (-4.0, "h"): ("-0x1.8000000000000p-49", "-0x1.0000000000000p+2", True, 20007,
+        "worst=evenness; bounds=0.000e+00(tol=7.3e-10); evenness=-2.665e-15(tol=7.3e-12); convex_outer=1.659e-03(tol=1.6e-07); concave_inner=1.245e-03(tol=1.6e-07); inflection_in_range=7.181e-01(tol=1.0e-12)"),
+    (-4.0, "G1"): ("0x1.20a265829f000p-5", "-0x1.0000000000000p+3", True, 20007,
+        "worst=bounds; bounds=3.523e-02(tol=2.4e-09); lower_gap=5.727e+00; upper_gap=3.523e-02; sharp_lower=False; sharp_upper=False"),
+    (-4.0, "G2"): ("0x1.0ce8e9fbe4698p+0", "-0x1.f1b05abb1ea90p-2", True, 20007,
+        "worst=bounds; bounds=1.050e+00(tol=3.1e-09); abs_bound=1.145e+01(tol=3.1e-09); lower_gap=1.145e+01; upper_gap=1.050e+00; sharp_lower=False; sharp_upper=False"),
+    (-1.0 / math.sqrt(5.0), "G1"): ("-0x1.0000000000000p-51", "-0x1.5775c544ff264p-2", True, 20007,
+        "worst=bounds; bounds=-4.441e-16(tol=2.7e-10); lower_gap=-4.441e-16; upper_gap=3.703e-01; sharp_lower=True; sharp_upper=False"),
+    (X3, "G2"): ("0x1.8000000000000p-51", "-0x1.02c4d9eb8b5a0p-3", True, 20006,
+        "worst=bounds; bounds=6.661e-16(tol=8.6e-10); abs_bound=2.403e-01(tol=8.6e-10); lower_gap=2.403e-01; upper_gap=6.661e-16; sharp_lower=False; sharp_upper=True"),
+    (X4, "G2"): ("0x0.0p+0", "-0x1.b6a90d931194ep-1", True, 20006,
+        "worst=bounds; bounds=0.000e+00(tol=6.2e-10); abs_bound=0.000e+00(tol=6.2e-10); lower_gap=0.000e+00; upper_gap=2.787e-02; sharp_lower=True; sharp_upper=False"),
+}
+_CHECKS = {"h": verify_h_profile, "G1": verify_G1_bounds, "G2": verify_G2_bounds}
+
+
+def _fields(rep):
+    return (rep.claim_id, rep.x0, rep.worst_margin.hex(), rep.worst_location.hex(),
+            rep.passed, rep.grid_size, rep.notes)
+
+
+class TestSharedSweep:
+    @pytest.mark.parametrize("x0, check", list(_PINNED))
+    def test_reports_pinned(self, x0, check):
+        margin, location, passed, grid_size, notes = _PINNED[(x0, check)]
+        rep = _CHECKS[check](x0, 20000)
+        assert rep.worst_margin.hex() == margin
+        assert rep.worst_location.hex() == location
+        assert rep.passed is passed
+        assert rep.grid_size == grid_size
+        assert rep.notes == notes
+
+    @pytest.mark.parametrize("x0", [-0.05, -0.45, -1.0 / math.sqrt(5.0), -0.55, X3, -4.0])
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_verify_profiles_equals_single_calls(self, x0, n):
+        shared = verify_profiles(x0, n)
+        single = [verify_h_profile(x0, n), verify_G1_bounds(x0, n),
+                  verify_G2_bounds(x0, n)]
+        assert [_fields(r) for r in shared] == [_fields(r) for r in single]
+
+    def test_verify_profiles_rejects_small_grid(self):
+        with pytest.raises(ValueError):
+            verify_profiles(-0.5, 999)
+
+    def test_sweep_arrays_read_only(self):
+        sw = _sweep(-0.5, 1000)
+        for a in (sw.xs, sw.g, sw.h):
+            with pytest.raises(ValueError):
+                a[0] = 1.0
 
 
 class TestInflection:
