@@ -3,8 +3,9 @@ bound checks and static SVG plots.
 
 Output is deterministic: floats print with 17 significant digits, no
 timestamps, and the eigensolver uses a fixed start vector.  Exit codes:
-0 when every emitted report passed, 1 on a numerical failure or a failed
-check (with diagnostic JSON on stderr), 2 on argument errors.
+0 when every emitted report passed, 1 on a numerical failure, a failed
+check or an eigenpair whose algebraic residual is above 1e-8 (with
+diagnostic JSON on stderr), 2 on argument errors.
 """
 
 from __future__ import annotations
@@ -27,6 +28,10 @@ from .report import fmt, reports_to_csv, reports_to_jsonl
 __all__ = ["main", "run"]
 
 log = logging.getLogger("tricomi")
+
+# Largest algebraic residual |Av - lambda v| / |v| that `eigen` and `bound`
+# accept.
+_RESIDUAL_TOL = 1e-8
 
 _VERIFY_CHECKS = ("h-profile", "g1-bounds", "g2-bounds", "starshape",
                   "integrands", "inequalities", "all")
@@ -157,9 +162,10 @@ def _cmd_verify(args, parser) -> int:
              args.check, len(x0s), jobs)
 
     def one(x0):
-        # An overflow is a numerical failure, reported below as JSON, not a
-        # numpy warning on stderr.  The error state is per thread.
-        with np.errstate(over="raise"):
+        # An overflow, a division by zero or a NaN is a numerical failure,
+        # reported below as JSON, not a numpy warning on stderr.  The error
+        # state is per thread.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             return _verify_one(args.check, x0, args.grid, args.reflected)
 
     try:
@@ -218,7 +224,7 @@ def _cmd_eigen(args, parser) -> int:
         }
         _write_out(json.dumps(summary, sort_keys=True, indent=2, default=float) + "\n",
                    args.out)
-    if all(p.residual <= 1e-8 for p in pairs):
+    if all(p.residual <= _RESIDUAL_TOL for p in pairs):
         return 0
     return _fail("eigen residual above tolerance",
                  residuals=[p.residual for p in pairs])
@@ -259,6 +265,9 @@ def _cmd_bound(args, parser) -> int:
     else:
         text = json.dumps(record, sort_keys=True, indent=2, default=float) + "\n"
     _write_out(text, args.out)
+    if not pair.residual <= _RESIDUAL_TOL:
+        return _fail("eigen residual above tolerance", residual=pair.residual,
+                     tol=_RESIDUAL_TOL)
     if record["passed"]:
         return 0
     return _fail("eigenfunction bound not satisfied", lhs=bound["lhs"], rhs=bound["rhs"])

@@ -249,49 +249,31 @@ def _bracket_sum(led: ConstantLedger, bundle, eps1: float, eps2: float) -> float
     )
 
 
+def _argmin_eps(a: float, b: float) -> float:
+    """Minimizer of a*eps + b/eps (a, b >= 0) on [1e-6, 1e6]: sqrt(b/a),
+    the lower end if only a > 0, the upper end if only b > 0, else 1."""
+    if a > 0 and b > 0:
+        eps = math.sqrt(b / a)
+    elif a > 0:
+        eps = _EPS_LO
+    elif b > 0:
+        eps = _EPS_HI
+    else:
+        eps = 1.0
+    return min(max(eps, _EPS_LO), _EPS_HI)
+
+
 def optimize_epsilons(bundle, led: ConstantLedger):
     """Pick the epsilons that make the eigenfunction bound tightest.
 
-    The eps1 terms form a*eps1 + b/eps1 with a, b read off C1, C2, so the
-    minimizer is sqrt(b/a) in closed form.  eps2 is found by golden-section
-    on log(eps2) over [1e-6, 1e6].  Returns (eps1, eps2, rhs) where rhs is
-    the minimized right-hand side of the bound (the square root of the
-    bracketed sum).
+    Each epsilon enters the bracketed sum as a*eps + b/eps + c: eps1
+    through C1, C2 with (a, b) = (w_ux_BC^2, uy_BC^2) times a common
+    factor, eps2 through C14, C15 with (w_ux_sigma^2, uy_sigma^2) times
+    C13/2.  So both minimizers are sqrt(b/a) in closed form, clamped to
+    [1e-6, 1e6].  Returns (eps1, eps2, rhs) where rhs is the minimized
+    right-hand side of the bound (the square root of the bracketed sum).
     """
-    for name in ("u_L2_BC", "re_u_L2_BC", "im_u_L2_BC", "w_ux_L2_BC",
-                 "uy_L2_BC", "w_ux_L2_sigma", "uy_L2_sigma"):
-        if getattr(bundle, name) < 0:
-            raise ValueError(f"norm {name} must be nonnegative")
-
-    a = bundle.w_ux_L2_BC**2  # coefficient of eps1
-    b = bundle.uy_L2_BC**2    # coefficient of 1/eps1
-    if a > 0 and b > 0:
-        eps1 = math.sqrt(b / a)
-    elif a > 0:
-        eps1 = _EPS_LO
-    elif b > 0:
-        eps1 = _EPS_HI
-    else:
-        eps1 = 1.0
-    eps1 = min(max(eps1, _EPS_LO), _EPS_HI)
-
-    # Golden-section in log eps2; the objective a*eps + b/eps + c is
-    # unimodal there.
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = math.log(_EPS_LO), math.log(_EPS_HI)
-    f = lambda le: _bracket_sum(led, bundle, eps1, math.exp(le))
-    c = hi - phi * (hi - lo)
-    d = lo + phi * (hi - lo)
-    fc, fd = f(c), f(d)
-    for _ in range(200):
-        if fc < fd:
-            hi, d, fd = d, c, fc
-            c = hi - phi * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + phi * (hi - lo)
-            fd = f(d)
-    eps2 = math.exp(0.5 * (lo + hi))
+    eps1 = _argmin_eps(bundle.w_ux_L2_BC**2, bundle.uy_L2_BC**2)
+    eps2 = _argmin_eps(bundle.w_ux_L2_sigma**2, bundle.uy_L2_sigma**2)
     total = _bracket_sum(led, bundle, eps1, eps2)
     return eps1, eps2, math.sqrt(max(total, 0.0))

@@ -337,36 +337,28 @@ def _sample_inward(grid: Grid, F: np.ndarray, valid: np.ndarray, x, y,
 
 
 def _gradient_grids(grid: Grid, F: np.ndarray):
-    """One-sided/centered difference gradients on interior nodes."""
-    nx, ny, hx, hy = grid.nx, grid.ny, grid.hx, grid.hy
-    inside = grid.inside
+    """One-sided/centered difference gradients on interior nodes.
 
-    def axis_grad(shift_minus, shift_plus, shift_2plus, shift_2minus, h):
-        ok_c = shift_minus[0] & shift_plus[0]
-        g_c = (shift_plus[1] - shift_minus[1]) / (2 * h)
-        ok_f = ~shift_minus[0] & shift_plus[0] & shift_2plus[0]
-        g_f = (-3 * F + 4 * shift_plus[1] - shift_2plus[1]) / (2 * h)
-        ok_b = ~shift_plus[0] & shift_minus[0] & shift_2minus[0]
-        g_b = (3 * F - 4 * shift_minus[1] + shift_2minus[1]) / (2 * h)
-        g = np.where(ok_c, g_c, np.where(ok_f, g_f, np.where(ok_b, g_b, np.nan)))
-        return g, ok_c | ok_f | ok_b
+    Neighbours are read from F and `inside` padded by two nodes, so a
+    neighbour off the grid is 0 and not inside."""
+    nx, ny = grid.nx, grid.ny
+    PF, Pin = np.pad(F, 2), np.pad(grid.inside, 2)
 
-    def shifted(di, dj):
-        ok = np.zeros((nx, ny), dtype=bool)
-        val = np.zeros((nx, ny))
-        si = slice(max(di, 0), nx + min(di, 0))
-        ti = slice(max(-di, 0), nx + min(-di, 0))
-        sj = slice(max(dj, 0), ny + min(dj, 0))
-        tj = slice(max(-dj, 0), ny + min(-dj, 0))
-        ok[si, sj] = inside[ti, tj]
-        val[si, sj] = F[ti, tj]
-        return ok, val
+    def nb(P, di, dj):
+        return P[2 + di:2 + di + nx, 2 + dj:2 + dj + ny]
 
-    Ux, okx = axis_grad(shifted(1, 0), shifted(-1, 0), shifted(-2, 0), shifted(2, 0), hx)
-    Uy, oky = axis_grad(shifted(0, 1), shifted(0, -1), shifted(0, -2), shifted(0, 2), hy)
-    valid = inside & okx & oky
-    Ux = np.where(valid, Ux, 0.0)
-    Uy = np.where(valid, Uy, 0.0)
+    grads, valid = [], grid.inside
+    for (di, dj), h in (((1, 0), grid.hx), ((0, 1), grid.hy)):
+        okm2, okm, okp, okp2 = (nb(Pin, k * di, k * dj) for k in (-2, -1, 1, 2))
+        fm2, fm, fp, fp2 = (nb(PF, k * di, k * dj) for k in (-2, -1, 1, 2))
+        ok_c = okm & okp
+        ok_f = ~okm & okp & okp2
+        ok_b = ~okp & okm & okm2
+        grads.append(np.where(ok_c, (fp - fm) / (2 * h), np.where(
+            ok_f, (-3 * F + 4 * fp - fp2) / (2 * h), np.where(
+                ok_b, (3 * F - 4 * fm + fm2) / (2 * h), np.nan))))
+        valid = valid & (ok_c | ok_f | ok_b)
+    Ux, Uy = (np.where(valid, G, 0.0) for G in grads)
     return Ux, Uy, valid
 
 
@@ -410,14 +402,6 @@ def trace_norms(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> BoundaryNorm
     bundle = norm_bundle_from_traces(traces["BC"], traces["Sigma"])
     pair.trace_norms = bundle
     return bundle
-
-
-def synthetic_trace_norms(dom: TricomiDomain, grid: Grid, F: np.ndarray,
-                          n_bc: int = 400, n_sigma: int = 400) -> BoundaryNormBundle:
-    """Norms of an arbitrary nodal field, without the Dirichlet shortcut."""
-    pair = EigenPair(lam=1.0, field=F, residual=0.0, l2_norm_sq=1.0)
-    traces = extract_traces(pair, dom, grid, n_bc=n_bc, n_sigma=n_sigma)
-    return norm_bundle_from_traces(traces["BC"], traces["Sigma"])
 
 
 # -- field export -----------------------------------------------------------

@@ -93,17 +93,20 @@ def find_inflection(x0: float) -> float:
 
 
 def _finish(claim_id, x0, grid, checks, notes_extra=""):
-    """Fold named (margin, tol, location) triples into one report."""
+    """Fold named (margin, tol, location) triples into one report.
+
+    A NaN margin fails and ranks below every finite one."""
     worst_name, worst = None, math.inf
     worst_loc = x0
     passed = True
     parts = []
     for name, (margin, tol, loc) in checks.items():
-        if margin < -tol:
+        if not margin >= -tol:
             passed = False
         ratio = margin / tol if tol > 0 else margin
-        if ratio < worst:
-            worst, worst_name, worst_loc = ratio, name, loc
+        rank = -math.inf if math.isnan(ratio) else ratio
+        if rank < worst:
+            worst, worst_name, worst_loc = rank, name, loc
         parts.append(f"{name}={margin:.3e}(tol={tol:.1e})")
     raw_margin = checks[worst_name][0]
     notes = "; ".join(parts)

@@ -157,6 +157,17 @@ class TestVerify:
         assert proc.returncode == 1 and proc.stdout == ""
         assert "overflow" in json.loads(proc.stderr)["error"]
 
+    @pytest.mark.parametrize("check", ["h-profile", "g1-bounds", "g2-bounds"])
+    def test_nan_sweep_reports_json_only(self, check):
+        # At x0 = -1e-300 the sweep divides by an underflowed zero: a
+        # numerical failure with one JSON line on stderr, never a pass.
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricomi.cli", "verify", check,
+             "--x0", "-1e-300", "--grid", "1000"],
+            capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "verification failed" in json.loads(proc.stderr)["error"]
+
 
 class TestEigenAndBound:
     def test_eigen_json(self, capsys):
@@ -183,6 +194,22 @@ class TestEigenAndBound:
         assert d["passed"] is True
         assert d["bound"]["lhs"] <= d["bound"]["rhs"] * 1.01
         assert 0.0 < d["identity"]["relative_residual"] < 0.2
+
+    def test_bound_rejects_large_algebraic_residual(self, capsys, monkeypatch):
+        from tricomi import cli
+        solve = cli._solve
+
+        def sloppy(*args):
+            dom, grid, pairs, complex_diag = solve(*args)
+            for p in pairs:
+                p.residual = 1e-6
+            return dom, grid, pairs, complex_diag
+
+        monkeypatch.setattr(cli, "_solve", sloppy)
+        code, out, err = _run(capsys, "bound", "--x0", "-0.5")
+        assert code == 1
+        assert json.loads(out)["passed"] is True
+        assert json.loads(err)["residual"] == 1e-6
 
 
 class TestPlot:

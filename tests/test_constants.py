@@ -239,11 +239,30 @@ class TestOptimizeEpsilons:
                     + led.C14(e2) * b1 + led.C15(e2) * b2, 0.0))
                 assert rhs <= other * (1.0 + 1e-9) + 1e-12
 
+    def test_eps2_closed_form(self):
+        led = ledger(-0.6)
+        rng = np.random.default_rng(5)
+        for _ in range(20):
+            b = _bundle(rng)
+            _, eps2, _ = optimize_epsilons(b, led)
+            assert eps2 == pytest.approx(b.uy_L2_sigma / b.w_ux_L2_sigma, rel=1e-12)
+
     def test_degenerate_bundles(self):
         led = ledger(-0.6)
         zero = BoundaryNormBundle(0, 0, 0, 0, 0, 0, 0)
         eps1, eps2, rhs = optimize_epsilons(zero, led)
         assert rhs == 0.0 and eps1 == 1.0
+
+    @pytest.mark.parametrize("w_ux, uy, eps", [(0.7, 0.0, 1e-6), (0.0, 0.4, 1e6),
+                                               (0.0, 0.0, 1.0)])
+    def test_degenerate_sigma_norms(self, w_ux, uy, eps):
+        # Only the sigma norms vanish: eps2 goes to the end of [1e-6, 1e6]
+        # its one nonzero term prefers, or to 1; eps1 stays closed form.
+        bundle = BoundaryNormBundle(0.5, 0.5, 0.0, 0.3, 0.6, w_ux, uy)
+        eps1, eps2, rhs = optimize_epsilons(bundle, ledger(-0.6))
+        assert eps2 == eps
+        assert eps1 == pytest.approx(2.0, rel=1e-12)
+        assert math.isfinite(rhs) and rhs > 0.0
 
     def test_negative_norm_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tricomi import (
+    EigenPair,
     Grid,
     TricomiDomain,
     assemble,
@@ -19,7 +20,7 @@ from tricomi import (
     write_field_csv,
 )
 from tricomi.constants import ledger
-from tricomi.eigensolver import DIRICHLET, EXTERIOR, FREE_BC, INTERIOR, synthetic_trace_norms
+from tricomi.eigensolver import DIRICHLET, EXTERIOR, FREE_BC, INTERIOR
 
 X0 = -0.5
 
@@ -187,10 +188,29 @@ class TestTraces:
         # u = y: u_y = 1, u_x = 0, so the BC norm of u_y approaches the
         # square root of the BC arc length.
         Y = np.broadcast_to(grid64.ys[None, :], (grid64.nx, grid64.ny)).copy()
-        bundle = synthetic_trace_norms(dom, grid64, Y)
+        pair = EigenPair(lam=1.0, field=Y, residual=0.0, l2_norm_sq=1.0)
+        bundle = trace_norms(pair, dom, grid64)
         arclen = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
         assert bundle.uy_L2_BC == pytest.approx(math.sqrt(arclen), rel=0.05)
         assert bundle.w_ux_L2_BC == pytest.approx(0.0, abs=1e-10)
+
+    # float.hex of sum(ux**2), sum(uy**2) on BC and sigma of the principal
+    # mode: the gradient stencils and the trace sampling are pinned bit for bit.
+    @pytest.mark.parametrize("n,x0,bc,sigma", [
+        (64, -0.5, ("0x1.fc2113a4d813cp+12", "0x1.a7d2ad46e6fa3p+11"),
+         ("0x1.36c3254521839p+15", "0x1.20b32b3fb3990p+9")),
+        (96, -1.0, ("0x1.8d30ee8d74eecp+9", "0x1.335a5e5a0e15fp+9"),
+         ("0x1.4575f574e80c1p+12", "0x1.14bb6f40cc4c9p+6")),
+    ])
+    def test_trace_gradients_pinned(self, n, x0, bc, sigma):
+        d = TricomiDomain(x0)
+        grid = Grid.build(d, n, n)
+        pairs, _ = solve_real_spectrum(assemble(d, grid), 4)
+        traces = extract_traces(pairs[0], d, grid)
+        for kind, want in (("BC", bc), ("Sigma", sigma)):
+            t = traces[kind]
+            got = tuple(float(np.sum(v**2)).hex() for v in (t.ux, t.uy))
+            assert got == want, kind
 
 
 class TestEndToEnd64:

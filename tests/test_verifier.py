@@ -16,7 +16,7 @@ from tricomi import (
     verify_profiles,
 )
 from tricomi.constants import X0_CRITICAL, X3, X4, ledger
-from tricomi.verifier import N_of_X, N_of_X_alt, _sweep
+from tricomi.verifier import N_of_X, N_of_X_alt, _finish, _sweep
 
 X0_SAMPLES = [-0.2, -0.4, -0.45, -0.55, -0.8, -1.5]
 
@@ -151,6 +151,22 @@ class TestSharedSweep:
         for a in (sw.xs, sw.g, sw.h):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+class TestFinish:
+    def test_nan_margin_fails_and_is_worst(self):
+        checks = {"bounds": (1.0, 1e-10, -0.2), "convexity": (math.nan, 0.0, -0.3),
+                  "evenness": (-5.0, 1e-12, -0.5)}
+        rep = _finish("h_profile", -0.5, np.zeros(1000), checks)
+        assert rep.passed is False
+        assert math.isnan(rep.worst_margin)
+        assert rep.worst_location == -0.3
+        assert rep.notes.startswith("worst=convexity; ")
+
+    def test_all_nan_margins(self):
+        checks = {"bounds": (math.nan, 1e-10, -0.2)}
+        rep = _finish("G1_bounds", -0.5, np.zeros(1000), checks)
+        assert rep.passed is False and rep.notes.startswith("worst=bounds; ")
 
 
 class TestInflection:
