@@ -36,7 +36,6 @@ from .pohozaev import (
     omega2,
     omega2_BC_simplified,
     pohozaev_residual,
-    random_trace,
     sigma_trace,
     verify_integrand_equivalence,
     verify_trace_inequalities,

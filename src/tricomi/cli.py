@@ -54,8 +54,9 @@ def _parse_range(spec: str):
             f"range must be a:b:n with floats a, b and count n, got {spec!r}")
     if n < 1:
         raise argparse.ArgumentTypeError("range count must be >= 1")
-    if a >= 0 or b >= 0:
-        raise argparse.ArgumentTypeError("range endpoints must be negative")
+    if not (a < 0.0 and b < 0.0) or not (math.isfinite(a) and math.isfinite(b)):
+        raise argparse.ArgumentTypeError(
+            f"range endpoints must be finite negative reals, got {a} and {b}")
     return (a, b, n)
 
 
@@ -66,6 +67,16 @@ def _neg_float(text: str) -> float:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}")
     if not (v < 0.0) or not math.isfinite(v):
         raise argparse.ArgumentTypeError(f"x0 must be a finite negative real, got {v}")
+    return v
+
+
+def _tol_float(text: str) -> float:
+    try:
+        v = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (v >= 0.0) or not math.isfinite(v):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {v}")
     return v
 
 
@@ -112,7 +123,7 @@ def _fail(message: str, **detail) -> int:
 
 def _cmd_constants(args, parser) -> int:
     x0s = _x0_list(args, parser)
-    rows = [ledger(x0).to_dict(eps=1.0) for x0 in x0s]
+    rows = [ledger(x0).to_dict() for x0 in x0s]
     if args.format == "json":
         text = json.dumps(rows[0] if len(rows) == 1 else rows,
                           sort_keys=True, indent=2, default=float) + "\n"
@@ -200,6 +211,8 @@ def _cmd_eigen(args, parser) -> int:
 
     if args.x0 is None:
         parser.error("eigen requires --x0")
+    if args.format == "csv" and not args.out:
+        parser.error("eigen --format csv writes the principal field; give --out")
     try:
         dom, grid, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
     except Exception as exc:
@@ -208,8 +221,6 @@ def _cmd_eigen(args, parser) -> int:
         return _fail("no real eigenvalue found", x0=args.x0,
                      complex_pairs=[str(c) for c in complex_diag])
     if args.format == "csv":
-        if not args.out:
-            parser.error("eigen --format csv writes the principal field; give --out")
         eigensolver.write_field_csv(args.out, grid, pairs[0].field)
     else:
         summary = {
@@ -437,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="parallel workers for sweeps (default: cpu count)")
     sv.add_argument("--grid", type=int, default=100000,
                     help="sweep grid size (or sample count for randomized checks)")
-    sv.add_argument("--tol", type=float, default=None,
+    sv.add_argument("--tol", type=_tol_float, default=None,
                     help="override the pass/fail margin tolerance")
     sv.add_argument("--reflected", action="store_true",
                     help="starshape negative control on the x-reflected domain")
@@ -453,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sb.add_argument("--nx", type=int, default=64)
     sb.add_argument("--ny", type=int, default=64)
     sb.add_argument("--count", type=int, default=4)
-    sb.add_argument("--tol", type=float, default=None,
+    sb.add_argument("--tol", type=_tol_float, default=None,
                     help="relative tolerance for bound satisfaction (default 1e-2)")
 
     sp = subs.add_parser("plot", help="static SVG plots")

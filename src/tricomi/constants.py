@@ -122,8 +122,9 @@ class ConstantLedger:
         lower = self.C5 if self.x0 >= X0_CRITICAL else self.C7
         return -lower + self.C13 / (2.0 * eps)
 
-    def to_dict(self, eps: float = 1.0) -> dict:
-        d = {
+    def to_dict(self) -> dict:
+        """Every constant by name; the epsilon-dependent ones at eps = 1."""
+        return {
             "x0": self.x0,
             "regime": self.regime,
             "y_C": self.y_C,
@@ -133,8 +134,8 @@ class ConstantLedger:
             "x2": self.x2,
             "x3": self.x3,
             "x4": self.x4,
-            "C1_eps1": self.C1(eps),
-            "C2_eps1": self.C2(eps),
+            "C1_eps1": self.C1(1.0),
+            "C2_eps1": self.C2(1.0),
             "C3": self.C3,
             "C4": self.C4,
             "C5": self.C5,
@@ -146,10 +147,9 @@ class ConstantLedger:
             "C11": self.C11,
             "C12": self.C12,
             "C13": self.C13,
-            "C14_eps1": self.C14(eps),
-            "C15_eps1": self.C15(eps),
+            "C14_eps1": self.C14(1.0),
+            "C15_eps1": self.C15(1.0),
         }
-        return d
 
 
 def _regime(x0: float) -> str:

@@ -47,7 +47,10 @@ __all__ = [
 EXTERIOR, INTERIOR, DIRICHLET, FREE_BC = 0, 1, 2, 3
 
 _REAL_EIG_RTOL = 1e-8
-_RESIDUAL_TOL = 1e-8
+# Weight of the fourth-difference damping in the hyperbolic half (`assemble`).
+_STABILIZATION = 0.5
+# Trace nodes per boundary curve, BC and sigma (`extract_traces`).
+_TRACE_NODES = 400
 
 
 @dataclass(frozen=True)
@@ -148,8 +151,7 @@ def _stage(pidx: np.ndarray, P: np.ndarray, stride: int, slots):
         yield r, pidx[P[r] + o * stride], np.broadcast_to(val, present.shape)[r]
 
 
-def assemble(dom: TricomiDomain, grid: Grid,
-             stabilization: float = 0.5) -> TricomiOperator:
+def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
     """Second-order differences for -y u_xx - u_yy on the unknown nodes.
 
     Row r is -y u_xx - u_yy at its node (the x term is left out where
@@ -170,8 +172,8 @@ def assemble(dom: TricomiDomain, grid: Grid,
     diagonal, to one whose Perron mode is an x-checkerboard); a fourth-
     difference term of size O(h^2) per direction damps that branch without
     changing the second-order interior consistency.  It is added in rows
-    with y < 0, along each axis whose five-point stencil is all unknowns.
-    `stabilization` scales it; 0 disables.
+    with y < 0, along each axis whose five-point stencil is all unknowns,
+    with weight 0.5.
 
     `labels` on the result marks each node INTERIOR (an unknown),
     DIRICHLET or FREE_BC (an exterior node reached by a stencil arm across
@@ -236,15 +238,14 @@ def assemble(dom: TricomiDomain, grid: Grid,
              np.where(cut, 2.0 * inv / (frac_p * span), inv),
              centered | (cut & ok_p) | one_sided))))
 
-    if stabilization > 0.0:
-        d4 = ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))
-        for axis, c in ((0, stabilization * np.abs(y) / hx**2),
-                        (1, stabilization / hy**2)):
-            present = y < 0.0
-            for k in (-2, -1, 1, 2):
-                present &= unknown(axis, k)
-            entries.extend(_stage(pidx, P, strides[axis],
-                                  [(k, c * w, present) for k, w in d4]))
+    d4 = ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0))
+    for axis, c in ((0, _STABILIZATION * np.abs(y) / hx**2),
+                    (1, _STABILIZATION / hy**2)):
+        present = y < 0.0
+        for k in (-2, -1, 1, 2):
+            present &= unknown(axis, k)
+        entries.extend(_stage(pidx, P, strides[axis],
+                              [(k, c * w, present) for k, w in d4]))
 
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
@@ -362,9 +363,9 @@ def _gradient_grids(grid: Grid, F: np.ndarray):
     return Ux, Uy, valid
 
 
-def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid,
-                   n_bc: int = 400, n_sigma: int = 400) -> dict:
-    """Interpolated boundary traces of the eigenfunction and its gradient.
+def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> dict:
+    """Interpolated boundary traces of the eigenfunction and its gradient,
+    at 400 nodes per curve.
 
     On BC (no data imposed) the values are pulled back a short distance
     along the inward normal and sampled bilinearly.  On sigma and AC the
@@ -376,22 +377,22 @@ def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid,
     d = 2.0 * max(grid.hx, grid.hy)
 
     # BC: free boundary, sample u and grad at pulled-back points.
-    bc = bc_trace(dom, n_bc)
+    bc = bc_trace(dom, _TRACE_NODES)
     y = bc.params
     x = -(2.0 / 3.0) * _libm_pow(-y, 1.5)   # BC: 3x = -2(-y)^(3/2), see _libm_pow
     nx_o, ny_o = bc.curve.normal(y)
     u, ux, uy = (_sample_inward(grid, G, ok, x, y, -nx_o, -ny_o, d)
                  for G, ok in ((F, grid.inside), (Ux, valid), (Uy, valid)))
-    bc = bc_trace(dom, n_bc, u=u, ux=ux, uy=uy)
+    bc = bc_trace(dom, _TRACE_NODES, u=u, ux=ux, uy=uy)
 
     # sigma: Dirichlet side, u = 0, grad = (normal derivative) * n.
-    sg = sigma_trace(dom, n_sigma)
+    sg = sigma_trace(dom, _TRACE_NODES)
     x, y = sg.positions
     nx_o, ny_o = sg.curve.normal(sg.params)
     u1 = _sample_inward(grid, F, grid.inside, x, y, -nx_o, -ny_o, d)
     u2 = _sample_inward(grid, F, grid.inside, x, y, -nx_o, -ny_o, 2.0 * d)
     un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
-    sg = sigma_trace(dom, n_sigma, ux=un * nx_o, uy=un * ny_o)
+    sg = sigma_trace(dom, _TRACE_NODES, ux=un * nx_o, uy=un * ny_o)
     return {"BC": bc, "Sigma": sg}
 
 

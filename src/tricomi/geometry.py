@@ -196,9 +196,9 @@ class BoundaryCurve:
     normal: Callable
     arc_element: Callable
 
-    def params(self, n: int, endpoint: bool = True):
-        a, b = self.param_range
-        return np.linspace(a, b, n) if endpoint else a + (b - a) * (np.arange(n) + 0.5) / n
+    def params(self, n: int):
+        """n equispaced parameters over param_range, both ends included."""
+        return np.linspace(*self.param_range, n)
 
 
 def _make_ac(dom: TricomiDomain) -> BoundaryCurve:
@@ -300,13 +300,12 @@ def verify_star_shaped(
     dom: TricomiDomain,
     n_boundary: int,
     n_times: int,
-    t_max: float = 10.0,
     membership: Callable | None = None,
 ) -> VerificationReport:
     """Check that dilation-flow trajectories of boundary points stay inside.
 
     Samples n_boundary boundary points and n_times log-spaced flow times in
-    [0, t_max] plus the t = +inf limit, and records the worst membership
+    [0, 10] plus the t = +inf limit, and records the worst membership
     slack.  A different `membership` predicate turns this into a negative
     control (e.g. the x-reflected domain, which the flow of Omega exits).
     The predicate is called once, with the (points, times) coordinate
@@ -315,7 +314,7 @@ def verify_star_shaped(
     if n_boundary < 2 or n_times < 2:
         raise ValueError("need at least 2 boundary points and 2 flow times")
     slack_of = membership if membership is not None else dom.membership_slack
-    times = np.concatenate([[0.0], np.geomspace(1e-6, t_max, n_times - 1), [math.inf]])
+    times = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, n_times - 1), [math.inf]])
     xs, ys = _boundary_arrays(dom, n_boundary)
     # The flow factors of `flow`, one libm exp per time; t = inf maps to (0, 0).
     X = np.zeros((len(xs), len(times)))

@@ -33,12 +33,13 @@ __all__ = [
     "area_l2_norm_sq",
     "pohozaev_residual",
     "bound_check",
-    "random_trace",
     "verify_integrand_equivalence",
     "verify_trace_inequalities",
 ]
 
 _UNIT_NORMAL_TOL = 1e-10
+# Cut-cell sub-sampling per axis in `area_l2_norm_sq`.
+_SUBSAMPLES = 4
 
 
 @dataclass
@@ -239,12 +240,12 @@ def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace | None = Non
 
 
 def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
-                    U: np.ndarray, subsamples: int = 4) -> float:
+                    U: np.ndarray) -> float:
     """||U||^2 over Omega by midpoint rule with sub-sampled cut-cell fractions.
 
     U is nodal on the tensor grid xs x ys (shape (len(xs), len(ys))); cell
     values are corner averages, cut cells are weighted by the fraction of a
-    subsamples x subsamples stencil lying inside the domain.
+    4 x 4 stencil of sub-cell midpoints lying inside the domain.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -254,14 +255,14 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
     cell_val = 0.25 * (U[:-1, :-1] + U[1:, :-1] + U[:-1, 1:] + U[1:, 1:])
 
     # Fraction of each cell inside Omega, sampled on a sub-grid of midpoints.
-    off = (np.arange(subsamples) + 0.5) / subsamples
+    off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES
     frac = np.zeros((len(xs) - 1, len(ys) - 1))
     for ox in off:
         sub_x = xs[:-1] + ox * dx
         for oy in off:
             sub_y = ys[:-1] + oy * dy
             frac += dom.contains_grid(sub_x[:, None], sub_y[None, :])
-    frac /= subsamples * subsamples
+    frac /= _SUBSAMPLES * _SUBSAMPLES
     area = dx[:, None] * dy[None, :]
     return float(np.sum(cell_val**2 * frac * area))
 
@@ -311,28 +312,13 @@ def bound_check(eigenpair, norms: BoundaryNormBundle, led: ConstantLedger,
 
 # -- randomized property checks ---------------------------------------------
 
-def random_trace(dom: TricomiDomain, kind: str, rng, n: int = 64,
-                 zero_u: bool = False, amplitude: float = 1.0) -> BoundaryTrace:
-    """A trace with bounded random (u, u_x, u_y); the values need not be
-    consistent restrictions of a single function."""
-    u, ux, uy = rng.uniform(-amplitude, amplitude, (3, n))
-    if zero_u:
-        u = np.zeros(n)
-    if kind == "BC":
-        return bc_trace(dom, n, u=u, ux=ux, uy=uy)
-    if kind == "Sigma":
-        return sigma_trace(dom, n, u=u, ux=ux, uy=uy)
-    raise ValueError(f"no quadrature trace for curve kind {kind!r}")
-
-
-def verify_trace_inequalities(x0: float, n_traces: int = 1000,
-                              eps_values=(0.5, 1.0, 2.0), seed: int = 0,
+def verify_trace_inequalities(x0: float, n_traces: int = 1000, seed: int = 0,
                               n_nodes: int = 64) -> VerificationReport:
     """The three quadrature estimates over random trace bundles.
 
-    For every random trace and every epsilon, all three margins must be
-    >= -1e-10 (they are exact pointwise/Cauchy-Schwarz consequences when
-    both sides share the quadrature weights):
+    For every random trace and every epsilon in {0.5, 1, 2}, all three
+    margins must be >= -1e-10 (they are exact pointwise/Cauchy-Schwarz
+    consequences when both sides share the quadrature weights):
       int_BC omega2 <= C3 ||u|| (||w u_x|| + ||u_y||),
       int_BC omega1 <= C1(eps) ||w u_x||^2 + C2(eps) ||u_y||^2,
       int_sigma omega1 <= C14(eps) ||w u_x||^2 + C15(eps) ||u_y||^2
@@ -345,8 +331,8 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000,
     led = ledger(x0)
     rng = np.random.default_rng(seed)
     tol = 1e-10
-    # Bundle k holds (u, ux, uy) on BC, then on sigma, as random_trace draws
-    # them; the sigma u values are drawn to keep that order and then unused.
+    # Bundle k holds uniform (u, ux, uy) in [-1, 1] on BC, then on sigma;
+    # the sigma u values are drawn to keep that order and then unused.
     draws = rng.uniform(-1.0, 1.0, (n_traces, 2, 3, n_nodes))
     bc = bc_trace(dom, n_nodes, u=draws[:, 0, 0], ux=draws[:, 0, 1], uy=draws[:, 0, 2])
     sg = sigma_trace(dom, n_nodes, ux=draws[:, 1, 1], uy=draws[:, 1, 2])
@@ -361,7 +347,7 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000,
 
     names = ["bc_omega2"]
     margins = [led.C3 * u_bc * (wux_bc + uy_bc) - w2_bc]
-    for eps in eps_values:
+    for eps in (0.5, 1.0, 2.0):
         names += [f"bc_omega1_eps{eps:g}", f"sigma_omega1_eps{eps:g}"]
         margins += [led.C1(eps) * wux_bc**2 + led.C2(eps) * uy_bc**2 - w1_bc,
                     led.C14(eps) * wux_sg**2 + led.C15(eps) * uy_sg**2 - w1_sg]
@@ -395,16 +381,15 @@ def verify_integrand_equivalence(x0: float, n_states: int = 1000,
     dom = TricomiDomain(x0)
     rng = np.random.default_rng(seed)
     tol = 1e-12
-    worst, worst_loc, worst_note = math.inf, x0, ""
-
     bc = dom.boundary_curve("BC")
     sg = dom.boundary_curve("Sigma")
+    checks = []   # (margin, location, name), one per check
 
-    def track(name, diff, scale, loc):
-        nonlocal worst, worst_loc, worst_note
-        m = tol - diff / scale
-        if m < worst:
-            worst, worst_loc, worst_note = m, float(loc), name
+    def agree(name, gen, simp, x):
+        scale = np.maximum(1.0, np.abs(simp))
+        err = np.abs(gen - simp) / scale
+        i = int(np.argmax(err))
+        checks.append((tol - err[i], float(x[i]), name))
 
     # BC states: interior parameters, random value/gradient/F.
     a, b = bc.param_range
@@ -412,31 +397,23 @@ def verify_integrand_equivalence(x0: float, n_states: int = 1000,
     u, ux, uy, F = rng.uniform(-1.0, 1.0, (4, n_states))
     x, y = bc.position(t)
     n_vec = bc.normal(t)
-    w1_gen = omega1((x, y), (ux, uy), n_vec)
     w1_simp = omega1_BC_simplified(y, ux, uy)
-    scale = np.maximum(1.0, np.abs(w1_simp))
-    i = int(np.argmax(np.abs(w1_gen - w1_simp) / scale))
-    track("omega1_BC", abs(w1_gen[i] - w1_simp[i]), scale[i], x[i])
+    agree("omega1_BC", omega1((x, y), (ux, uy), n_vec), w1_simp, x)
     i = int(np.argmin(w1_simp))
-    track("omega1_BC_nonneg", max(-float(w1_simp[i]), 0.0), 1.0, x[i])
-    w2_gen = omega2((x, y), u, (ux, uy), n_vec, F)
-    w2_simp = omega2_BC_simplified(y, u, ux, uy)
-    scale = np.maximum(1.0, np.abs(w2_simp))
-    i = int(np.argmax(np.abs(w2_gen - w2_simp) / scale))
-    track("omega2_BC", abs(w2_gen[i] - w2_simp[i]), scale[i], x[i])
+    checks.append((tol - max(-float(w1_simp[i]), 0.0), float(x[i]), "omega1_BC_nonneg"))
+    agree("omega2_BC", omega2((x, y), u, (ux, uy), n_vec, F),
+          omega2_BC_simplified(y, u, ux, uy), x)
 
     # Sigma states: zero trace, random gradient.
     a, b = sg.param_range
     t = a + (b - a) * rng.uniform(0.05, 0.95, n_states)
     ux, uy = rng.uniform(-1.0, 1.0, (2, n_states))
     x, y = sg.position(t)
-    n_vec = sg.normal(t)
-    w1_gen = omega1((x, y), (ux, uy), n_vec)
-    w1_simp = omega1_sigma_simplified(x, ux, uy, dom)
-    scale = np.maximum(1.0, np.abs(w1_simp))
-    i = int(np.argmax(np.abs(w1_gen - w1_simp) / scale))
-    track("omega1_sigma", abs(w1_gen[i] - w1_simp[i]), scale[i], x[i])
+    agree("omega1_sigma", omega1((x, y), (ux, uy), sg.normal(t)),
+          omega1_sigma_simplified(x, ux, uy, dom), x)
 
+    # min keeps the first of equal margins, in check order.
+    worst, worst_loc, worst_note = min(checks, key=lambda c: c[0])
     return VerificationReport(
         claim_id="integrand_equivalence",
         x0=x0,

@@ -208,8 +208,7 @@ def test_criterion_5_trace_inequalities():
     worst = math.inf
     fails = 0
     for x0 in (-0.3, -0.5, -1.0):
-        rep = verify_trace_inequalities(x0, n_traces=1000,
-                                        eps_values=(0.5, 1.0, 2.0))
+        rep = verify_trace_inequalities(x0, n_traces=1000)
         worst = min(worst, rep.worst_margin)
         fails += not rep.passed
     record("5 (trace inequalities)", fails == 0,

@@ -37,6 +37,14 @@ class TestArgumentContract:
         ["constants", "--x0", "-0.5", "--jobs", "3"],
         ["verify", "all", "--x0", "-0.5", "--jobs", "0"],
         ["verify", "all", "--x0-range", "-2:-0.5:3", "--jobs", "-3"],
+        ["constants", "--x0-range", "nan:-1:3"],        # non-finite endpoint
+        ["constants", "--x0-range", "-inf:-1:3"],
+        ["verify", "all", "--x0", "-0.5", "--tol", "inf"],
+        ["verify", "all", "--x0", "-0.5", "--tol", "nan"],
+        ["verify", "all", "--x0", "-0.5", "--tol", "-1"],
+        ["bound", "--x0", "-0.5", "--tol", "inf"],
+        ["bound", "--x0", "-0.5", "--tol", "nan"],
+        ["bound", "--x0", "-0.5", "--tol", "-1"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -186,6 +194,15 @@ class TestEigenAndBound:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,u"
         assert len(lines) == 1 + 64 * 64
+
+    def test_eigen_csv_without_out_exits_before_solving(self, capsys, monkeypatch):
+        from tricomi import cli
+        calls = []
+        monkeypatch.setattr(cli, "_solve", lambda *a: calls.append(a))
+        with pytest.raises(SystemExit) as exc:
+            run(["eigen", "--x0", "-0.5", "--format", "csv"])
+        assert exc.value.code == 2 and calls == []
+        assert "give --out" in capsys.readouterr().err
 
     def test_bound_json(self, capsys):
         code, out, _ = _run(capsys, "bound", "--x0", "-0.5")

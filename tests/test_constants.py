@@ -72,7 +72,7 @@ FROZEN = {
 class TestLedgerValues:
     @pytest.mark.parametrize("x0", sorted(FROZEN))
     def test_frozen_regression(self, x0):
-        d = ledger(x0).to_dict(eps=1.0)
+        d = ledger(x0).to_dict()
         for key, want in FROZEN[x0].items():
             if key == "regime":
                 assert d[key] == want
@@ -134,8 +134,8 @@ class TestBranchContinuity:
     @pytest.mark.parametrize("x0_break", [-0.5, -2.0 / 3.0])
     def test_constants_continuous_across_branch(self, x0_break):
         d = 1e-10
-        left = ledger(x0_break - d).to_dict(eps=1.0)
-        right = ledger(x0_break + d).to_dict(eps=1.0)
+        left = ledger(x0_break - d).to_dict()
+        right = ledger(x0_break + d).to_dict()
         for key in ("C3", "C4", "C7", "C8", "C11", "C12", "C13",
                     "C14_eps1", "C15_eps1"):
             gap = abs(left[key] - right[key])

@@ -24,7 +24,7 @@ from tricomi import (
 )
 from tricomi.constants import ledger
 from tricomi.eigensolver import EigenPair
-from tricomi.pohozaev import area_l2_norm_sq, random_trace
+from tricomi.pohozaev import area_l2_norm_sq
 
 ONE = lambda x, y, u, ux, uy: np.ones_like(np.asarray(x, dtype=float))
 
@@ -73,6 +73,23 @@ class TestIntegrands:
     def test_equivalence_report(self, x0):
         rep = verify_integrand_equivalence(x0, n_states=300)
         assert rep.passed, rep.notes
+
+    @pytest.mark.parametrize("x0, seed, n_states, margin, location, worst", [
+        (-0.05, 1, 300, "0x1.19659812dea11p-40", "-0x1.e16bd82a8b3e4p-5", "omega1_sigma"),
+        (-0.3, 2, 10, "0x1.1962e87ce8271p-40", "-0x1.f03c06f6580a1p-3", "omega1_BC"),
+        (-0.5, 0, 1000, "0x1.19299812dea11p-40", "-0x1.cca3afcb00dbcp-1", "omega1_sigma"),
+        (-1.0, 11, 1, "0x1.19669cab32bf4p-40", "-0x1.862906dcb1e89p-1", "omega1_BC"),
+        (-4.0, 3, 300, "0x1.18419812dea11p-40", "-0x1.824f2623c81a6p+1", "omega2_BC"),
+        (-17.0, 0, 300, "0x1.176017f96f22cp-40", "-0x1.c3fc6d01918eep+3", "omega2_BC"),
+    ])
+    def test_equivalence_report_pinned(self, x0, seed, n_states, margin, location, worst):
+        # Values of the closure-tracking implementation: same draws, same
+        # checks in the same order, same first-worst tie-break.
+        rep = verify_integrand_equivalence(x0, n_states=n_states, seed=seed)
+        assert float(rep.worst_margin).hex() == margin
+        assert float(rep.worst_location).hex() == location
+        assert rep.notes == f"tolerance=1e-12; worst: {worst}"
+        assert rep.passed and rep.grid_size == 2 * n_states
 
 
 class TestQuadrature:
@@ -147,10 +164,6 @@ class TestQuadrature:
         bad[3] = np.nan
         with pytest.raises(ValueError):   # non-finite field
             BoundaryTrace(curve, y, w, bad, y, y)
-
-    def test_random_trace_unknown_kind(self, dom):
-        with pytest.raises(ValueError):
-            random_trace(dom, "AC", np.random.default_rng(0))
 
 
 class TestNormBundle:
