@@ -60,48 +60,39 @@ def _parse_range(spec: str):
     return (a, b, n)
 
 
-def _neg_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (v < 0.0) or not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"x0 must be a finite negative real, got {v}")
-    return v
+def _checked(convert, valid, requirement: str):
+    """An argparse type: `convert` the text, then require `valid(value)`."""
+    noun = "a number" if convert is float else "an integer"
+
+    def parse(text: str):
+        try:
+            v = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not {noun}: {text!r}")
+        if not valid(v):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {v}")
+        return v
+
+    return parse
 
 
-def _tol_float(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
-    if not (v >= 0.0) or not math.isfinite(v):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {v}")
-    return v
+_neg_float = _checked(float, lambda v: v < 0.0 and math.isfinite(v),
+                      "x0 must be a finite negative real")
+_tol_float = _checked(float, lambda v: v >= 0.0 and math.isfinite(v),
+                      "tolerance must be finite and >= 0")
+_pos_int = _checked(int, lambda v: v >= 1, "must be at least 1")
+# Grid.build's floor on the nodes per direction.
+_mesh_int = _checked(int, lambda v: v >= 32, "must be at least 32")
 
 
-def _pos_int(text: str) -> int:
-    try:
-        v = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
-    if v < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {v}")
-    return v
-
-
-def _x0_list(args, parser) -> list:
-    if args.x0 is not None and args.x0_range is not None:
-        parser.error("give either --x0 or --x0-range, not both")
+def _x0_list(args) -> list:
     if args.x0 is not None:
         return [args.x0]
-    if args.x0_range is not None:
-        a, b, n = args.x0_range
-        if n == 1:
-            return [a]
-        # Log-spaced sweep between the (negative) endpoints.
-        return [-v for v in np.geomspace(abs(a), abs(b), n)]
-    parser.error("one of --x0 or --x0-range is required")
+    a, b, n = args.x0_range
+    if n == 1:
+        return [a]
+    # Log-spaced sweep between the (negative) endpoints.
+    return [-v for v in np.geomspace(abs(a), abs(b), n)]
 
 
 def _write_out(text: str, out_path):
@@ -122,20 +113,18 @@ def _fail(message: str, **detail) -> int:
 # -- subcommands -------------------------------------------------------------
 
 def _cmd_constants(args, parser) -> int:
-    x0s = _x0_list(args, parser)
+    x0s = _x0_list(args)
     rows = [ledger(x0).to_dict() for x0 in x0s]
     if args.format == "json":
         text = json.dumps(rows[0] if len(rows) == 1 else rows,
                           sort_keys=True, indent=2, default=float) + "\n"
-    elif args.format == "csv":
+    else:   # csv
         keys = list(rows[0].keys())
         lines = [",".join(keys)]
         for row in rows:
             lines.append(",".join(
                 "" if row[k] is None else fmt(row[k]) for k in keys))
         text = "\n".join(lines) + "\n"
-    else:
-        parser.error("constants supports --format json or csv")
     _write_out(text, args.out)
     return 0
 
@@ -167,7 +156,7 @@ def _verify_one(check: str, x0: float, grid: int, reflected: bool):
 
 
 def _cmd_verify(args, parser) -> int:
-    x0s = _x0_list(args, parser)
+    x0s = _x0_list(args)
     jobs = args.jobs or min(os.cpu_count() or 1, len(x0s))
     log.info("verify %s over %d value(s) of x0 with %d job(s)",
              args.check, len(x0s), jobs)
@@ -209,8 +198,6 @@ def _solve(x0: float, nx: int, ny: int, count: int):
 def _cmd_eigen(args, parser) -> int:
     from . import eigensolver
 
-    if args.x0 is None:
-        parser.error("eigen requires --x0")
     if args.format == "csv" and not args.out:
         parser.error("eigen --format csv writes the principal field; give --out")
     try:
@@ -244,8 +231,6 @@ def _cmd_eigen(args, parser) -> int:
 def _cmd_bound(args, parser) -> int:
     from . import eigensolver
 
-    if args.x0 is None:
-        parser.error("bound requires --x0")
     tol = args.tol if args.tol is not None else 1e-2
     try:
         dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count)
@@ -290,17 +275,9 @@ _W, _H = 800, 600
 _MARGIN = 60
 
 
-def _svg_open(title: str) -> list:
-    return [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect width="{_W}" height="{_H}" fill="white"/>',
-        f'<text x="{_W // 2}" y="28" text-anchor="middle" '
-        f'font-family="monospace" font-size="16">{title}</text>',
-    ]
-
-
-def _axis_map(xlim, ylim):
+def _svg(title: str, xlim, ylim, draw) -> str:
+    """One SVG page: the title, the axes with their end labels, and the
+    elements that `draw(to_px)` returns, where `to_px` maps data to pixels."""
     x0p, x1p = _MARGIN, _W - _MARGIN
     y0p, y1p = _H - _MARGIN, 40 + _MARGIN
 
@@ -309,17 +286,20 @@ def _axis_map(xlim, ylim):
         ty = (y - ylim[0]) / (ylim[1] - ylim[0])
         return (x0p + tx * (x1p - x0p), y0p + ty * (y1p - y0p))
 
-    return to_px
-
-
-def _svg_axes(parts, xlim, ylim, to_px):
     ax0 = to_px(xlim[0], ylim[0])
     ax1 = to_px(xlim[1], ylim[0])
     ay1 = to_px(xlim[0], ylim[1])
-    parts.append(f'<line x1="{ax0[0]:.2f}" y1="{ax0[1]:.2f}" x2="{ax1[0]:.2f}" '
-                 f'y2="{ax1[1]:.2f}" stroke="black"/>')
-    parts.append(f'<line x1="{ax0[0]:.2f}" y1="{ax0[1]:.2f}" x2="{ay1[0]:.2f}" '
-                 f'y2="{ay1[1]:.2f}" stroke="black"/>')
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
+        f'viewBox="0 0 {_W} {_H}">',
+        f'<rect width="{_W}" height="{_H}" fill="white"/>',
+        f'<text x="{_W // 2}" y="28" text-anchor="middle" '
+        f'font-family="monospace" font-size="16">{title}</text>',
+        f'<line x1="{ax0[0]:.2f}" y1="{ax0[1]:.2f}" x2="{ax1[0]:.2f}" '
+        f'y2="{ax1[1]:.2f}" stroke="black"/>',
+        f'<line x1="{ax0[0]:.2f}" y1="{ax0[1]:.2f}" x2="{ay1[0]:.2f}" '
+        f'y2="{ay1[1]:.2f}" stroke="black"/>',
+    ]
     for (vx, vy), label, anchor, dy in (
             ((xlim[0], ylim[0]), f"{xlim[0]:.6g}", "middle", 20),
             ((xlim[1], ylim[0]), f"{xlim[1]:.6g}", "middle", 20),
@@ -327,6 +307,9 @@ def _svg_axes(parts, xlim, ylim, to_px):
         px, py = to_px(vx, vy)
         parts.append(f'<text x="{px:.2f}" y="{py + dy:.2f}" text-anchor="{anchor}" '
                      f'font-family="monospace" font-size="12">{label}</text>')
+    parts.extend(draw(to_px))
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
 
 
 def _polyline(xs, ys, to_px, color="steelblue"):
@@ -341,36 +324,36 @@ def _plot_h(x0: float) -> str:
     xs = np.linspace(2.0 * x0, 0.0, 600)
     hs = np.asarray(dom.h(xs))
     pad = 0.05 * (float(np.max(hs)) - float(np.min(hs)) + 1e-12)
-    xlim = (2.0 * x0, 0.0)
     ylim = (float(np.min(hs)) - pad, float(np.max(hs)) + pad)
-    to_px = _axis_map(xlim, ylim)
-    parts = _svg_open(f"modulus h on [2x0, 0], x0={x0:.6g}, regime {led.regime}")
-    _svg_axes(parts, xlim, ylim, to_px)
-    parts.append(_polyline(xs, hs, to_px))
     i = int(np.argmin(hs))
-    px, py = to_px(float(xs[i]), float(hs[i]))
-    parts.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="crimson"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+
+    def draw(to_px):
+        px, py = to_px(float(xs[i]), float(hs[i]))
+        return [_polyline(xs, hs, to_px),
+                f'<circle cx="{px:.2f}" cy="{py:.2f}" r="3" fill="crimson"/>']
+
+    return _svg(f"modulus h on [2x0, 0], x0={x0:.6g}, regime {led.regime}",
+                (2.0 * x0, 0.0), ylim, draw)
 
 
 def _plot_domain(x0: float) -> str:
     dom = TricomiDomain(x0)
     led = ledger(x0)
     ymax = float(dom.g(dom.x0))
-    xlim = (2.0 * x0 * 1.05, -2.0 * x0 * 0.05)
-    ylim = (dom.y_C * 1.1, ymax * 1.1)
-    to_px = _axis_map(xlim, ylim)
-    parts = _svg_open(f"normal Tricomi domain, x0={x0:.6g}, regime {led.regime}")
-    _svg_axes(parts, xlim, ylim, to_px)
     colors = {"Sigma": "steelblue", "AC": "seagreen", "BC": "darkorange"}
-    for kind in ("Sigma", "AC", "BC"):
-        curve = dom.boundary_curve(kind)
-        t = curve.params(400)
-        x, y = curve.position(t)
-        parts.append(_polyline(np.atleast_1d(x), np.atleast_1d(y), to_px, colors[kind]))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+
+    def draw(to_px):
+        lines = []
+        for kind in ("Sigma", "AC", "BC"):
+            curve = dom.boundary_curve(kind)
+            x, y = curve.position(curve.params(400))
+            lines.append(_polyline(np.atleast_1d(x), np.atleast_1d(y), to_px,
+                                   colors[kind]))
+        return lines
+
+    return _svg(f"normal Tricomi domain, x0={x0:.6g}, regime {led.regime}",
+                (2.0 * x0 * 1.05, -2.0 * x0 * 0.05), (dom.y_C * 1.1, ymax * 1.1),
+                draw)
 
 
 def _plot_eigen(x0: float, nx: int, ny: int) -> str:
@@ -380,32 +363,30 @@ def _plot_eigen(x0: float, nx: int, ny: int) -> str:
     F = pairs[0].field
     led = ledger(x0)
     vmax = float(np.max(np.abs(F))) or 1.0
-    xlim = (float(grid.xs[0]), float(grid.xs[-1]))
-    ylim = (float(grid.ys[0]), float(grid.ys[-1]))
-    to_px = _axis_map(xlim, ylim)
-    parts = _svg_open(
-        f"principal eigenfunction, x0={x0:.6g}, regime {led.regime}, "
-        f"lambda={pairs[0].lam:.6g}")
-    _svg_axes(parts, xlim, ylim, to_px)
-    for i in range(grid.nx - 1):
-        for j in range(grid.ny - 1):
-            if not grid.inside[i, j]:
-                continue
-            v = F[i, j] / vmax
-            r = int(255 * max(0.0, min(1.0, v)))
-            b = int(255 * max(0.0, min(1.0, -v)))
-            px0, py0 = to_px(float(grid.xs[i]), float(grid.ys[j + 1]))
-            px1, py1 = to_px(float(grid.xs[i + 1]), float(grid.ys[j]))
-            parts.append(
-                f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
-                f'height="{py1 - py0:.2f}" fill="rgb({r},{255 - max(r, b)},{b})"/>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+
+    def draw(to_px):
+        cells = []
+        for i in range(grid.nx - 1):
+            for j in range(grid.ny - 1):
+                if not grid.inside[i, j]:
+                    continue
+                v = F[i, j] / vmax
+                r = int(255 * max(0.0, min(1.0, v)))
+                b = int(255 * max(0.0, min(1.0, -v)))
+                px0, py0 = to_px(float(grid.xs[i]), float(grid.ys[j + 1]))
+                px1, py1 = to_px(float(grid.xs[i + 1]), float(grid.ys[j]))
+                cells.append(
+                    f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
+                    f'height="{py1 - py0:.2f}" fill="rgb({r},{255 - max(r, b)},{b})"/>')
+        return cells
+
+    return _svg(f"principal eigenfunction, x0={x0:.6g}, regime {led.regime}, "
+                f"lambda={pairs[0].lam:.6g}",
+                (float(grid.xs[0]), float(grid.xs[-1])),
+                (float(grid.ys[0]), float(grid.ys[-1])), draw)
 
 
 def _cmd_plot(args, parser) -> int:
-    if args.x0 is None:
-        parser.error("plot requires --x0")
     try:
         if args.target == "h":
             text = _plot_h(args.x0)
@@ -421,14 +402,20 @@ def _cmd_plot(args, parser) -> int:
 
 # -- parser ------------------------------------------------------------------
 
-def _add_common(sub, fmt_choices=("json", "csv"), sweep=False):
-    sub.add_argument("--x0", type=_neg_float, default=None,
-                     help="domain parameter, a negative real")
-    if sweep:   # elsewhere argparse rejects --x0-range (exit 2), not ignores it
-        sub.add_argument("--x0-range", type=_parse_range, default=None,
-                         help="sweep a:b:n, log-spaced between negative a and b")
+def _add_common(sub, fmt_choices=("json", "csv"), sweep=False, mesh=None):
+    # With `sweep`, exactly one of --x0 and --x0-range; elsewhere --x0 is
+    # required and argparse rejects --x0-range (exit 2) rather than ignore it.
+    x0 = sub.add_mutually_exclusive_group(required=True) if sweep else sub
+    x0.add_argument("--x0", type=_neg_float, required=not sweep,
+                    help="domain parameter, a negative real")
+    if sweep:
+        x0.add_argument("--x0-range", type=_parse_range,
+                        help="sweep a:b:n, log-spaced between negative a and b")
     sub.add_argument("--format", choices=fmt_choices, default=fmt_choices[0])
     sub.add_argument("--out", default=None, help="output path (default stdout)")
+    if mesh:
+        sub.add_argument("--nx", type=_mesh_int, default=mesh)
+        sub.add_argument("--ny", type=_mesh_int, default=mesh)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -454,24 +441,18 @@ def build_parser() -> argparse.ArgumentParser:
                     help="starshape negative control on the x-reflected domain")
 
     se = subs.add_parser("eigen", help="solve the discrete eigenproblem")
-    _add_common(se)
-    se.add_argument("--nx", type=int, default=64)
-    se.add_argument("--ny", type=int, default=64)
-    se.add_argument("--count", type=int, default=4)
+    _add_common(se, mesh=64)
+    se.add_argument("--count", type=_pos_int, default=4)
 
     sb = subs.add_parser("bound", help="end-to-end identity and bound check")
-    _add_common(sb)
-    sb.add_argument("--nx", type=int, default=64)
-    sb.add_argument("--ny", type=int, default=64)
-    sb.add_argument("--count", type=int, default=4)
+    _add_common(sb, mesh=64)
+    sb.add_argument("--count", type=_pos_int, default=4)
     sb.add_argument("--tol", type=_tol_float, default=None,
                     help="relative tolerance for bound satisfaction (default 1e-2)")
 
     sp = subs.add_parser("plot", help="static SVG plots")
     sp.add_argument("target", choices=("h", "domain", "eigen"))
-    _add_common(sp, fmt_choices=("svg",))
-    sp.add_argument("--nx", type=int, default=48)
-    sp.add_argument("--ny", type=int, default=48)
+    _add_common(sp, fmt_choices=("svg",), mesh=48)
 
     return parser
 

@@ -1,5 +1,6 @@
 """Command-line interface: argument contract, outputs, exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -45,6 +46,15 @@ class TestArgumentContract:
         ["bound", "--x0", "-0.5", "--tol", "inf"],
         ["bound", "--x0", "-0.5", "--tol", "nan"],
         ["bound", "--x0", "-0.5", "--tol", "-1"],
+        # Counts and meshes below the solver's floors fail at parse time.
+        ["eigen", "--x0", "-0.5", "--count", "0"],
+        ["bound", "--x0", "-0.5", "--count", "-1"],
+        ["bound", "--x0", "-0.5", "--nx", "10"],
+        ["eigen", "--x0", "-0.5", "--ny", "31"],
+        ["plot", "eigen", "--x0", "-0.5", "--nx", "3"],
+        ["eigen"],                                      # no x0 at all
+        ["bound"],
+        ["plot", "h"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -248,6 +258,21 @@ class TestPlot:
         assert code == 0
         text = path.read_text()
         assert "lambda=" in text and "<rect" in text
+
+
+    # sha256 of stdout, pinned so that a change to any page's bytes shows.
+    @pytest.mark.parametrize("argv, digest", [
+        (("plot", "h", "--x0", "-0.5"),
+         "2fee4ecdd93f7efb750d92f404ae7d7edb5dcd233b9b0f32c20e2b85e0ed9099"),
+        (("plot", "domain", "--x0", "-0.5"),
+         "4d98ff17deb4266a1817037f08d31f2bb29bea9df0d248d717c324b4df2033c9"),
+        (("plot", "eigen", "--x0", "-1.3", "--nx", "40", "--ny", "52"),
+         "c02cfe283c603cd2306af355ef2a49922415335921929e3ac687f60c0cd7f1ad"),
+    ])
+    def test_pages_byte_identical(self, capsys, argv, digest):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestDeterminism:
