@@ -17,6 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from time import perf_counter
 
 import numpy as np
 
@@ -189,10 +190,25 @@ def _solve(x0: float, nx: int, ny: int, count: int):
     from . import eigensolver   # scipy.sparse: imported only by commands that solve
 
     dom = TricomiDomain(x0)
+    t = perf_counter()
     grid = eigensolver.Grid.build(dom, nx, ny)
+    log.debug("Grid.build %.4f s", perf_counter() - t)
+    t = perf_counter()
     op = eigensolver.assemble(dom, grid)
+    log.debug("assemble %.4f s, %d unknowns, %d nnz",
+              perf_counter() - t, op.n, op.matrix.nnz)
+    t = perf_counter()
     pairs, complex_diag = eigensolver.solve_real_spectrum(op, count)
+    log.debug("solve %.4f s, %d unknowns, %d nnz",
+              perf_counter() - t, op.n, op.matrix.nnz)
     return dom, grid, pairs, complex_diag
+
+
+def _principal(pairs):
+    """The principal eigenpair: the real pair of smallest magnitude with
+    lambda > 0, or None.  A negative real eigenvalue of the discrete
+    operator is a spurious mode of the discretization."""
+    return next((p for p in pairs if p.lam > 0), None)
 
 
 def _cmd_eigen(args, parser) -> int:
@@ -208,7 +224,10 @@ def _cmd_eigen(args, parser) -> int:
         return _fail("no real eigenvalue found", x0=args.x0,
                      complex_pairs=[str(c) for c in complex_diag])
     if args.format == "csv":
-        eigensolver.write_field_csv(args.out, grid, pairs[0].field)
+        pair = _principal(pairs)
+        if pair is None:
+            return _fail("no positive real eigenvalue found", x0=args.x0)
+        eigensolver.write_field_csv(args.out, grid, pair.field)
     else:
         summary = {
             "x0": args.x0,
@@ -234,10 +253,9 @@ def _cmd_bound(args, parser) -> int:
     tol = args.tol if args.tol is not None else 1e-2
     try:
         dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count)
-        pairs = [p for p in pairs if p.lam > 0]
-        if not pairs:
+        pair = _principal(pairs)
+        if pair is None:
             return _fail("no positive real eigenvalue found", x0=args.x0)
-        pair = pairs[0]
         norms = eigensolver.trace_norms(pair, dom, grid)
         identity = pohozaev.pohozaev_residual(pair, dom)
         bound = pohozaev.bound_check(pair, norms, ledger(args.x0), rel_tol=tol)
@@ -357,10 +375,11 @@ def _plot_domain(x0: float) -> str:
 
 
 def _plot_eigen(x0: float, nx: int, ny: int) -> str:
-    dom, grid, pairs, _ = _solve(x0, nx, ny, 1)
-    if not pairs:
-        raise RuntimeError("no real eigenvalue found for the heat map")
-    F = pairs[0].field
+    dom, grid, pairs, _ = _solve(x0, nx, ny, 4)
+    pair = _principal(pairs)
+    if pair is None:
+        raise RuntimeError("no positive real eigenvalue found for the heat map")
+    F = pair.field
     led = ledger(x0)
     vmax = float(np.max(np.abs(F))) or 1.0
 
@@ -381,7 +400,7 @@ def _plot_eigen(x0: float, nx: int, ny: int) -> str:
         return cells
 
     return _svg(f"principal eigenfunction, x0={x0:.6g}, regime {led.regime}, "
-                f"lambda={pairs[0].lam:.6g}",
+                f"lambda={pair.lam:.6g}",
                 (float(grid.xs[0]), float(grid.xs[-1])),
                 (float(grid.ys[0]), float(grid.ys[-1])), draw)
 

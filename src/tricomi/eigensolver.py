@@ -47,6 +47,12 @@ __all__ = [
 EXTERIOR, INTERIOR, DIRICHLET, FREE_BC = 0, 1, 2, 3
 
 _REAL_EIG_RTOL = 1e-8
+# ARPACK stops once every Ritz estimate is at most this times |theta|
+# (theta the Ritz value of the shift-inverted operator).  The LU solves that
+# apply that operator leave relative residuals of 2e-14 to 4e-11 (x0 = -1/2,
+# 64^2 to 320^2), so iterating below 1e-12 improves neither lambda nor the
+# residual; tol=0 (machine epsilon) spends about a fifth more solves on it.
+_RITZ_TOL = 1e-12
 # Weight of the fourth-difference damping in the hyperbolic half (`assemble`).
 _STABILIZATION = 0.5
 # Trace nodes per boundary curve, BC and sigma (`extract_traces`).
@@ -273,13 +279,22 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3):
     exceeds 1e-8 relative are reported in the diagnostics list and excluded
     from the real spectrum.  Each real pair is normalized to unit L2(Omega)
     norm with nonnegative mean and carries its algebraic residual.
+
+    ARPACK stops at the Ritz tolerance 1e-12, not at machine epsilon: past
+    it the LU solves' own relative residual bounds what the iteration can
+    gain, and neither lambda nor the residual improves.  The callers certify
+    residuals to 1e-8.  Stopping there takes about a fifth fewer solves,
+    and lambda moves from the machine-epsilon result in its last one or two
+    printed digits (6.375505190816736 -> 6.37550519081674 at 64^2,
+    x0 = -1/2).
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     k = min(count, op.n - 2)
     v0 = np.full(op.n, 1.0 / math.sqrt(op.n))  # fixed start vector: reproducible runs
     try:
-        w, V = spla.eigs(op.matrix.astype(float), k=k, sigma=shift, which="LM", v0=v0)
+        w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
+                         tol=_RITZ_TOL)
     except RuntimeError as exc:
         raise RuntimeError(
             f"shift-invert factorization failed ({exc}); try a finer grid "

@@ -2,9 +2,11 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from tricomi.cli import run
@@ -205,6 +207,44 @@ class TestEigenAndBound:
         assert lines[0] == "x,y,u"
         assert len(lines) == 1 + 64 * 64
 
+    def test_eigen_csv_writes_principal_not_spurious_mode(self, capsys, tmp_path):
+        # At 80^2 the smallest-magnitude real pair is a spurious negative
+        # mode; the CSV holds the principal (smallest positive) pair's field.
+        from tricomi import TricomiDomain
+        from tricomi.eigensolver import Grid, assemble, solve_real_spectrum
+        path = tmp_path / "field.csv"
+        code, _, _ = _run(capsys, "eigen", "--x0", "-0.5", "--nx", "80",
+                          "--ny", "80", "--format", "csv", "--out", str(path))
+        assert code == 0
+        dom = TricomiDomain(-0.5)
+        pairs, _ = solve_real_spectrum(assemble(dom, Grid.build(dom, 80, 80)), 4)
+        assert pairs[0].lam < 0.0
+        pair = next(p for p in pairs if p.lam > 0)
+        assert pair.lam == pytest.approx(6.315, rel=1e-3)
+        u = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+        assert np.array_equal(u, pair.field.ravel())
+
+    @pytest.mark.parametrize("argv", [
+        ("eigen", "--format", "csv", "--out"),
+        ("plot", "eigen", "--out"),
+    ])
+    def test_no_positive_eigenvalue_exits_1(self, capsys, monkeypatch, tmp_path,
+                                            argv):
+        # Keep only the spurious negative mode of the 80^2 spectrum.
+        from tricomi import cli
+        solve = cli._solve
+
+        def negative_only(*args):
+            dom, grid, pairs, complex_diag = solve(*args)
+            return dom, grid, [p for p in pairs if p.lam < 0], complex_diag
+
+        monkeypatch.setattr(cli, "_solve", negative_only)
+        path = tmp_path / "out"
+        code, out, err = _run(capsys, *argv, str(path), "--x0", "-0.5",
+                              "--nx", "80", "--ny", "80")
+        assert code == 1 and out == "" and not path.exists()
+        assert "no positive real eigenvalue" in json.loads(err)["error"]
+
     def test_eigen_csv_without_out_exits_before_solving(self, capsys, monkeypatch):
         from tricomi import cli
         calls = []
@@ -251,6 +291,14 @@ class TestPlot:
         assert "x0=-0.5" in text
         assert text.rstrip().endswith("</svg>")
 
+    def test_eigen_heatmap_skips_spurious_mode(self, capsys):
+        # At 80^2 the smallest-magnitude real eigenvalue is -0.830634, a
+        # spurious mode; the page draws the principal pair instead.
+        code, out, err = _run(capsys, "plot", "eigen", "--x0", "-0.5",
+                              "--nx", "80", "--ny", "80")
+        assert code == 0 and err == ""
+        assert "principal eigenfunction" in out and "lambda=6.31497<" in out
+
     def test_eigen_heatmap(self, capsys, tmp_path):
         path = tmp_path / "eigen.svg"
         code, _, _ = _run(capsys, "plot", "eigen", "--x0", "-0.5",
@@ -267,12 +315,29 @@ class TestPlot:
         (("plot", "domain", "--x0", "-0.5"),
          "4d98ff17deb4266a1817037f08d31f2bb29bea9df0d248d717c324b4df2033c9"),
         (("plot", "eigen", "--x0", "-1.3", "--nx", "40", "--ny", "52"),
-         "c02cfe283c603cd2306af355ef2a49922415335921929e3ac687f60c0cd7f1ad"),
+         "41716bc7f5292f02c03335b2d403231fde12b98361c44a77bf73cf9058ece110"),
     ])
     def test_pages_byte_identical(self, capsys, argv, digest):
         code, out, err = _run(capsys, *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+class TestDebugLog:
+    def test_stage_lines_on_stderr_stdout_unchanged(self):
+        cmd = [sys.executable, "-m", "tricomi.cli", "eigen", "--x0", "-0.5",
+               "--count", "2"]
+        env = {k: v for k, v in os.environ.items() if k != "TRICOMI_LOG"}
+        quiet = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                               check=True)
+        debug = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                               env={**env, "TRICOMI_LOG": "debug"})
+        assert debug.stdout == quiet.stdout and quiet.stderr == ""
+        lines = debug.stderr.splitlines()
+        assert [line.split()[2] for line in lines] == ["Grid.build", "assemble", "solve"]
+        assert all(line.split()[4].rstrip(",") == "s" for line in lines)
+        for line in lines[1:]:
+            assert line.endswith(" s, 2758 unknowns, 17710 nnz")
 
 
 class TestDeterminism:

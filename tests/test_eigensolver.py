@@ -162,6 +162,18 @@ class TestSpectrum:
             assert lam_i == pytest.approx(lam, rel=1e-10)
             assert np.max(np.abs(F_i - F)) <= 1e-10 * np.max(np.abs(F))
 
+    @pytest.mark.parametrize("n, lam_eps", [
+        (64, 6.375505190816736), (128, 6.2637608288653155)])
+    def test_ritz_tolerance_keeps_seed_accuracy(self, dom, n, lam_eps):
+        # lam_eps: the principal eigenvalue when ARPACK iterated to machine
+        # epsilon (tol=0).  The 1e-12 Ritz tolerance moves it in the last
+        # digits only, and keeps the spectrum's shape and every residual.
+        pairs, complex_diag = solve_real_spectrum(
+            assemble(dom, Grid.build(dom, n, n)), 4)
+        assert len(pairs) == 1 and len(complex_diag) == 3
+        assert pairs[0].lam == pytest.approx(lam_eps, rel=1e-13)
+        assert all(p.residual <= 1e-10 for p in pairs)
+
     def test_determinism(self, dom, op64, solved64):
         pairs2, _ = solve_real_spectrum(op64, 4)
         pairs1, _ = solved64
@@ -197,10 +209,10 @@ class TestTraces:
     # float.hex of sum(ux**2), sum(uy**2) on BC and sigma of the principal
     # mode: the gradient stencils and the trace sampling are pinned bit for bit.
     @pytest.mark.parametrize("n,x0,bc,sigma", [
-        (64, -0.5, ("0x1.fc2113a4d813cp+12", "0x1.a7d2ad46e6fa3p+11"),
-         ("0x1.36c3254521839p+15", "0x1.20b32b3fb3990p+9")),
-        (96, -1.0, ("0x1.8d30ee8d74eecp+9", "0x1.335a5e5a0e15fp+9"),
-         ("0x1.4575f574e80c1p+12", "0x1.14bb6f40cc4c9p+6")),
+        (64, -0.5, ("0x1.fc2113a4d8146p+12", "0x1.a7d2ad46e6faap+11"),
+         ("0x1.36c325452183ap+15", "0x1.20b32b3fb3991p+9")),
+        (96, -1.0, ("0x1.8d30ee8d74ed7p+9", "0x1.335a5e5a0e16dp+9"),
+         ("0x1.4575f574e80bfp+12", "0x1.14bb6f40cc4cbp+6")),
     ])
     def test_trace_gradients_pinned(self, n, x0, bc, sigma):
         d = TricomiDomain(x0)
