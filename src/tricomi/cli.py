@@ -4,13 +4,15 @@ bound checks and static SVG plots.
 Output is deterministic: floats print with 17 significant digits, no
 timestamps, and the eigensolver uses a fixed start vector.  Exit codes:
 0 when every emitted report passed, 1 on a numerical failure, a failed
-check or an eigenpair whose algebraic residual is above 1e-8 (with
-diagnostic JSON on stderr), 2 on argument errors.
+check, an eigenpair whose algebraic residual is above 1e-8 or an --out file
+that cannot be written (each with one line of diagnostic JSON on stderr),
+2 on argument errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import math
@@ -96,19 +98,29 @@ def _x0_list(args) -> list:
     return [-v for v in np.geomspace(abs(a), abs(b), n)]
 
 
-def _write_out(text: str, out_path):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _fail(message: str, **detail) -> int:
     payload = {"error": message}
     payload.update(detail)
     sys.stderr.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
     return 1
+
+
+def _unwritable(out_path, exc: OSError) -> int:
+    return _fail("cannot write --out file", out=out_path, reason=str(exc))
+
+
+def _write_out(text: str, out_path) -> int:
+    """Write `text` to the --out file, or to stdout without one.  Returns 0,
+    or 1 after a JSON line on stderr when the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return 0
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _unwritable(out_path, exc)
+    return 0
 
 
 # -- subcommands -------------------------------------------------------------
@@ -126,11 +138,10 @@ def _cmd_constants(args, parser) -> int:
             lines.append(",".join(
                 "" if row[k] is None else fmt(row[k]) for k in keys))
         text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
-    return 0
+    return _write_out(text, args.out)
 
 
-def _verify_one(check: str, x0: float, grid: int, reflected: bool):
+def _check_reports(check: str, x0: float, grid: int, reflected: bool):
     if check == "h-profile":
         return [verifier.verify_h_profile(x0, grid)]
     if check == "g1-bounds":
@@ -148,12 +159,28 @@ def _verify_one(check: str, x0: float, grid: int, reflected: bool):
     if check == "inequalities":
         n = grid if grid < 10000 else 1000
         return [pohozaev.verify_trace_inequalities(x0, n_traces=n)]
-    if check == "all":
-        out = verifier.verify_profiles(x0, grid)
-        for c in ("starshape", "integrands", "inequalities"):
-            out.extend(_verify_one(c, x0, grid, reflected))
-        return out
+    if check == "profiles":     # the first three reports of `all`
+        return verifier.verify_profiles(x0, grid)
     raise ValueError(f"unknown check {check!r}")
+
+
+def _verify_one(check: str, x0: float, grid: int, reflected: bool):
+    """The reports of `check` at x0.  Under TRICOMI_LOG=debug each report
+    gets one line with the wall time of the call that made it; the three
+    profile reports of `all` come from one shared sweep and one time."""
+    parts = (("profiles", "starshape", "integrands", "inequalities")
+             if check == "all" else (check,))
+    reports = []
+    for part in parts:
+        t = perf_counter()
+        batch = _check_reports(part, x0, grid, reflected)
+        dt = perf_counter() - t
+        shared = (", one sweep for " + " ".join(r.claim_id for r in batch)
+                  if len(batch) > 1 else "")
+        for r in batch:
+            log.debug("%s %.4f s, x0=%.17g%s", r.claim_id, dt, x0, shared)
+        reports.extend(batch)
+    return reports
 
 
 def _cmd_verify(args, parser) -> int:
@@ -179,7 +206,8 @@ def _cmd_verify(args, parser) -> int:
         for r in reports:
             r.passed = r.worst_margin >= -args.tol
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
-    _write_out(text, args.out)
+    if _write_out(text, args.out):
+        return 1
     if all(r.passed for r in reports):
         return 0
     return _fail("one or more checks failed",
@@ -227,7 +255,10 @@ def _cmd_eigen(args, parser) -> int:
         pair = _principal(pairs)
         if pair is None:
             return _fail("no positive real eigenvalue found", x0=args.x0)
-        eigensolver.write_field_csv(args.out, grid, pair.field)
+        try:
+            eigensolver.write_field_csv(args.out, grid, pair.field)
+        except OSError as exc:
+            return _unwritable(args.out, exc)
     else:
         summary = {
             "x0": args.x0,
@@ -239,8 +270,9 @@ def _cmd_eigen(args, parser) -> int:
             ],
             "complex_pairs": [str(c) for c in complex_diag],
         }
-        _write_out(json.dumps(summary, sort_keys=True, indent=2, default=float) + "\n",
-                   args.out)
+        if _write_out(json.dumps(summary, sort_keys=True, indent=2, default=float)
+                      + "\n", args.out):
+            return 1
     if all(p.residual <= _RESIDUAL_TOL for p in pairs):
         return 0
     return _fail("eigen residual above tolerance",
@@ -256,9 +288,17 @@ def _cmd_bound(args, parser) -> int:
         pair = _principal(pairs)
         if pair is None:
             return _fail("no positive real eigenvalue found", x0=args.x0)
+        t = perf_counter()
         norms = eigensolver.trace_norms(pair, dom, grid)
+        log.debug("traces %.4f s", perf_counter() - t)
+        t = perf_counter()
         identity = pohozaev.pohozaev_residual(pair, dom)
+        log.debug("identity %.4f s, relative residual %.3e",
+                  perf_counter() - t, identity["relative_residual"])
+        t = perf_counter()
         bound = pohozaev.bound_check(pair, norms, ledger(args.x0), rel_tol=tol)
+        log.debug("bound %.4f s, lhs %.6g, rhs %.6g",
+                  perf_counter() - t, bound["lhs"], bound["rhs"])
     except Exception as exc:
         return _fail(f"bound check failed: {exc}", x0=args.x0)
     record = {
@@ -278,7 +318,8 @@ def _cmd_bound(args, parser) -> int:
                     bound["eps1"], bound["eps2"], bound["satisfied"])) + "\n")
     else:
         text = json.dumps(record, sort_keys=True, indent=2, default=float) + "\n"
-    _write_out(text, args.out)
+    if _write_out(text, args.out):
+        return 1
     if not pair.residual <= _RESIDUAL_TOL:
         return _fail("eigen residual above tolerance", residual=pair.residual,
                      tol=_RESIDUAL_TOL)
@@ -415,8 +456,7 @@ def _cmd_plot(args, parser) -> int:
             text = _plot_eigen(args.x0, args.nx, args.ny)
     except Exception as exc:
         return _fail(f"plot failed: {exc}", target=args.target, x0=args.x0)
-    _write_out(text, args.out)
-    return 0
+    return _write_out(text, args.out)
 
 
 # -- parser ------------------------------------------------------------------
@@ -476,6 +516,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# One parser per process: parse_args keeps no state in it between calls.
+_parser = functools.cache(build_parser)
+
+
 def _merge_range_values(argv):
     """Join `--x0 -v` and `--x0-range -a:-b:n` into one token each, so that
     argparse does not read a leading-dash value such as -1e-3 as an option."""
@@ -491,7 +535,7 @@ def _merge_range_values(argv):
 
 def run(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(_merge_range_values(
         sys.argv[1:] if argv is None else list(argv)))
     handler = {

@@ -43,17 +43,6 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     return (base.astype(object) ** exponent).astype(float)
 
 
-def _real_cbrt(v):
-    """Real cube root of a nonnegative quantity, clamping tiny negative residue."""
-    v = np.asarray(v, dtype=float)
-    if np.any(v < -1e-15):
-        raise ValueError("cube-root argument is negative beyond rounding residue")
-    out = np.cbrt(np.clip(v, 0.0, None))
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
 @dataclass(frozen=True)
 class TricomiDomain:
     """The normal Tricomi domain for a given abscissa parameter x0 < 0."""
@@ -85,17 +74,47 @@ class TricomiDomain:
 
     # -- closed-form boundary functions -------------------------------------
 
-    def _check_range(self, x, name="x"):
+    def _check_range(self, x):
+        """x as a float array, required to lie in [2x0, 0] up to
+        _ENDPOINT_GUARD and clipped onto it.  The bounds come from two
+        NaN-skipping reductions, as the elementwise comparisons skip NaN.
+        The clip leaves entries inside [2x0, 0] as they are, so it runs
+        only when some entry lies outside."""
         x = np.asarray(x, dtype=float)
         lo, hi = 2.0 * self.x0, 0.0
-        if np.any(x < lo - _ENDPOINT_GUARD) or np.any(x > hi + _ENDPOINT_GUARD):
-            raise ValueError(f"{name} outside [2*x0, 0] = [{lo}, {hi}]")
-        return np.clip(x, lo, hi)
+        x_min = np.fmin.reduce(x, axis=None, initial=lo)
+        x_max = np.fmax.reduce(x, axis=None, initial=hi)
+        if x_min < lo - _ENDPOINT_GUARD or x_max > hi + _ENDPOINT_GUARD:
+            raise ValueError(f"x outside [2*x0, 0] = [{lo}, {hi}]")
+        if x_min < lo or x_max > hi:
+            x = np.clip(x, lo, hi)
+        return x
+
+    def _g(self, x):
+        """g at checked abscissae, [9x(2x0 - x)/4]^(1/3) computed in one
+        buffer; a rounding residue below zero is clamped to 0 before the
+        cube root.  A 0-d x gives a 0-d array: the buffer comes from
+        empty_like, since a ufunc on 0-d operands returns a numpy scalar,
+        which cannot be written in place."""
+        v = np.multiply(9.0, x, out=np.empty_like(x))
+        v *= 2.0 * self.x0 - x
+        v /= 4.0
+        if np.any(v < -1e-15):
+            raise ValueError("cube-root argument is negative beyond rounding residue")
+        np.maximum(v, 0.0, out=v)
+        return np.cbrt(v, out=v)
+
+    def _h_from_g(self, x, g):
+        """h at checked abscissae x from the array g = _g(x), computed in
+        g's buffer: g is overwritten."""
+        np.multiply(g, g, out=g)
+        g *= 2.0 / 3.0
+        return np.hypot(x - self.x0, g, out=g)
 
     def g(self, x):
         """Height of the normal curve, [9x(2x0 - x)/4]^(1/3) on [2x0, 0]."""
-        x = self._check_range(x)
-        return _real_cbrt(9.0 * x * (2.0 * self.x0 - x) / 4.0)
+        out = self._g(self._check_range(x))
+        return float(out) if out.ndim == 0 else out
 
     def g_prime(self, x):
         """dg/dx = -(3/2)(x - x0)/g(x)^2 on the open interval (2x0, 0)."""
@@ -110,8 +129,7 @@ class TricomiDomain:
         """Modulus of the non-normalized normal on sigma:
         {(x - x0)^2 + (4/9) g(x)^4}^(1/2), positive on all of [2x0, 0]."""
         x = self._check_range(x)
-        gx = np.asarray(self.g(x))
-        out = np.hypot(x - self.x0, (2.0 / 3.0) * gx**2)
+        out = self._h_from_g(x, self._g(x))
         return float(out) if out.ndim == 0 else out
 
     # -- membership ---------------------------------------------------------

@@ -43,7 +43,15 @@ def sweep_grid(x0: float, n: int) -> np.ndarray:
     extra = [2.0 * x0, x0, 1.5 * x0, 0.5 * x0, led.x1, led.x2, 0.0]
     if led.x_plus is not None:
         extra += [led.x_plus, led.x_minus]
-    xs = np.union1d(np.linspace(2.0 * x0, 0.0, n), np.asarray(extra))
+    # The same array as np.union1d(linspace, extra) without sorting the
+    # already sorted linspace: insert the sorted extras after their equals,
+    # then drop each entry equal to its left neighbour.  So on a tie the
+    # linspace entry stays, which decides the sign of a zero.  A linspace is
+    # nondecreasing, and at a subnormal x0 it holds equal neighbours itself.
+    extra = np.unique(extra)
+    xs = np.linspace(2.0 * x0, 0.0, n)
+    xs = np.insert(xs, np.searchsorted(xs, extra, side="right"), extra)
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     return np.clip(xs, 2.0 * x0, 0.0)
 
 
@@ -144,7 +152,9 @@ def _sweep(x0: float, grid_size: int) -> _Sweep:
         raise ValueError("grid_size must be at least 1000")
     dom = TricomiDomain(x0)
     xs = sweep_grid(x0, grid_size)
-    arrays = (xs, np.asarray(dom.g(xs)), np.asarray(dom.h(xs)))
+    gx = dom.g(xs)
+    # xs already lies in [2x0, 0], so h reuses g instead of evaluating it again.
+    arrays = (xs, gx, dom._h_from_g(xs, gx.copy()))
     for a in arrays:
         a.flags.writeable = False
     return _Sweep(grid_size, dom, ledger(x0), *arrays)

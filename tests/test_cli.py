@@ -168,6 +168,18 @@ class TestVerify:
         assert one == _run(capsys, *argv, "--jobs", "2")
         assert one[0] == 0 and len(one[1].splitlines()) == 6 * 6
 
+    # sha256 of stdout at the default --grid 100000, the workload's size.
+    @pytest.mark.parametrize("x0, digest", [
+        ("-0.05", "5ca47af622f0f996bb6d7fbdb1afca69aa53e7937b052159e596a4068b4f00f6"),
+        ("-0.5", "422186b327b18bcfd10d049d3b270bd500cf8f159a66896473dcfd6816e422d8"),
+        ("-1", "1c306024b5ec9276c7004c850ec5168cfd90354b8bea9b3b1983bdb6a83d77ca"),
+        ("-4", "65c50cf8c882c3ec6eb2e8ac76ab331157697b448952d6d28a05a2a09b3d7e29"),
+    ])
+    def test_all_default_grid_pinned(self, capsys, x0, digest):
+        code, out, err = _run(capsys, "verify", "all", "--x0", x0)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     @pytest.mark.parametrize("x0", ["-1e200", "-1e300"])
     def test_overflow_reports_json_only(self, x0):
         # A numpy overflow warning must not precede the JSON diagnostic.
@@ -323,21 +335,116 @@ class TestPlot:
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+def _quiet_and_debug(*argv):
+    """A CLI process without and with TRICOMI_LOG=debug; the quiet one must
+    write nothing to stderr."""
+    cmd = [sys.executable, "-m", "tricomi.cli", *argv]
+    env = {k: v for k, v in os.environ.items() if k != "TRICOMI_LOG"}
+    quiet = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                           check=True)
+    debug = subprocess.run(cmd, capture_output=True, text=True, check=True,
+                           env={**env, "TRICOMI_LOG": "debug"})
+    assert quiet.stderr == ""
+    return quiet, debug
+
+
 class TestDebugLog:
     def test_stage_lines_on_stderr_stdout_unchanged(self):
-        cmd = [sys.executable, "-m", "tricomi.cli", "eigen", "--x0", "-0.5",
-               "--count", "2"]
-        env = {k: v for k, v in os.environ.items() if k != "TRICOMI_LOG"}
-        quiet = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                               check=True)
-        debug = subprocess.run(cmd, capture_output=True, text=True, check=True,
-                               env={**env, "TRICOMI_LOG": "debug"})
-        assert debug.stdout == quiet.stdout and quiet.stderr == ""
+        quiet, debug = _quiet_and_debug("eigen", "--x0", "-0.5", "--count", "2")
+        assert debug.stdout == quiet.stdout
         lines = debug.stderr.splitlines()
         assert [line.split()[2] for line in lines] == ["Grid.build", "assemble", "solve"]
         assert all(line.split()[4].rstrip(",") == "s" for line in lines)
         for line in lines[1:]:
             assert line.endswith(" s, 2758 unknowns, 17710 nnz")
+
+    def test_bound_logs_trace_identity_and_bound_stages(self):
+        quiet, debug = _quiet_and_debug("bound", "--x0", "-0.5")
+        assert debug.stdout == quiet.stdout
+        lines = debug.stderr.splitlines()
+        assert [line.split()[2] for line in lines] == [
+            "Grid.build", "assemble", "solve", "traces", "identity", "bound"]
+        assert all(line.split()[4].rstrip(",") == "s" for line in lines)
+        record = json.loads(quiet.stdout)
+        assert lines[4].endswith(
+            f" s, relative residual {record['identity']['relative_residual']:.3e}")
+        assert lines[5].endswith(f" s, lhs {record['bound']['lhs']:.6g}, "
+                                 f"rhs {record['bound']['rhs']:.6g}")
+
+    def test_verify_logs_one_line_per_report(self):
+        quiet, debug = _quiet_and_debug("verify", "all", "--x0-range", "-1:-0.5:2",
+                                        "--grid", "2000", "--jobs", "1")
+        assert debug.stdout == quiet.stdout
+        info, *lines = debug.stderr.splitlines()
+        assert info.startswith("INFO tricomi: verify all over 2 value(s)")
+        reports = [json.loads(r) for r in quiet.stdout.splitlines()]
+        assert len(lines) == len(reports) == 12
+        for line, rep in zip(lines, reports):
+            level, name, claim, secs, unit, x0 = line.split()[:6]
+            assert (level, name, claim, unit) == ("DEBUG", "tricomi:", rep["claim_id"], "s,")
+            assert float(secs) >= 0.0 and float(x0[3:].rstrip(",")) == rep["x0"]
+        profiles = [line for line in lines if "one sweep for" in line]
+        assert len(profiles) == 6 and all(
+            line.endswith(", one sweep for h_profile G1_bounds G2_bounds")
+            for line in profiles)
+
+
+class TestUnwritableOut:
+    # Every subcommand exits 1 with one JSON line when --out cannot be
+    # written: here its directory does not exist.
+    @pytest.mark.parametrize("argv", [
+        ("constants", "--x0", "-0.5"),
+        ("verify", "g1-bounds", "--x0", "-0.5", "--grid", "1000"),
+        ("eigen", "--x0", "-0.5", "--count", "2"),
+        ("eigen", "--x0", "-0.5", "--count", "2", "--format", "csv"),
+        ("bound", "--x0", "-0.5"),
+        ("plot", "h", "--x0", "-0.5"),
+    ])
+    def test_exits_1_with_json(self, capsys, tmp_path, argv):
+        path = str(tmp_path / "missing" / "out")
+        code, out, err = _run(capsys, *argv, "--out", path)
+        assert code == 1 and out == ""
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "cannot write --out file"
+        assert payload["out"] == path
+        assert path in payload["reason"]
+
+    def test_no_traceback_from_the_entry_point(self, tmp_path):
+        path = str(tmp_path / "missing" / "x.json")
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricomi.cli", "constants", "--x0", "-0.5",
+             "--out", path], capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert json.loads(proc.stderr)["out"] == path
+
+
+class TestSharedParser:
+    """run() reuses one parser per process; each call must still behave as
+    a fresh process does."""
+
+    @staticmethod
+    def _fresh(argv):
+        proc = subprocess.run([sys.executable, "-m", "tricomi.cli", *argv],
+                              capture_output=True, text=True)
+        return proc.returncode, proc.stdout
+
+    @pytest.mark.parametrize("first, second, codes", [
+        (("constants", "--x0", "0.5"), ("constants", "--x0", "-0.5"), [2, 0]),
+        (("verify", "starshape", "--x0", "-0.5", "--grid", "2000", "--reflected"),
+         ("verify", "starshape", "--x0", "-0.5", "--grid", "2000"), [1, 0]),
+        (("bound", "--x0", "-0.5", "--tol", "0"), ("bound", "--x0", "-0.5"), [0, 0]),
+    ])
+    def test_calls_stay_independent(self, capsys, first, second, codes):
+        results = []
+        for argv in (first, second):
+            try:
+                code = run(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            results.append((code, capsys.readouterr().out))
+        assert results == [self._fresh(first), self._fresh(second)]
+        assert [code for code, _ in results] == codes
 
 
 class TestDeterminism:

@@ -74,10 +74,34 @@ class TestDomainBasics:
                 TricomiDomain(bad)
 
     def test_range_check(self, dom):
-        with pytest.raises(ValueError):
-            dom.g(0.1)
-        with pytest.raises(ValueError):
-            dom.g(2.0 * dom.x0 - 0.1)
+        lo = 2.0 * dom.x0
+        msg = rf"^x outside \[2\*x0, 0\] = \[{lo}, 0.0\]$"
+        for f in (dom.g, dom.h):
+            for bad in (0.1, lo - 0.1, np.array([lo, 0.1]), np.array([np.nan, lo - 0.1])):
+                with pytest.raises(ValueError, match=msg):
+                    f(bad)
+
+    def test_cube_root_residue_check(self, dom):
+        # The range check clips x onto [2x0, 0], where the cube-root argument
+        # is never negative, so the guard is reached only through the kernel.
+        with pytest.raises(ValueError, match="^cube-root argument is negative "
+                                             "beyond rounding residue$"):
+            dom._g(np.asarray(0.1))
+        assert dom._g(np.asarray(1e-17)) == 0.0
+
+    def test_arrays_equal_scalar_calls(self, dom):
+        lo = 2.0 * dom.x0
+        rng = np.random.default_rng(11)
+        # Endpoints, points within the guard beyond them, -0.0 and the apex.
+        xs = np.concatenate([np.linspace(lo, 0.0, 257), rng.uniform(lo, 0.0, 256),
+                             [lo - 5e-13, 5e-13, -0.0, dom.x0]])
+        for f in (dom.g, dom.h):
+            arr = f(xs)
+            assert isinstance(arr, np.ndarray) and arr.shape == xs.shape
+            scalars = [f(float(x)) for x in xs]
+            assert all(type(v) is float for v in scalars)
+            assert np.array_equal(arr.view(np.int64), np.array(scalars).view(np.int64))
+            assert type(f(np.float64(dom.x0))) is float
 
 
 class TestBoundaryCurves:

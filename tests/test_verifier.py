@@ -32,6 +32,21 @@ class TestSweepGrid:
         assert np.all(np.diff(xs) > 0)
         assert xs[0] == 2.0 * x0 and xs[-1] == 0.0
 
+    # The last two x0 are subnormal: there the linspace holds equal
+    # neighbours, and 0.5 * x0 rounds to -0.0, a tie with the grid's 0.0.
+    @pytest.mark.parametrize("x0", [-0.05, -0.4, -0.5, -0.9, -1.0 / math.sqrt(5.0),
+                                    X3, X4, -4.0, -1e-321, -5e-324])
+    @pytest.mark.parametrize("n", [1000, 1001, 20000, 100000])
+    def test_equals_union1d_reference(self, x0, n):
+        led = ledger(x0)
+        extra = [2.0 * x0, x0, 1.5 * x0, 0.5 * x0, led.x1, led.x2, 0.0]
+        if led.x_plus is not None:
+            extra += [led.x_plus, led.x_minus]
+        ref = np.clip(np.union1d(np.linspace(2.0 * x0, 0.0, n), extra), 2.0 * x0, 0.0)
+        xs = sweep_grid(x0, n)
+        assert xs.shape == ref.shape
+        assert np.array_equal(xs.view(np.int64), ref.view(np.int64))
+
 
 class TestHProfile:
     @pytest.mark.parametrize("x0", X0_SAMPLES)
