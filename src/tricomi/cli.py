@@ -6,7 +6,13 @@ timestamps, and the eigensolver uses a fixed start vector.  Exit codes:
 0 when every emitted report passed, 1 on a numerical failure, a failed
 check, an eigenpair whose algebraic residual is above 1e-8 or an --out file
 that cannot be written (each with one line of diagnostic JSON on stderr),
-2 on argument errors.
+2 on argument errors.  Every command computes under numpy's
+errstate(raise): a floating-point overflow, division by zero or invalid
+operation is a numerical failure (exit 1), never a warning on stderr.
+
+Each subcommand handler only computes.  It returns `(text, failure)`: the
+text for stdout or --out (None to write nothing) and the JSON failure record
+(None on success).  `run` alone writes both and picks the exit code.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ import numpy as np
 from . import pohozaev, verifier
 from .constants import ledger
 from .geometry import TricomiDomain, reflected_membership, verify_star_shaped
-from .report import fmt, reports_to_csv, reports_to_jsonl
+from .report import csv_table, reports_to_csv, reports_to_jsonl
 
 __all__ = ["main", "run"]
 
@@ -36,8 +42,8 @@ log = logging.getLogger("tricomi")
 # accept.
 _RESIDUAL_TOL = 1e-8
 
-_VERIFY_CHECKS = ("h-profile", "g1-bounds", "g2-bounds", "starshape",
-                  "integrands", "inequalities", "all")
+# numpy's error state for every command: a floating-point fault raises.
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def _setup_logging():
@@ -94,86 +100,72 @@ def _x0_list(args) -> list:
     a, b, n = args.x0_range
     if n == 1:
         return [a]
-    # Log-spaced sweep between the (negative) endpoints.
-    return [-v for v in np.geomspace(abs(a), abs(b), n)]
+    # Log-spaced sweep between the (negative) endpoints, as Python floats:
+    # a sweep computes with the same types as a single --x0.
+    return (-np.geomspace(abs(a), abs(b), n)).tolist()
 
 
-def _fail(message: str, **detail) -> int:
-    payload = {"error": message}
-    payload.update(detail)
-    sys.stderr.write(json.dumps(payload, sort_keys=True, default=str) + "\n")
-    return 1
+def _json(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2, default=float) + "\n"
 
 
-def _unwritable(out_path, exc: OSError) -> int:
-    return _fail("cannot write --out file", out=out_path, reason=str(exc))
-
-
-def _write_out(text: str, out_path) -> int:
-    """Write `text` to the --out file, or to stdout without one.  Returns 0,
-    or 1 after a JSON line on stderr when the file cannot be written."""
-    if not out_path:
-        sys.stdout.write(text)
-        return 0
-    try:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        return _unwritable(out_path, exc)
-    return 0
+def _stage(name: str, call, detail=lambda result: ""):
+    """call(); under TRICOMI_LOG=debug, one line with the stage's name, its
+    wall time and detail(result)."""
+    t = perf_counter()
+    result = call()
+    log.debug("%s %.4f s%s", name, perf_counter() - t, detail(result))
+    return result
 
 
 # -- subcommands -------------------------------------------------------------
 
-def _cmd_constants(args, parser) -> int:
-    x0s = _x0_list(args)
-    rows = [ledger(x0).to_dict() for x0 in x0s]
-    if args.format == "json":
-        text = json.dumps(rows[0] if len(rows) == 1 else rows,
-                          sort_keys=True, indent=2, default=float) + "\n"
-    else:   # csv
-        keys = list(rows[0].keys())
-        lines = [",".join(keys)]
-        for row in rows:
-            lines.append(",".join(
-                "" if row[k] is None else fmt(row[k]) for k in keys))
-        text = "\n".join(lines) + "\n"
-    return _write_out(text, args.out)
+def _cmd_constants(args):
+    rows = [ledger(x0).to_dict() for x0 in _x0_list(args)]
+    if args.format == "csv":
+        return csv_table(rows[0], (row.values() for row in rows)), None
+    return _json(rows[0] if len(rows) == 1 else rows), None
 
 
-def _check_reports(check: str, x0: float, grid: int, reflected: bool):
-    if check == "h-profile":
-        return [verifier.verify_h_profile(x0, grid)]
-    if check == "g1-bounds":
-        return [verifier.verify_G1_bounds(x0, grid)]
-    if check == "g2-bounds":
-        return [verifier.verify_G2_bounds(x0, grid)]
-    if check == "starshape":
-        dom = TricomiDomain(x0)
-        membership = reflected_membership(dom) if reflected else None
-        n_pts = grid if grid < 10000 else 200
-        return [verify_star_shaped(dom, n_pts, 50, membership=membership)]
-    if check == "integrands":
-        n = grid if grid < 10000 else 1000
-        return [pohozaev.verify_integrand_equivalence(x0, n_states=n)]
-    if check == "inequalities":
-        n = grid if grid < 10000 else 1000
-        return [pohozaev.verify_trace_inequalities(x0, n_traces=n)]
-    if check == "profiles":     # the first three reports of `all`
-        return verifier.verify_profiles(x0, grid)
-    raise ValueError(f"unknown check {check!r}")
+def _starshape(x0: float, grid: int, reflected: bool):
+    dom = TricomiDomain(x0)
+    membership = reflected_membership(dom) if reflected else None
+    return [verify_star_shaped(dom, grid if grid < 10000 else 200, 50,
+                               membership=membership)]
+
+
+def _integrands(x0: float, grid: int, reflected: bool):
+    n = grid if grid < 10000 else 1000
+    return [pohozaev.verify_integrand_equivalence(x0, n_states=n)]
+
+
+def _inequalities(x0: float, grid: int, reflected: bool):
+    n = grid if grid < 10000 else 1000
+    return [pohozaev.verify_trace_inequalities(x0, n_traces=n)]
+
+
+# Each `verify` check, keyed by its argparse choice, and its parts in output
+# order.  A part maps (x0, grid, reflected) to its reports.
+_VERIFY_CHECKS = {
+    "h-profile": (lambda x0, grid, _: [verifier.verify_h_profile(x0, grid)],),
+    "g1-bounds": (lambda x0, grid, _: [verifier.verify_G1_bounds(x0, grid)],),
+    "g2-bounds": (lambda x0, grid, _: [verifier.verify_G2_bounds(x0, grid)],),
+    "starshape": (_starshape,),
+    "integrands": (_integrands,),
+    "inequalities": (_inequalities,),
+    "all": (lambda x0, grid, _: verifier.verify_profiles(x0, grid),
+            _starshape, _integrands, _inequalities),
+}
 
 
 def _verify_one(check: str, x0: float, grid: int, reflected: bool):
     """The reports of `check` at x0.  Under TRICOMI_LOG=debug each report
     gets one line with the wall time of the call that made it; the three
     profile reports of `all` come from one shared sweep and one time."""
-    parts = (("profiles", "starshape", "integrands", "inequalities")
-             if check == "all" else (check,))
     reports = []
-    for part in parts:
+    for part in _VERIFY_CHECKS[check]:
         t = perf_counter()
-        batch = _check_reports(part, x0, grid, reflected)
+        batch = part(x0, grid, reflected)
         dt = perf_counter() - t
         shared = (", one sweep for " + " ".join(r.claim_id for r in batch)
                   if len(batch) > 1 else "")
@@ -183,52 +175,39 @@ def _verify_one(check: str, x0: float, grid: int, reflected: bool):
     return reports
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args):
     x0s = _x0_list(args)
     jobs = args.jobs or min(os.cpu_count() or 1, len(x0s))
     log.info("verify %s over %d value(s) of x0 with %d job(s)",
              args.check, len(x0s), jobs)
 
     def one(x0):
-        # An overflow, a division by zero or a NaN is a numerical failure,
-        # reported below as JSON, not a numpy warning on stderr.  The error
-        # state is per thread.
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
+        # numpy's error state is per thread, so each worker sets run's.
+        with np.errstate(**_RAISE):
             return _verify_one(args.check, x0, args.grid, args.reflected)
 
-    try:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            batches = list(pool.map(one, x0s))
-    except Exception as exc:  # numerical failure inside a worker
-        return _fail(f"verification failed: {exc}", check=args.check)
-    reports = [r for batch in batches for r in batch]
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        reports = [r for batch in pool.map(one, x0s) for r in batch]
     if args.tol is not None:
         for r in reports:
             r.passed = r.worst_margin >= -args.tol
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
-    if _write_out(text, args.out):
-        return 1
-    if all(r.passed for r in reports):
-        return 0
-    return _fail("one or more checks failed",
-                 failed=[r.claim_id for r in reports if not r.passed])
+    failed = [r.claim_id for r in reports if not r.passed]
+    return text, ({"error": "one or more checks failed", "failed": failed}
+                  if failed else None)
 
 
 def _solve(x0: float, nx: int, ny: int, count: int):
     from . import eigensolver   # scipy.sparse: imported only by commands that solve
 
+    def size(op):
+        return f", {op.n} unknowns, {op.matrix.nnz} nnz"
+
     dom = TricomiDomain(x0)
-    t = perf_counter()
-    grid = eigensolver.Grid.build(dom, nx, ny)
-    log.debug("Grid.build %.4f s", perf_counter() - t)
-    t = perf_counter()
-    op = eigensolver.assemble(dom, grid)
-    log.debug("assemble %.4f s, %d unknowns, %d nnz",
-              perf_counter() - t, op.n, op.matrix.nnz)
-    t = perf_counter()
-    pairs, complex_diag = eigensolver.solve_real_spectrum(op, count)
-    log.debug("solve %.4f s, %d unknowns, %d nnz",
-              perf_counter() - t, op.n, op.matrix.nnz)
+    grid = _stage("Grid.build", lambda: eigensolver.Grid.build(dom, nx, ny))
+    op = _stage("assemble", lambda: eigensolver.assemble(dom, grid), size)
+    pairs, complex_diag = _stage(
+        "solve", lambda: eigensolver.solve_real_spectrum(op, count), lambda _: size(op))
     return dom, grid, pairs, complex_diag
 
 
@@ -239,28 +218,20 @@ def _principal(pairs):
     return next((p for p in pairs if p.lam > 0), None)
 
 
-def _cmd_eigen(args, parser) -> int:
+def _cmd_eigen(args):
     from . import eigensolver
 
-    if args.format == "csv" and not args.out:
-        parser.error("eigen --format csv writes the principal field; give --out")
-    try:
-        dom, grid, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
-    except Exception as exc:
-        return _fail(f"eigensolve failed: {exc}", x0=args.x0)
+    dom, grid, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
     if not pairs:
-        return _fail("no real eigenvalue found", x0=args.x0,
-                     complex_pairs=[str(c) for c in complex_diag])
+        return None, {"error": "no real eigenvalue found", "x0": args.x0,
+                      "complex_pairs": [str(c) for c in complex_diag]}
     if args.format == "csv":
         pair = _principal(pairs)
         if pair is None:
-            return _fail("no positive real eigenvalue found", x0=args.x0)
-        try:
-            eigensolver.write_field_csv(args.out, grid, pair.field)
-        except OSError as exc:
-            return _unwritable(args.out, exc)
+            return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
+        text = eigensolver.field_csv(grid, pair.field)
     else:
-        summary = {
+        text = _json({
             "x0": args.x0,
             "nx": args.nx,
             "ny": args.ny,
@@ -269,38 +240,26 @@ def _cmd_eigen(args, parser) -> int:
                 for p in pairs
             ],
             "complex_pairs": [str(c) for c in complex_diag],
-        }
-        if _write_out(json.dumps(summary, sort_keys=True, indent=2, default=float)
-                      + "\n", args.out):
-            return 1
+        })
     if all(p.residual <= _RESIDUAL_TOL for p in pairs):
-        return 0
-    return _fail("eigen residual above tolerance",
-                 residuals=[p.residual for p in pairs])
+        return text, None
+    return text, {"error": "eigen residual above tolerance",
+                  "residuals": [p.residual for p in pairs]}
 
 
-def _cmd_bound(args, parser) -> int:
+def _cmd_bound(args):
     from . import eigensolver
 
-    tol = args.tol if args.tol is not None else 1e-2
-    try:
-        dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count)
-        pair = _principal(pairs)
-        if pair is None:
-            return _fail("no positive real eigenvalue found", x0=args.x0)
-        t = perf_counter()
-        norms = eigensolver.trace_norms(pair, dom, grid)
-        log.debug("traces %.4f s", perf_counter() - t)
-        t = perf_counter()
-        identity = pohozaev.pohozaev_residual(pair, dom)
-        log.debug("identity %.4f s, relative residual %.3e",
-                  perf_counter() - t, identity["relative_residual"])
-        t = perf_counter()
-        bound = pohozaev.bound_check(pair, norms, ledger(args.x0), rel_tol=tol)
-        log.debug("bound %.4f s, lhs %.6g, rhs %.6g",
-                  perf_counter() - t, bound["lhs"], bound["rhs"])
-    except Exception as exc:
-        return _fail(f"bound check failed: {exc}", x0=args.x0)
+    dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count)
+    pair = _principal(pairs)
+    if pair is None:
+        return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
+    norms = _stage("traces", lambda: eigensolver.trace_norms(pair, dom, grid))
+    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair, dom),
+                      lambda r: f", relative residual {r['relative_residual']:.3e}")
+    bound = _stage("bound", lambda: pohozaev.bound_check(pair, norms, ledger(args.x0),
+                                                         rel_tol=args.tol),
+                   lambda b: f", lhs {b['lhs']:.6g}, rhs {b['rhs']:.6g}")
     record = {
         "x0": args.x0,
         "nx": args.nx,
@@ -312,20 +271,18 @@ def _cmd_bound(args, parser) -> int:
         "passed": bool(bound["satisfied"]),
     }
     if args.format == "csv":
-        text = ("x0,lambda,lhs,rhs,eps1,eps2,satisfied\n"
-                + ",".join(fmt(v) for v in (
-                    args.x0, pair.lam, bound["lhs"], bound["rhs"],
-                    bound["eps1"], bound["eps2"], bound["satisfied"])) + "\n")
+        text = csv_table(("x0", "lambda", "lhs", "rhs", "eps1", "eps2", "satisfied"),
+                         [(args.x0, pair.lam, bound["lhs"], bound["rhs"],
+                           bound["eps1"], bound["eps2"], bound["satisfied"])])
     else:
-        text = json.dumps(record, sort_keys=True, indent=2, default=float) + "\n"
-    if _write_out(text, args.out):
-        return 1
+        text = _json(record)
     if not pair.residual <= _RESIDUAL_TOL:
-        return _fail("eigen residual above tolerance", residual=pair.residual,
-                     tol=_RESIDUAL_TOL)
-    if record["passed"]:
-        return 0
-    return _fail("eigenfunction bound not satisfied", lhs=bound["lhs"], rhs=bound["rhs"])
+        return text, {"error": "eigen residual above tolerance",
+                      "residual": pair.residual, "tol": _RESIDUAL_TOL}
+    if not record["passed"]:
+        return text, {"error": "eigenfunction bound not satisfied",
+                      "lhs": bound["lhs"], "rhs": bound["rhs"]}
+    return text, None
 
 
 # -- SVG plotting ------------------------------------------------------------
@@ -446,17 +403,10 @@ def _plot_eigen(x0: float, nx: int, ny: int) -> str:
                 (float(grid.ys[0]), float(grid.ys[-1])), draw)
 
 
-def _cmd_plot(args, parser) -> int:
-    try:
-        if args.target == "h":
-            text = _plot_h(args.x0)
-        elif args.target == "domain":
-            text = _plot_domain(args.x0)
-        else:
-            text = _plot_eigen(args.x0, args.nx, args.ny)
-    except Exception as exc:
-        return _fail(f"plot failed: {exc}", target=args.target, x0=args.x0)
-    return _write_out(text, args.out)
+def _cmd_plot(args):
+    if args.target == "eigen":
+        return _plot_eigen(args.x0, args.nx, args.ny), None
+    return (_plot_h if args.target == "h" else _plot_domain)(args.x0), None
 
 
 # -- parser ------------------------------------------------------------------
@@ -478,6 +428,9 @@ def _add_common(sub, fmt_choices=("json", "csv"), sweep=False, mesh=None):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser.  Each subcommand sets `handler`, and for a
+    numerical failure the JSON `error` prefix `failed` and the arguments
+    `detail` that the failure record repeats."""
     parser = argparse.ArgumentParser(
         prog="tricomi",
         description="Geometry, constants, boundary integrals and eigenpairs "
@@ -486,6 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sc = subs.add_parser("constants", help="x0-dependent constant ledger")
     _add_common(sc, sweep=True)
+    sc.set_defaults(handler=_cmd_constants, failed="constants failed",
+                    detail=("x0", "x0_range"))
 
     sv = subs.add_parser("verify", help="dense-grid and randomized checks")
     sv.add_argument("check", choices=_VERIFY_CHECKS)
@@ -498,20 +453,24 @@ def build_parser() -> argparse.ArgumentParser:
                     help="override the pass/fail margin tolerance")
     sv.add_argument("--reflected", action="store_true",
                     help="starshape negative control on the x-reflected domain")
+    sv.set_defaults(handler=_cmd_verify, failed="verification failed", detail=("check",))
 
     se = subs.add_parser("eigen", help="solve the discrete eigenproblem")
     _add_common(se, mesh=64)
     se.add_argument("--count", type=_pos_int, default=4)
+    se.set_defaults(handler=_cmd_eigen, failed="eigensolve failed", detail=("x0",))
 
     sb = subs.add_parser("bound", help="end-to-end identity and bound check")
     _add_common(sb, mesh=64)
     sb.add_argument("--count", type=_pos_int, default=4)
-    sb.add_argument("--tol", type=_tol_float, default=None,
+    sb.add_argument("--tol", type=_tol_float, default=1e-2,
                     help="relative tolerance for bound satisfaction (default 1e-2)")
+    sb.set_defaults(handler=_cmd_bound, failed="bound check failed", detail=("x0",))
 
     sp = subs.add_parser("plot", help="static SVG plots")
     sp.add_argument("target", choices=("h", "domain", "eigen"))
     _add_common(sp, fmt_choices=("svg",), mesh=48)
+    sp.set_defaults(handler=_cmd_plot, failed="plot failed", detail=("target", "x0"))
 
     return parser
 
@@ -534,18 +493,35 @@ def _merge_range_values(argv):
 
 
 def run(argv=None) -> int:
+    """Run one command: write its text to stdout or --out, and on failure one
+    JSON line to stderr.  Returns the exit code (0 or 1); argument errors
+    raise SystemExit(2)."""
     _setup_logging()
     parser = _parser()
     args = parser.parse_args(_merge_range_values(
         sys.argv[1:] if argv is None else list(argv)))
-    handler = {
-        "constants": _cmd_constants,
-        "verify": _cmd_verify,
-        "eigen": _cmd_eigen,
-        "bound": _cmd_bound,
-        "plot": _cmd_plot,
-    }[args.command]
-    return handler(args, parser)
+    if args.command == "eigen" and args.format == "csv" and not args.out:
+        parser.error("eigen --format csv writes the principal field; give --out")
+    try:
+        with np.errstate(**_RAISE):
+            text, failure = args.handler(args)
+    except Exception as exc:  # a numerical failure, reported as JSON below
+        failure = {"error": f"{args.failed}: {exc}",
+                   **{key: getattr(args, key) for key in args.detail}}
+        text = None
+    if text is not None and not args.out:
+        sys.stdout.write(text)
+    elif text is not None:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            failure = {"error": "cannot write --out file", "out": args.out,
+                       "reason": str(exc)}
+    if failure is None:
+        return 0
+    sys.stderr.write(json.dumps(failure, sort_keys=True, default=str) + "\n")
+    return 1
 
 
 def main() -> int:

@@ -28,7 +28,7 @@ from .pohozaev import (
     norm_bundle_from_traces,
     sigma_trace,
 )
-from .report import fmt
+from .report import csv_table
 
 __all__ = [
     "Grid",
@@ -40,6 +40,7 @@ __all__ = [
     "extract_traces",
     "write_field_binary",
     "read_field_binary",
+    "field_csv",
     "write_field_csv",
 ]
 
@@ -443,9 +444,13 @@ def read_field_binary(path):
     return {"nx": nx, "ny": ny, "bbox": (x0, x1, y0, y1), "field": F}
 
 
+def field_csv(grid: Grid, F: np.ndarray) -> str:
+    """The field as CSV text: one `x,y,u` row per node, x-major."""
+    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+    return csv_table(("x", "y", "u"), zip(X.ravel().tolist(), Y.ravel().tolist(),
+                                           F.ravel().tolist()))
+
+
 def write_field_csv(path, grid: Grid, F: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y,u\n")
-        for i, x in enumerate(grid.xs):
-            for j, y in enumerate(grid.ys):
-                fh.write(f"{fmt(float(x))},{fmt(float(y))},{fmt(float(F[i, j]))}\n")
+        fh.write(field_csv(grid, F))

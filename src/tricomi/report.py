@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-__all__ = ["VerificationReport", "reports_to_jsonl", "reports_to_csv", "fmt"]
+__all__ = ["VerificationReport", "reports_to_jsonl", "reports_to_csv", "fmt", "csv_table"]
 
 
 def fmt(v) -> str:
@@ -15,6 +15,14 @@ def fmt(v) -> str:
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)
+
+
+def csv_table(header, rows) -> str:
+    """CSV text: the header line, then one line per row of values, each
+    rendered by `fmt` and None as an empty field."""
+    lines = [",".join(header)]
+    lines.extend(",".join("" if v is None else fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
@@ -50,9 +58,6 @@ def reports_to_jsonl(reports) -> str:
 
 
 def reports_to_csv(reports) -> str:
-    lines = ["claim_id,x0,worst_margin,passed"]
-    for r in reports:
-        lines.append(
-            f"{r.claim_id},{fmt(float(r.x0))},{fmt(float(r.worst_margin))},{fmt(bool(r.passed))}"
-        )
-    return "\n".join(lines) + "\n"
+    return csv_table(("claim_id", "x0", "worst_margin", "passed"),
+                     ((r.claim_id, float(r.x0), float(r.worst_margin), bool(r.passed))
+                      for r in reports))

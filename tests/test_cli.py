@@ -1,5 +1,6 @@
 """Command-line interface: argument contract, outputs, exit codes."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -57,6 +58,7 @@ class TestArgumentContract:
         ["eigen"],                                      # no x0 at all
         ["bound"],
         ["plot", "h"],
+        ["verify", "profiles", "--x0", "-0.5"],         # a part of `all` only
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -389,6 +391,61 @@ class TestDebugLog:
             for line in profiles)
 
 
+class TestPinnedOutput:
+    # sha256 of stdout (or of the --out file), pinned so that a change to
+    # any writer's bytes shows.
+    @pytest.mark.parametrize("argv, digest", [
+        (("constants", "--x0", "-0.5"),
+         "2d2c799e936f9177b4e3d6d0034f25644483706fe24d04c6d681221ebb2be69f"),
+        (("constants", "--x0-range", "-2:-0.1:5", "--format", "csv"),
+         "682e583d90fe74e1321beda88698ccf15feea52126fc7330fe2daa7f54880f78"),
+        (("bound", "--x0", "-0.5"),
+         "52da0b67a35dc450e3dec7cdab3b657bb2dda8016c7f58bf4fc329b461058062"),
+        (("bound", "--x0", "-0.5", "--format", "csv"),
+         "cfdf6f5700f5fab7e77a37eb779ce2f0a9eb999c2d0bff19371861329cebe223"),
+        (("eigen", "--x0", "-0.5", "--count", "2"),
+         "0cfcf8981cfe36970e1dde3054f64f0e0771c4e9b8fc4d1ad43eb8ea9196661f"),
+    ])
+    def test_stdout_pinned(self, capsys, argv, digest):
+        code, out, err = _run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_eigen_csv_file_pinned(self, capsys, tmp_path):
+        path = tmp_path / "field.csv"
+        code, out, err = _run(capsys, "eigen", "--x0", "-0.5", "--format", "csv",
+                              "--out", str(path))
+        assert (code, out, err) == (0, "", "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "51ddb3dcdb3b4ae9270cccc061c9f72de5d77ca8f4ebd5a3e9a3ad8c3e1ba85b")
+
+
+class TestEdgeInputs:
+    # x0 << -1 and x0 -> 0-: a floating-point fault in any command is a
+    # numerical failure, reported as one JSON line on stderr, never a
+    # traceback, a numpy warning or a NaN in the output.
+    @pytest.mark.parametrize("argv, error", [
+        (("constants", "--x0", "-1e78"), "constants failed: "),
+        (("constants", "--x0-range", "-1e300:-1e299:2"), "constants failed: "),
+        (("eigen", "--x0", "-1e-300", "--count", "1"), "eigensolve failed: "),
+        (("bound", "--x0", "-1e-300"), "bound check failed: "),
+        (("bound", "--x0", "-1e300"), "bound check failed: "),
+    ])
+    def test_exits_1_with_one_json_line(self, argv, error):
+        proc = subprocess.run([sys.executable, "-m", "tricomi.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"].startswith(error)
+
+    def test_sweep_x0_are_python_floats(self):
+        # A sweep computes with the types of a single --x0: numpy scalars
+        # would turn the overflow above into a NaN in the output.
+        from tricomi import cli
+        x0s = cli._x0_list(argparse.Namespace(x0=None, x0_range=(-2.0, -0.1, 5)))
+        assert [type(v) for v in x0s] == [float] * 5
+
+
 class TestUnwritableOut:
     # Every subcommand exits 1 with one JSON line when --out cannot be
     # written: here its directory does not exist.
@@ -399,6 +456,8 @@ class TestUnwritableOut:
         ("eigen", "--x0", "-0.5", "--count", "2", "--format", "csv"),
         ("bound", "--x0", "-0.5"),
         ("plot", "h", "--x0", "-0.5"),
+        ("bound", "--x0", "-0.5", "--format", "csv"),
+        ("plot", "eigen", "--x0", "-0.5"),
     ])
     def test_exits_1_with_json(self, capsys, tmp_path, argv):
         path = str(tmp_path / "missing" / "out")

@@ -12,6 +12,7 @@ from tricomi import (
     assemble,
     bound_check,
     extract_traces,
+    field_csv,
     pohozaev_residual,
     read_field_binary,
     solve_real_spectrum,
@@ -243,6 +244,13 @@ class TestEndToEnd64:
 
 
 class TestExport:
+    def test_lazy_exports_match_eigensolver_all(self):
+        # The package loads eigensolver names on first use; a public name in
+        # one list and not the other would be missing or unreachable.
+        import tricomi
+        import tricomi.eigensolver as eigensolver
+        assert tricomi._EIGENSOLVER_NAMES == set(eigensolver.__all__)
+
     def test_binary_roundtrip(self, tmp_path, grid64, solved64):
         pairs, _ = solved64
         path = tmp_path / "field.bin"
@@ -260,3 +268,8 @@ class TestExport:
         lines = path.read_text().splitlines()
         assert lines[0] == "x,y,u"
         assert len(lines) == 1 + grid64.nx * grid64.ny
+        assert path.read_text() == field_csv(grid64, pairs[0].field)
+        i, j = 5, 7
+        assert lines[1 + i * grid64.ny + j] == ",".join(
+            format(float(v), ".17g")
+            for v in (grid64.xs[i], grid64.ys[j], pairs[0].field[i, j]))
