@@ -98,8 +98,6 @@ def _x0_list(args) -> list:
     if args.x0 is not None:
         return [args.x0]
     a, b, n = args.x0_range
-    if n == 1:
-        return [a]
     # Log-spaced sweep between the (negative) endpoints, as Python floats:
     # a sweep computes with the same types as a single --x0.
     return (-np.geomspace(abs(a), abs(b), n)).tolist()
@@ -382,20 +380,19 @@ def _plot_eigen(x0: float, nx: int, ny: int) -> str:
     vmax = float(np.max(np.abs(F))) or 1.0
 
     def draw(to_px):
-        cells = []
-        for i in range(grid.nx - 1):
-            for j in range(grid.ny - 1):
-                if not grid.inside[i, j]:
-                    continue
-                v = F[i, j] / vmax
-                r = int(255 * max(0.0, min(1.0, v)))
-                b = int(255 * max(0.0, min(1.0, -v)))
-                px0, py0 = to_px(float(grid.xs[i]), float(grid.ys[j + 1]))
-                px1, py1 = to_px(float(grid.xs[i + 1]), float(grid.ys[j]))
-                cells.append(
-                    f'<rect x="{px0:.2f}" y="{py0:.2f}" width="{px1 - px0:.2f}" '
-                    f'height="{py1 - py0:.2f}" fill="rgb({r},{255 - max(r, b)},{b})"/>')
-        return cells
+        # One cell per inside node (i, j) with i < nx - 1, j < ny - 1, in
+        # row-major order; red for u > 0, blue for u < 0.
+        i, j = np.nonzero(grid.inside[:-1, :-1])
+        v = F[i, j] / vmax
+        r = (255 * np.clip(v, 0.0, 1.0)).astype(int)
+        b = (255 * np.clip(-v, 0.0, 1.0)).astype(int)
+        px0, py0 = to_px(grid.xs[i], grid.ys[j + 1])
+        px1, py1 = to_px(grid.xs[i + 1], grid.ys[j])
+        return [f'<rect x="{xa:.2f}" y="{ya:.2f}" width="{xb - xa:.2f}" '
+                f'height="{yb - ya:.2f}" fill="rgb({rc},{255 - max(rc, bc)},{bc})"/>'
+                for xa, ya, xb, yb, rc, bc in zip(px0.tolist(), py0.tolist(),
+                                                  px1.tolist(), py1.tolist(),
+                                                  r.tolist(), b.tolist())]
 
     return _svg(f"principal eigenfunction, x0={x0:.6g}, regime {led.regime}, "
                 f"lambda={pair.lam:.6g}",
@@ -452,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--tol", type=_tol_float, default=None,
                     help="override the pass/fail margin tolerance")
     sv.add_argument("--reflected", action="store_true",
-                    help="starshape negative control on the x-reflected domain")
+                    help="starshape negative control on the x-reflected domain "
+                         "(starshape and all only)")
     sv.set_defaults(handler=_cmd_verify, failed="verification failed", detail=("check",))
 
     se = subs.add_parser("eigen", help="solve the discrete eigenproblem")
@@ -502,6 +500,9 @@ def run(argv=None) -> int:
         sys.argv[1:] if argv is None else list(argv)))
     if args.command == "eigen" and args.format == "csv" and not args.out:
         parser.error("eigen --format csv writes the principal field; give --out")
+    if (args.command == "verify" and args.reflected
+            and args.check not in ("starshape", "all")):
+        parser.error("--reflected is the starshape control; give it to starshape or all")
     try:
         with np.errstate(**_RAISE):
             text, failure = args.handler(args)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -22,7 +22,6 @@ import scipy.sparse.linalg as spla
 from .geometry import TricomiDomain, _libm_pow
 from .pohozaev import (
     BoundaryNormBundle,
-    BoundaryTrace,
     area_l2_norm_sq,
     bc_trace,
     norm_bundle_from_traces,
@@ -399,16 +398,15 @@ def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> dict:
     nx_o, ny_o = bc.curve.normal(y)
     u, ux, uy = (_sample_inward(grid, G, ok, x, y, -nx_o, -ny_o, d)
                  for G, ok in ((F, grid.inside), (Ux, valid), (Uy, valid)))
-    bc = bc_trace(dom, _TRACE_NODES, u=u, ux=ux, uy=uy)
+    bc = replace(bc, u=u, ux=ux, uy=uy)
 
     # sigma: Dirichlet side, u = 0, grad = (normal derivative) * n.
     sg = sigma_trace(dom, _TRACE_NODES)
-    x, y = sg.positions
     nx_o, ny_o = sg.curve.normal(sg.params)
-    u1 = _sample_inward(grid, F, grid.inside, x, y, -nx_o, -ny_o, d)
-    u2 = _sample_inward(grid, F, grid.inside, x, y, -nx_o, -ny_o, 2.0 * d)
+    u1 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, d)
+    u2 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)
     un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
-    sg = sigma_trace(dom, _TRACE_NODES, ux=un * nx_o, uy=un * ny_o)
+    sg = replace(sg, ux=un * nx_o, uy=un * ny_o)
     return {"BC": bc, "Sigma": sg}
 
 

@@ -9,7 +9,7 @@ Everything here is exact closed-form evaluation; no numerical integration.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -48,12 +48,15 @@ class TricomiDomain:
     """The normal Tricomi domain for a given abscissa parameter x0 < 0."""
 
     x0: float
-    y_C: float = field(init=False)
 
     def __post_init__(self):
         if not (self.x0 < 0.0) or not math.isfinite(self.x0):
             raise ValueError(f"x0 must be a finite negative real, got {self.x0!r}")
-        object.__setattr__(self, "y_C", -((3.0 * abs(self.x0) / 2.0) ** (2.0 / 3.0)))
+
+    @property
+    def y_C(self) -> float:
+        """Ordinate of the vertex C, where AC and BC meet."""
+        return -((3.0 * abs(self.x0) / 2.0) ** (2.0 / 3.0))
 
     @property
     def A(self):

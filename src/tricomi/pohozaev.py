@@ -10,7 +10,7 @@ bound check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -47,9 +47,10 @@ class BoundaryTrace:
     """Samples of (u, u_x, u_y) at quadrature nodes of one boundary curve.
 
     weights are quadrature weights in the parameter measure, so that
-    integral of f ds ~= sum(f * arc_element(params) * weights).  The fields
-    u, ux, uy have the nodes on their last axis and may carry leading batch
-    axes, one trace per index, all sharing params and weights.
+    integral of f ds ~= sum(f * arc * weights).  The fields u, ux, uy have
+    the nodes on their last axis and may carry leading batch axes, one trace
+    per index, all sharing params and weights.  The node positions x, y and
+    the arc element arc at the nodes are computed once, on construction.
     """
 
     curve: BoundaryCurve
@@ -58,6 +59,9 @@ class BoundaryTrace:
     u: np.ndarray
     ux: np.ndarray
     uy: np.ndarray
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    y: np.ndarray = field(init=False, repr=False, compare=False)
+    arc: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.params, dtype=float)
@@ -70,17 +74,16 @@ class BoundaryTrace:
             v = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite values in trace field {name}")
-
-    @property
-    def positions(self):
-        return self.curve.position(self.params)
+        self.x, self.y = self.curve.position(self.params)
+        self.arc = self.curve.arc_element(self.params)
 
 
 @dataclass(frozen=True)
 class BoundaryNormBundle:
     """The boundary L2 norms entering the eigenfunction bound.
 
-    w_ux denotes the weighted norm |||y|^(1/2) u_x||.
+    w_ux denotes the weighted norm |||y|^(1/2) u_x||.  Each field is a
+    float, or an array over the batch axes of batched traces.
     """
 
     u_L2_BC: float
@@ -93,7 +96,7 @@ class BoundaryNormBundle:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if v < 0 or not math.isfinite(v):
+            if np.any(v < 0) or not np.all(np.isfinite(v)):
                 raise ValueError(f"norm {name} must be finite and nonnegative")
 
 
@@ -158,18 +161,20 @@ def omega1_sigma_simplified(x, ux, uy, dom: TricomiDomain):
 
 # -- quadrature -------------------------------------------------------------
 
+def _trace(curve: BoundaryCurve, params, weights, u, ux, uy) -> BoundaryTrace:
+    """A trace on the given nodes; a field left as None is zero."""
+    z = np.zeros(len(params))
+    return BoundaryTrace(curve, params, weights,
+                         *(z if v is None else np.asarray(v, dtype=float)
+                           for v in (u, ux, uy)))
+
+
 def bc_trace(dom: TricomiDomain, n: int, u=None, ux=None, uy=None) -> BoundaryTrace:
     """Trapezoid nodes uniform in y over [y_C, 0]."""
-    curve = dom.boundary_curve("BC")
-    y = np.linspace(dom.y_C, 0.0, n)
     w = np.full(n, (0.0 - dom.y_C) / (n - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    z = np.zeros(n)
-    return BoundaryTrace(curve, y, w,
-                         z if u is None else np.asarray(u, dtype=float),
-                         z if ux is None else np.asarray(ux, dtype=float),
-                         z if uy is None else np.asarray(uy, dtype=float))
+    return _trace(dom.boundary_curve("BC"), np.linspace(dom.y_C, 0.0, n), w, u, ux, uy)
 
 
 def _graded(s):
@@ -183,60 +188,50 @@ def sigma_trace(dom: TricomiDomain, n: int, u=None, ux=None, uy=None) -> Boundar
     The arc element (3/2) h / g^2 is singular like distance^(-2/3) at the
     endpoints; cubic grading of the node map restores algebraic convergence.
     """
-    curve = dom.boundary_curve("Sigma")
     s = (np.arange(n) + 0.5) / n
     t = -2.0 * dom.x0 * _graded(s)          # parameter t = -x in (0, -2x0)
     dt_ds = -2.0 * dom.x0 * 30.0 * s**2 * (1.0 - s) ** 2
-    w = dt_ds / n
-    z = np.zeros(n)
-    return BoundaryTrace(curve, t, w,
-                         z if u is None else np.asarray(u, dtype=float),
-                         z if ux is None else np.asarray(ux, dtype=float),
-                         z if uy is None else np.asarray(uy, dtype=float))
+    return _trace(dom.boundary_curve("Sigma"), t, dt_ds / n, u, ux, uy)
 
 
-def line_integral(trace: BoundaryTrace, integrand):
-    """Composite quadrature of integrand * arc_element over the trace nodes.
+def line_integral(trace: BoundaryTrace, values):
+    """Composite quadrature of values * arc element over the trace nodes.
 
-    integrand(x, y, u, ux, uy) -> array of pointwise values, nodes on the
-    last axis.  The sum runs over that axis: a float for a single trace, an
-    array over the leading batch axes for a batched one.
+    values holds the integrand at the nodes, on its last axis (for example
+    trace.u**2).  The sum runs over that axis: a float for a single trace,
+    an array over the leading batch axes for a batched one.
     """
     if len(trace.params) < 3:
         raise ValueError("need at least 3 quadrature nodes")
-    x, y = trace.positions
-    vals = np.asarray(integrand(x, y, trace.u, trace.ux, trace.uy), dtype=float)
-    out = np.sum(vals * trace.curve.arc_element(trace.params) * trace.weights, axis=-1)
+    out = np.sum(values * trace.arc * trace.weights, axis=-1)
     return float(out) if out.ndim == 0 else out
-
-
-# Integrands in line_integral's signature: the BC forms of omega1 and omega2,
-# and the squares inside the boundary norms.
-_omega1_bc = lambda x, y, u, ux, uy: omega1_BC_simplified(y, ux, uy)
-_omega2_bc = lambda x, y, u, ux, uy: omega2_BC_simplified(y, u, ux, uy)
-_sq_u = lambda x, y, u, ux, uy: u**2
-_sq_wux = lambda x, y, u, ux, uy: np.abs(y) * ux**2
-_sq_uy = lambda x, y, u, ux, uy: uy**2
 
 
 def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace | None = None,
                             im_bc: BoundaryTrace | None = None) -> BoundaryNormBundle:
-    """Discrete boundary norms with the same quadrature as line_integral."""
+    """Discrete boundary norms with the same quadrature as line_integral.
 
-    def norm(trace, f):
-        return math.sqrt(max(line_integral(trace, f), 0.0))
+    Single traces give a float in every field; batched traces (all with the
+    same batch axes) give arrays over those axes.
+    """
 
-    re_u = norm(bc, _sq_u)
-    im_u = norm(im_bc, _sq_u) if im_bc is not None else 0.0
-    return BoundaryNormBundle(
-        u_L2_BC=math.hypot(re_u, im_u),
-        re_u_L2_BC=re_u,
-        im_u_L2_BC=im_u,
-        w_ux_L2_BC=norm(bc, _sq_wux),
-        uy_L2_BC=norm(bc, _sq_uy),
-        w_ux_L2_sigma=norm(sigma, _sq_wux) if sigma is not None else 0.0,
-        uy_L2_sigma=norm(sigma, _sq_uy) if sigma is not None else 0.0,
-    )
+    def norm(trace, values):
+        return np.sqrt(np.maximum(line_integral(trace, values), 0.0))
+
+    re_u = norm(bc, bc.u**2)
+    im_u = norm(im_bc, im_bc.u**2) if im_bc is not None else 0.0
+    norms = {
+        "u_L2_BC": np.hypot(re_u, im_u),
+        "re_u_L2_BC": re_u,
+        "im_u_L2_BC": im_u,
+        "w_ux_L2_BC": norm(bc, np.abs(bc.y) * bc.ux**2),
+        "uy_L2_BC": norm(bc, bc.uy**2),
+        "w_ux_L2_sigma": (0.0 if sigma is None
+                          else norm(sigma, np.abs(sigma.y) * sigma.ux**2)),
+        "uy_L2_sigma": 0.0 if sigma is None else norm(sigma, sigma.uy**2),
+    }
+    return BoundaryNormBundle(**{name: float(v) if np.ndim(v) == 0 else v
+                                 for name, v in norms.items()})
 
 
 def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
@@ -269,6 +264,15 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
 
 # -- identity and bound checks ---------------------------------------------
 
+def _identity_integrals(bc: BoundaryTrace, sg: BoundaryTrace, dom: TricomiDomain):
+    """int_BC omega1 ds, int_BC omega2 ds and int_sigma omega1 ds, each a
+    float for single traces and an array over the batch axes for batched
+    ones; the sigma form takes the zero Dirichlet trace."""
+    return (line_integral(bc, omega1_BC_simplified(bc.y, bc.ux, bc.uy)),
+            line_integral(bc, omega2_BC_simplified(bc.y, bc.u, bc.ux, bc.uy)),
+            line_integral(sg, omega1_sigma_simplified(sg.x, sg.ux, sg.uy, dom)))
+
+
 def pohozaev_residual(eigenpair, dom: TricomiDomain) -> dict:
     """Discrete residual of 4 lambda ||u||^2 = int_BC(w1+w2) ds + int_sigma w1 ds.
 
@@ -277,14 +281,10 @@ def pohozaev_residual(eigenpair, dom: TricomiDomain) -> dict:
     lam = eigenpair.lam
     if lam <= 0.0:
         raise ValueError("identity check needs a positive eigenvalue")
-    norm_sq = eigenpair.l2_norm_sq
-    bc = eigenpair.traces["BC"]
-    sg = eigenpair.traces["Sigma"]
-
-    lhs = 4.0 * lam * norm_sq
-    ws = lambda x, y, u, ux, uy: omega1_sigma_simplified(x, ux, uy, dom)
-    rhs_bc = line_integral(bc, _omega1_bc) + line_integral(bc, _omega2_bc)
-    rhs_sigma = line_integral(sg, ws)
+    lhs = 4.0 * lam * eigenpair.l2_norm_sq
+    w1_bc, w2_bc, rhs_sigma = _identity_integrals(
+        eigenpair.traces["BC"], eigenpair.traces["Sigma"], dom)
+    rhs_bc = w1_bc + w2_bc
     rhs = rhs_bc + rhs_sigma
     rel = 0.0 if lhs == 0.0 and rhs == 0.0 else abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {
@@ -323,7 +323,8 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000, seed: int = 0,
       int_BC omega1 <= C1(eps) ||w u_x||^2 + C2(eps) ||u_y||^2,
       int_sigma omega1 <= C14(eps) ||w u_x||^2 + C15(eps) ||u_y||^2
     (sigma traces have zero u).  All bundles are evaluated at once as
-    batched traces on one BC and one sigma quadrature.
+    batched traces on one BC and one sigma quadrature, with the norms and
+    identity integrals of the bound (`norm_bundle_from_traces`).
     """
     if n_traces < 1:
         raise ValueError("need at least 1 random trace bundle")
@@ -336,21 +337,16 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000, seed: int = 0,
     draws = rng.uniform(-1.0, 1.0, (n_traces, 2, 3, n_nodes))
     bc = bc_trace(dom, n_nodes, u=draws[:, 0, 0], ux=draws[:, 0, 1], uy=draws[:, 0, 2])
     sg = sigma_trace(dom, n_nodes, ux=draws[:, 1, 1], uy=draws[:, 1, 2])
-
-    def norm(trace, f):
-        return np.sqrt(np.maximum(line_integral(trace, f), 0.0))
-
-    u_bc, wux_bc, uy_bc = norm(bc, _sq_u), norm(bc, _sq_wux), norm(bc, _sq_uy)
-    wux_sg, uy_sg = norm(sg, _sq_wux), norm(sg, _sq_uy)
-    w1_bc, w2_bc = line_integral(bc, _omega1_bc), line_integral(bc, _omega2_bc)
-    w1_sg = line_integral(sg, lambda x, y, u, ux, uy: omega1_sigma_simplified(x, ux, uy, dom))
+    nb = norm_bundle_from_traces(bc, sg)
+    w1_bc, w2_bc, w1_sg = _identity_integrals(bc, sg, dom)
 
     names = ["bc_omega2"]
-    margins = [led.C3 * u_bc * (wux_bc + uy_bc) - w2_bc]
+    margins = [led.C3 * nb.u_L2_BC * (nb.w_ux_L2_BC + nb.uy_L2_BC) - w2_bc]
     for eps in (0.5, 1.0, 2.0):
         names += [f"bc_omega1_eps{eps:g}", f"sigma_omega1_eps{eps:g}"]
-        margins += [led.C1(eps) * wux_bc**2 + led.C2(eps) * uy_bc**2 - w1_bc,
-                    led.C14(eps) * wux_sg**2 + led.C15(eps) * uy_sg**2 - w1_sg]
+        margins += [led.C1(eps) * nb.w_ux_L2_BC**2 + led.C2(eps) * nb.uy_L2_BC**2 - w1_bc,
+                    led.C14(eps) * nb.w_ux_L2_sigma**2
+                    + led.C15(eps) * nb.uy_L2_sigma**2 - w1_sg]
     margins = np.stack(margins, axis=1)
     # argmin of the row-major flattening: the first worst margin in draw order.
     k, c = divmod(int(np.argmin(margins)), len(names))

@@ -59,6 +59,13 @@ class TestArgumentContract:
         ["bound"],
         ["plot", "h"],
         ["verify", "profiles", "--x0", "-0.5"],         # a part of `all` only
+        # --reflected is the negative control of the star-shapedness check;
+        # checks that do not run it reject the flag rather than ignore it.
+        ["verify", "h-profile", "--x0", "-0.5", "--reflected"],
+        ["verify", "g1-bounds", "--x0", "-0.5", "--reflected"],
+        ["verify", "g2-bounds", "--x0", "-0.5", "--reflected"],
+        ["verify", "integrands", "--x0", "-0.5", "--reflected"],
+        ["verify", "inequalities", "--x0-range", "-1:-0.5:2", "--reflected"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -89,6 +96,19 @@ class TestConstants:
         last = float(lines[4].split(",")[0])
         assert first == pytest.approx(-2.0, rel=1e-12)
         assert last == pytest.approx(-0.1, rel=1e-12)
+
+    @pytest.mark.parametrize("argv", [
+        ("constants",),
+        ("constants", "--format", "csv"),
+        ("verify", "g2-bounds", "--grid", "2000"),
+        ("verify", "inequalities", "--grid", "50", "--format", "csv"),
+    ])
+    @pytest.mark.parametrize("a", ["-0.5", "-0.3", "-4"])
+    def test_range_of_one_is_its_first_endpoint(self, capsys, argv, a):
+        # A sweep a:b:1 is the single value a, whatever b is.
+        single = _run(capsys, *argv, "--x0", a)
+        assert single[0] == 0
+        assert _run(capsys, *argv, "--x0-range", f"{a}:-0.05:1") == single
 
     def test_x0_in_scientific_notation(self, capsys):
         # argparse alone reads "-1e-3" as an option, not a negative number.

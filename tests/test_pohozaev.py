@@ -26,7 +26,10 @@ from tricomi.constants import ledger
 from tricomi.eigensolver import EigenPair
 from tricomi.pohozaev import area_l2_norm_sq
 
-ONE = lambda x, y, u, ux, uy: np.ones_like(np.asarray(x, dtype=float))
+
+def ones(trace):
+    """Unit values at the trace's nodes: their line integral is the arc length."""
+    return np.ones_like(trace.x)
 
 
 @pytest.fixture(params=[-0.5, -1.0])
@@ -96,12 +99,13 @@ class TestQuadrature:
     def test_bc_arc_length(self, dom):
         tr = bc_trace(dom, 4001)
         exact = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
-        assert line_integral(tr, ONE) == pytest.approx(exact, rel=1e-7)
+        assert line_integral(tr, ones(tr)) == pytest.approx(exact, rel=1e-7)
 
     def test_bc_trapezoid_second_order(self, dom):
         exact = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
-        e1 = abs(line_integral(bc_trace(dom, 65), ONE) - exact)
-        e2 = abs(line_integral(bc_trace(dom, 129), ONE) - exact)
+        t1, t2 = bc_trace(dom, 65), bc_trace(dom, 129)
+        e1 = abs(line_integral(t1, ones(t1)) - exact)
+        e2 = abs(line_integral(t2, ones(t2)) - exact)
         assert e1 / e2 > 3.0
 
     def test_sigma_arc_length_converges(self, dom):
@@ -113,14 +117,16 @@ class TestQuadrature:
             return float(curve.arc_element(t))
 
         ref = quad(integrand, a, b, points=[a, b], limit=200)[0]
-        v1 = line_integral(sigma_trace(dom, 400), ONE)
-        v2 = line_integral(sigma_trace(dom, 1600), ONE)
+        t1, t2 = sigma_trace(dom, 400), sigma_trace(dom, 1600)
+        v1 = line_integral(t1, ones(t1))
+        v2 = line_integral(t2, ones(t2))
         assert v2 == pytest.approx(ref, rel=1e-5)
         assert abs(v2 - ref) < abs(v1 - ref)
 
     def test_sigma_arc_length_frozen(self):
         dom = TricomiDomain(-0.5)
-        v = line_integral(sigma_trace(dom, 2000), ONE)
+        tr = sigma_trace(dom, 2000)
+        v = line_integral(tr, ones(tr))
         assert v == pytest.approx(2.1822469, rel=1e-5)
 
     def test_bc_omega1_constant_ux_closed_form(self, dom):
@@ -128,8 +134,7 @@ class TestQuadrature:
         # (8/7) (-y_C)^(7/2).
         n = 4001
         tr = bc_trace(dom, n, ux=np.ones(n))
-        val = line_integral(tr, lambda x, y, u, ux, uy:
-                            omega1_BC_simplified(y, ux, uy))
+        val = line_integral(tr, omega1_BC_simplified(tr.y, tr.ux, tr.uy))
         exact = (8.0 / 7.0) * (-dom.y_C) ** 3.5
         assert val == pytest.approx(exact, rel=1e-6)
 
@@ -137,19 +142,19 @@ class TestQuadrature:
     def test_batched_trace_matches_rows(self, dom, make):
         rng = np.random.default_rng(3)
         u, ux, uy = rng.uniform(-1.0, 1.0, (3, 5, 48))
-        integrand = lambda x, y, u, ux, uy: u * ux + np.abs(y) * uy**2 - x * ux
-        batched = line_integral(make(dom, 48, u=u, ux=ux, uy=uy), integrand)
-        rows = [line_integral(make(dom, 48, u=u[k], ux=ux[k], uy=uy[k]), integrand)
-                for k in range(5)]
+        integral = lambda tr: line_integral(
+            tr, tr.u * tr.ux + np.abs(tr.y) * tr.uy**2 - tr.x * tr.ux)
+        batched = integral(make(dom, 48, u=u, ux=ux, uy=uy))
+        rows = [integral(make(dom, 48, u=u[k], ux=ux[k], uy=uy[k])) for k in range(5)]
         assert batched.shape == (5,)
         assert batched.tolist() == rows
 
     def test_too_few_nodes(self, dom):
         tr = bc_trace(dom, 8)
         tr2 = bc_trace(dom, 2)
-        line_integral(tr, ONE)
+        line_integral(tr, ones(tr))
         with pytest.raises(ValueError):
-            line_integral(tr2, ONE)
+            line_integral(tr2, ones(tr2))
 
     def test_trace_validation(self, dom):
         curve = dom.boundary_curve("BC")
@@ -194,6 +199,23 @@ class TestNormBundle:
         assert bundle.u_L2_BC == pytest.approx(
             math.hypot(bundle.re_u_L2_BC, bundle.im_u_L2_BC), rel=1e-14)
         assert bundle.im_u_L2_BC == pytest.approx(2.0 * bundle.re_u_L2_BC, rel=1e-12)
+
+    def test_batched_bundle_matches_rows(self, dom):
+        # Every field of a batched bundle equals the bundle of each row, bit
+        # for bit; single traces give Python floats.
+        rng = np.random.default_rng(5)
+        draws = rng.uniform(-1.0, 1.0, (6, 6, 40))
+        bundle = lambda k: norm_bundle_from_traces(
+            bc_trace(dom, 40, u=draws[0, k], ux=draws[1, k], uy=draws[2, k]),
+            sigma_trace(dom, 40, ux=draws[3, k], uy=draws[4, k]),
+            im_bc=bc_trace(dom, 40, u=draws[5, k]))
+        batched = bundle(slice(None))
+        rows = [bundle(k) for k in range(6)]
+        for name, v in vars(batched).items():
+            assert v.shape == (6,), name
+            assert [type(getattr(r, name)) for r in rows] == [float] * 6
+            assert [x.hex() for x in v.tolist()] == [
+                getattr(r, name).hex() for r in rows], name
 
 
 class TestAreaNorm:
@@ -269,3 +291,23 @@ class TestRandomizedInequalities:
         rep = verify_trace_inequalities(x0, seed=seed, n_nodes=n_nodes)
         assert rep.worst_margin == worst
         assert rep.notes == f"tolerance=1e-10; worst: {note}"
+
+
+class TestOneBoundaryPath:
+    """`bound` and `verify inequalities` take their boundary norms and
+    identity integrals from one path: five norms and three integrals, each
+    one line integral, none computed twice."""
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--x0", "-0.5"),
+        ("verify", "inequalities", "--x0", "-0.5", "--grid", "50"),
+    ])
+    def test_eight_line_integrals(self, capsys, monkeypatch, argv):
+        from tricomi import cli, pohozaev
+        calls = []
+        original = pohozaev.line_integral
+        monkeypatch.setattr(pohozaev, "line_integral",
+                            lambda *a: calls.append(a) or original(*a))
+        assert cli.run(list(argv)) == 0
+        capsys.readouterr()
+        assert len(calls) == 8
