@@ -195,7 +195,7 @@ def _cmd_verify(args):
                   if failed else None)
 
 
-def _solve(x0: float, nx: int, ny: int, count: int):
+def _solve(x0: float, nx: int, ny: int, count: int, principal_only: bool = False):
     from . import eigensolver   # scipy.sparse: imported only by commands that solve
 
     def size(op):
@@ -205,7 +205,9 @@ def _solve(x0: float, nx: int, ny: int, count: int):
     grid = _stage("Grid.build", lambda: eigensolver.Grid.build(dom, nx, ny))
     op = _stage("assemble", lambda: eigensolver.assemble(dom, grid), size)
     pairs, complex_diag = _stage(
-        "solve", lambda: eigensolver.solve_real_spectrum(op, count), lambda _: size(op))
+        "solve", lambda: eigensolver.solve_real_spectrum(op, count,
+                                                         principal_only=principal_only),
+        lambda _: size(op))
     return dom, grid, pairs, complex_diag
 
 
@@ -248,7 +250,8 @@ def _cmd_eigen(args):
 def _cmd_bound(args):
     from . import eigensolver
 
-    dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count)
+    dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count,
+                                 True)   # principal_only: bound certifies that pair alone
     pair = _principal(pairs)
     if pair is None:
         return None, {"error": "no positive real eigenvalue found", "x0": args.x0}

@@ -9,6 +9,7 @@ bound check.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
 
@@ -50,7 +51,8 @@ class BoundaryTrace:
     integral of f ds ~= sum(f * arc * weights).  The fields u, ux, uy have
     the nodes on their last axis and may carry leading batch axes, one trace
     per index, all sharing params and weights.  The node positions x, y and
-    the arc element arc at the nodes are computed once, on construction.
+    the arc element arc at the nodes are computed once, on construction;
+    `filled` copies share them.
     """
 
     curve: BoundaryCurve
@@ -70,12 +72,26 @@ class BoundaryTrace:
             raise ValueError("trace nodes must be strictly increasing")
         if t[0] < a - 1e-12 or t[-1] > b + 1e-12:
             raise ValueError("trace nodes outside the curve's parameter range")
+        self._check_fields()
+        self.x, self.y = self.curve.position(self.params)
+        self.arc = self.curve.arc_element(self.params)
+
+    def _check_fields(self):
         for name in ("u", "ux", "uy"):
             v = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(v)):
                 raise ValueError(f"non-finite values in trace field {name}")
-        self.x, self.y = self.curve.position(self.params)
-        self.arc = self.curve.arc_element(self.params)
+
+    def filled(self, u=None, ux=None, uy=None) -> "BoundaryTrace":
+        """A copy with new values for the fields given (None keeps this
+        trace's), sharing its nodes and geometry instead of computing them
+        again."""
+        out = copy.copy(self)
+        for name, v in (("u", u), ("ux", ux), ("uy", uy)):
+            if v is not None:
+                setattr(out, name, v)
+        out._check_fields()
+        return out
 
 
 @dataclass(frozen=True)

@@ -420,9 +420,9 @@ class TestPinnedOutput:
         (("constants", "--x0-range", "-2:-0.1:5", "--format", "csv"),
          "682e583d90fe74e1321beda88698ccf15feea52126fc7330fe2daa7f54880f78"),
         (("bound", "--x0", "-0.5"),
-         "52da0b67a35dc450e3dec7cdab3b657bb2dda8016c7f58bf4fc329b461058062"),
+         "1fea150bcb8d55446e5a92af0c4f209780c2c8b6c8e4064d435acae40dc92ca9"),
         (("bound", "--x0", "-0.5", "--format", "csv"),
-         "cfdf6f5700f5fab7e77a37eb779ce2f0a9eb999c2d0bff19371861329cebe223"),
+         "4ff99b6622854882e341a6d3456c4280a57d8cdce738a97df80ff395b50bb26b"),
         (("eigen", "--x0", "-0.5", "--count", "2"),
          "0cfcf8981cfe36970e1dde3054f64f0e0771c4e9b8fc4d1ad43eb8ea9196661f"),
     ])

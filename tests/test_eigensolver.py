@@ -182,6 +182,100 @@ class TestSpectrum:
         assert np.array_equal(pairs1[0].field, pairs2[0].field)
 
 
+def _count_lu(monkeypatch):
+    """Count the factorizations (`splu`, wherever scipy's eigs would look it
+    up too) and the solves on their factors."""
+    import sys
+
+    import scipy.sparse.linalg as spla
+    calls = {"splu": 0, "solve": 0}
+    splu = spla.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, b, *args):
+            calls["solve"] += 1
+            return self._lu.solve(b, *args)
+
+    def counted(*args, **kwargs):
+        calls["splu"] += 1
+        return Counted(splu(*args, **kwargs))
+
+    for module in (spla, sys.modules[spla.eigs.__module__]):
+        monkeypatch.setattr(module, "splu", counted)
+    return calls
+
+
+class TestPrincipalOnly:
+    # `principal_only`: a loose pass picks the principal pair, a tight pass
+    # converges it alone, on one LU shared with the fallback.
+    @pytest.mark.parametrize("n, spurious_first", [(64, False), (80, True), (112, True)])
+    def test_matches_default_principal(self, dom, n, spurious_first):
+        op = assemble(dom, Grid.build(dom, n, n))
+        real, _ = solve_real_spectrum(op, 4)
+        # At 80^2 and 112^2 a spurious negative mode lies nearer the shift.
+        assert (real[0].lam < 0.0) == spurious_first
+        want = next(p for p in real if p.lam > 0.0)
+        pairs, _ = solve_real_spectrum(op, 4, principal_only=True)
+        assert len(pairs) == 1
+        got = pairs[0]
+        assert got.lam == pytest.approx(want.lam, rel=1e-11)
+        assert np.max(np.abs(got.field - want.field)) <= 1e-10 * np.max(np.abs(want.field))
+        assert got.residual <= 1e-10
+
+    def test_no_principal_among_count_pairs(self, dom):
+        # At 80^2 the one pair nearest the shift is the spurious negative mode.
+        op = assemble(dom, Grid.build(dom, 80, 80))
+        real, _ = solve_real_spectrum(op, 1)
+        assert real and all(p.lam < 0.0 for p in real)
+        assert solve_real_spectrum(op, 1, principal_only=True)[0] == []
+
+    @pytest.mark.parametrize("principal_only", [False, True])
+    def test_one_factorization_per_call(self, op64, monkeypatch, principal_only):
+        calls = _count_lu(monkeypatch)
+        solve_real_spectrum(op64, 4, principal_only=principal_only)
+        assert calls["splu"] == 1
+        if principal_only:
+            # The full 4-pair solve takes 58.
+            assert calls["solve"] <= 30
+
+    def test_fallback_is_the_full_solve(self, op64, solved64, monkeypatch):
+        # When the tight pass does not confirm the pick, the full pass on
+        # the same LU decides: exactly the default path's principal pair.
+        import tricomi.eigensolver as eigensolver
+        monkeypatch.setattr(eigensolver, "_CONFIRM_RTOL", 0.0)
+        calls = _count_lu(monkeypatch)
+        pairs, complex_diag = solve_real_spectrum(op64, 4, principal_only=True)
+        assert calls["splu"] == 1
+        want, want_complex = solved64
+        assert pairs[0].lam == want[0].lam
+        assert np.array_equal(pairs[0].field, want[0].field)
+        assert complex_diag == want_complex
+
+    def test_default_path_is_eigs_with_sigma(self, op64, monkeypatch):
+        # Factoring A - sigma I itself, the default path still gets exactly
+        # the eigenpairs of scipy's own shift-invert.
+        import scipy.sparse.linalg as spla
+
+        from tricomi.eigensolver import _RITZ_TOL
+        eigs, seen = spla.eigs, []
+
+        def recording(*args, **kwargs):
+            seen.append(eigs(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(spla, "eigs", recording)
+        solve_real_spectrum(op64, 4)
+        monkeypatch.undo()
+        (w, V), = seen
+        v0 = np.full(op64.n, 1.0 / math.sqrt(op64.n))
+        w_ref, V_ref = spla.eigs(op64.matrix, k=4, sigma=1e-3, which="LM", v0=v0,
+                                 tol=_RITZ_TOL)
+        assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+
 class TestTraces:
     def test_sigma_trace_is_dirichlet_zero(self, solved64, dom, grid64):
         pairs, _ = solved64

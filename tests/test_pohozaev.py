@@ -170,6 +170,21 @@ class TestQuadrature:
         with pytest.raises(ValueError):   # non-finite field
             BoundaryTrace(curve, y, w, bad, y, y)
 
+    def test_filled_shares_geometry(self, dom):
+        # A filled copy keeps the nodes' positions and arc element (the
+        # same arrays, not recomputed), takes the new fields, keeps the
+        # others, and still rejects non-finite values.
+        tr = sigma_trace(dom, 40)
+        ux = np.linspace(1.0, 2.0, 40)
+        out = tr.filled(ux=ux)
+        assert out.x is tr.x and out.y is tr.y and out.arc is tr.arc
+        assert out.ux is ux and out.uy is tr.uy and out.u is tr.u
+        assert np.all(tr.ux == 0.0)
+        bad = ux.copy()
+        bad[3] = np.inf
+        with pytest.raises(ValueError):
+            tr.filled(uy=bad)
+
 
 class TestNormBundle:
     def test_u_norm_on_bc_against_quadrature(self, dom):
