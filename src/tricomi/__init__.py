@@ -56,8 +56,7 @@ __version__ = "0.1.0"
 # eigensolver imports scipy.sparse, which costs more than the rest of the
 # package together; its names are loaded on first use (PEP 562).
 _EIGENSOLVER_NAMES = {"EigenPair", "Grid", "TricomiOperator", "assemble", "extract_traces",
-                      "field_csv", "read_field_binary", "solve_real_spectrum",
-                      "trace_norms", "write_field_binary", "write_field_csv"}
+                      "field_csv", "solve_real_spectrum", "trace_norms"}
 
 
 def __getattr__(name):

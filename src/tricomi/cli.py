@@ -18,6 +18,7 @@ text for stdout or --out (None to write nothing) and the JSON failure record
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import logging
@@ -187,15 +188,15 @@ def _cmd_verify(args):
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         reports = [r for batch in pool.map(one, x0s) for r in batch]
     if args.tol is not None:
-        for r in reports:
-            r.passed = r.worst_margin >= -args.tol
+        reports = [dataclasses.replace(r, passed=r.worst_margin >= -args.tol)
+                   for r in reports]
     text = reports_to_csv(reports) if args.format == "csv" else reports_to_jsonl(reports)
     failed = [r.claim_id for r in reports if not r.passed]
     return text, ({"error": "one or more checks failed", "failed": failed}
                   if failed else None)
 
 
-def _solve(x0: float, nx: int, ny: int, count: int, principal_only: bool = False):
+def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = False):
     from . import eigensolver   # scipy.sparse: imported only by commands that solve
 
     def size(op):
@@ -251,12 +252,12 @@ def _cmd_bound(args):
     from . import eigensolver
 
     dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count,
-                                 True)   # principal_only: bound certifies that pair alone
+                                 principal_only=True)
     pair = _principal(pairs)
     if pair is None:
         return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
-    norms = _stage("traces", lambda: eigensolver.trace_norms(pair, dom, grid))
-    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair, dom),
+    traces, norms = _stage("traces", lambda: eigensolver.trace_norms(pair, dom, grid))
+    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair, traces, dom),
                       lambda r: f", relative residual {r['relative_residual']:.3e}")
     bound = _stage("bound", lambda: pohozaev.bound_check(pair, norms, ledger(args.x0),
                                                          rel_tol=args.tol),
@@ -374,7 +375,7 @@ def _plot_domain(x0: float) -> str:
 
 
 def _plot_eigen(x0: float, nx: int, ny: int) -> str:
-    dom, grid, pairs, _ = _solve(x0, nx, ny, 4)
+    dom, grid, pairs, _ = _solve(x0, nx, ny, 4, principal_only=True)
     pair = _principal(pairs)
     if pair is None:
         raise RuntimeError("no positive real eigenvalue found for the heat map")

@@ -12,7 +12,6 @@ Arnoldi around a small positive shift.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +36,7 @@ __all__ = [
     "solve_real_spectrum",
     "trace_norms",
     "extract_traces",
-    "write_field_binary",
-    "read_field_binary",
     "field_csv",
-    "write_field_csv",
 ]
 
 # Node classification codes.
@@ -99,7 +95,7 @@ class Grid:
         return float(self.ys[1] - self.ys[0])
 
 
-@dataclass
+@dataclass(frozen=True)
 class TricomiOperator:
     """Assembled sparse operator restricted to the interior unknowns."""
 
@@ -149,7 +145,7 @@ def _cut_fraction(dom: TricomiDomain, x: np.ndarray, y: np.ndarray,
     return np.clip(theta, _FRACTION_FLOOR, 1.0)
 
 
-def _stage(pidx: np.ndarray, P: np.ndarray, stride: int, slots):
+def _stencil_entries(pidx: np.ndarray, P: np.ndarray, stride: int, slots):
     """COO (rows, cols, values) triples of one stencil stage.
 
     Each slot is (offset in nodes along the axis of `stride`, value,
@@ -239,7 +235,7 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
         # Three slots per row: centered (i-1, i, i+1), unequal-arm
         # (i, i-1, i+1) without the missing neighbours, or one-sided
         # (i, i+step, i+2 step) with step pointing away from BC.
-        entries.extend(_stage(pidx, P, strides[axis], (
+        entries.extend(_stencil_entries(pidx, P, strides[axis], (
             (np.where(centered, -1, 0),
              np.where(cut, -2.0 * inv / (frac_m * frac_p), inv),
              centered | cut | one_sided),
@@ -256,8 +252,8 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
         present = y < 0.0
         for k in (-2, -1, 1, 2):
             present &= unknown(axis, k)
-        entries.extend(_stage(pidx, P, strides[axis],
-                              [(k, c * w, present) for k, w in d4]))
+        entries.extend(_stencil_entries(pidx, P, strides[axis],
+                                        [(k, c * w, present) for k, w in d4]))
 
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
@@ -265,7 +261,7 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
                            full_stencil=full, labels=plabels[2:-2, 2:-2].copy())
 
 
-@dataclass
+@dataclass(frozen=True)
 class EigenPair:
     """A discrete eigenvalue with its normalized grid eigenfunction."""
 
@@ -274,8 +270,6 @@ class EigenPair:
     residual: float
     l2_norm_sq: float
     imag: float = 0.0
-    trace_norms: BoundaryNormBundle | None = None
-    traces: dict | None = None
 
 
 def _is_real(lam) -> bool:
@@ -355,8 +349,8 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     vectors, over p + 4 Arnoldi vectors (p + 3 can converge onto the wrong
     member of an ill-conditioned real cluster).  If it does not converge,
     or lands more than 1e-6 relative from the loose pick, the full
-    `count`-pair pass decides.  At 64^2, x0 = -1/2, that is 26 LU solves
-    instead of 58.
+    `count`-pair pass decides, and only its principal pair is normalized.
+    At 64^2, x0 = -1/2, that is 26 LU solves instead of 58.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -378,10 +372,13 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
         raise RuntimeError(
             f"shift-invert factorization failed ({exc}); try a finer grid "
             "or a different shift") from exc
-    real_pairs = [_real_pair(op, lam, V[:, i]) for i, lam in enumerate(w) if _is_real(lam)]
     if principal_only:
-        real_pairs = [p for p in real_pairs if p.lam > 0.0][:1]
-    return real_pairs, [complex(lam) for lam in w if not _is_real(lam)]
+        p = _first_positive(w)
+        keep = [] if p is None else [p]
+    else:
+        keep = [i for i, lam in enumerate(w) if _is_real(lam)]
+    return ([_real_pair(op, w[i], V[:, i]) for i in keep],
+            [complex(lam) for lam in w if not _is_real(lam)])
 
 
 # -- boundary trace extraction ---------------------------------------------
@@ -471,45 +468,18 @@ def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> dict:
     return {"BC": bc, "Sigma": sg}
 
 
-def trace_norms(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> BoundaryNormBundle:
-    """Boundary norms of the eigenpair, attaching traces to the pair."""
+def trace_norms(pair: EigenPair, dom: TricomiDomain,
+                grid: Grid) -> tuple[dict, BoundaryNormBundle]:
+    """The eigenpair's boundary traces {'BC', 'Sigma'} (`extract_traces`)
+    and their norm bundle."""
     traces = extract_traces(pair, dom, grid)
-    pair.traces = traces
-    bundle = norm_bundle_from_traces(traces["BC"], traces["Sigma"])
-    pair.trace_norms = bundle
-    return bundle
+    return traces, norm_bundle_from_traces(traces["BC"], traces["Sigma"])
 
 
 # -- field export -----------------------------------------------------------
-
-_HEADER = struct.Struct("<6d")
-
-
-def write_field_binary(path, grid: Grid, F: np.ndarray) -> None:
-    """Flat binary: nx, ny and the bounding box as 8-byte floats, then
-    row-major float64 values."""
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(float(grid.nx), float(grid.ny),
-                              float(grid.xs[0]), float(grid.xs[-1]),
-                              float(grid.ys[0]), float(grid.ys[-1])))
-        fh.write(np.ascontiguousarray(F, dtype="<f8").tobytes())
-
-
-def read_field_binary(path):
-    with open(path, "rb") as fh:
-        nx, ny, x0, x1, y0, y1 = _HEADER.unpack(fh.read(_HEADER.size))
-        nx, ny = int(nx), int(ny)
-        F = np.frombuffer(fh.read(), dtype="<f8").reshape(nx, ny)
-    return {"nx": nx, "ny": ny, "bbox": (x0, x1, y0, y1), "field": F}
-
 
 def field_csv(grid: Grid, F: np.ndarray) -> str:
     """The field as CSV text: one `x,y,u` row per node, x-major."""
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     return csv_table(("x", "y", "u"), zip(X.ravel().tolist(), Y.ravel().tolist(),
                                            F.ravel().tolist()))
-
-
-def write_field_csv(path, grid: Grid, F: np.ndarray) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(field_csv(grid, F))

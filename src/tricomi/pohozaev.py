@@ -289,17 +289,17 @@ def _identity_integrals(bc: BoundaryTrace, sg: BoundaryTrace, dom: TricomiDomain
             line_integral(sg, omega1_sigma_simplified(sg.x, sg.ux, sg.uy, dom)))
 
 
-def pohozaev_residual(eigenpair, dom: TricomiDomain) -> dict:
+def pohozaev_residual(eigenpair, traces: dict, dom: TricomiDomain) -> dict:
     """Discrete residual of 4 lambda ||u||^2 = int_BC(w1+w2) ds + int_sigma w1 ds.
 
-    eigenpair must expose lam, l2_norm_sq and traces {'BC': ..., 'Sigma': ...}.
+    eigenpair must expose lam and l2_norm_sq; traces holds its boundary
+    traces {'BC': ..., 'Sigma': ...}, as `trace_norms` returns them.
     """
     lam = eigenpair.lam
     if lam <= 0.0:
         raise ValueError("identity check needs a positive eigenvalue")
     lhs = 4.0 * lam * eigenpair.l2_norm_sq
-    w1_bc, w2_bc, rhs_sigma = _identity_integrals(
-        eigenpair.traces["BC"], eigenpair.traces["Sigma"], dom)
+    w1_bc, w2_bc, rhs_sigma = _identity_integrals(traces["BC"], traces["Sigma"], dom)
     rhs_bc = w1_bc + w2_bc
     rhs = rhs_bc + rhs_sigma
     rel = 0.0 if lhs == 0.0 and rhs == 0.0 else abs(lhs - rhs) / max(abs(lhs), 1e-300)

@@ -25,7 +25,7 @@ def csv_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
+@dataclass(frozen=True)
 class VerificationReport:
     """Outcome of one bound/identity check.
 

@@ -248,8 +248,8 @@ def eigen_runs():
         pairs, _ = solve_real_spectrum(op, 4)
         pairs = [p for p in pairs if p.lam > 0]
         pair = pairs[0]
-        norms = trace_norms(pair, dom, grid)
-        identity = pohozaev_residual(pair, dom)
+        traces, norms = trace_norms(pair, dom, grid)
+        identity = pohozaev_residual(pair, traces, dom)
         bound = bound_check(pair, norms, ledger(-0.5), rel_tol=1e-2)
         out[n] = {
             "pair": pair,

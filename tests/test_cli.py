@@ -1,6 +1,7 @@
 """Command-line interface: argument contract, outputs, exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -268,8 +269,8 @@ class TestEigenAndBound:
         from tricomi import cli
         solve = cli._solve
 
-        def negative_only(*args):
-            dom, grid, pairs, complex_diag = solve(*args)
+        def negative_only(*args, **kwargs):
+            dom, grid, pairs, complex_diag = solve(*args, **kwargs)
             return dom, grid, [p for p in pairs if p.lam < 0], complex_diag
 
         monkeypatch.setattr(cli, "_solve", negative_only)
@@ -300,10 +301,9 @@ class TestEigenAndBound:
         from tricomi import cli
         solve = cli._solve
 
-        def sloppy(*args):
-            dom, grid, pairs, complex_diag = solve(*args)
-            for p in pairs:
-                p.residual = 1e-6
+        def sloppy(*args, **kwargs):
+            dom, grid, pairs, complex_diag = solve(*args, **kwargs)
+            pairs = [dataclasses.replace(p, residual=1e-6) for p in pairs]
             return dom, grid, pairs, complex_diag
 
         monkeypatch.setattr(cli, "_solve", sloppy)

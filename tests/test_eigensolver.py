@@ -1,5 +1,6 @@
 """Discretized operator: grids, stencils, manufactured solutions, eigenpairs."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,16 +10,15 @@ from tricomi import (
     EigenPair,
     Grid,
     TricomiDomain,
+    VerificationReport,
     assemble,
     bound_check,
     extract_traces,
     field_csv,
+    norm_bundle_from_traces,
     pohozaev_residual,
-    read_field_binary,
     solve_real_spectrum,
     trace_norms,
-    write_field_binary,
-    write_field_csv,
 )
 from tricomi.constants import ledger
 from tricomi.eigensolver import DIRICHLET, EXTERIOR, FREE_BC, INTERIOR
@@ -241,6 +241,16 @@ class TestPrincipalOnly:
             # The full 4-pair solve takes 58.
             assert calls["solve"] <= 30
 
+    def test_plot_eigen_is_principal_only(self, capsys, monkeypatch):
+        # `plot eigen` draws the principal pair alone and solves for it as
+        # `bound` does: one LU, 26 solves at 48^2 (the 4-pair solve takes 47).
+        from tricomi.cli import run
+        calls = _count_lu(monkeypatch)
+        assert run(["plot", "eigen", "--x0", "-0.5"]) == 0
+        assert "principal eigenfunction" in capsys.readouterr().out
+        assert calls["splu"] == 1
+        assert calls["solve"] <= 30
+
     def test_fallback_is_the_full_solve(self, op64, solved64, monkeypatch):
         # When the tight pass does not confirm the pick, the full pass on
         # the same LU decides: exactly the default path's principal pair.
@@ -253,6 +263,26 @@ class TestPrincipalOnly:
         assert pairs[0].lam == want[0].lam
         assert np.array_equal(pairs[0].field, want[0].field)
         assert complex_diag == want_complex
+
+    def test_fallback_normalizes_only_the_principal_pair(self, dom, monkeypatch):
+        # At 80^2 the full pass finds two real pairs, the spurious negative
+        # mode first; only the principal one is built.
+        import tricomi.eigensolver as eigensolver
+        op = assemble(dom, Grid.build(dom, 80, 80))
+        real, _ = solve_real_spectrum(op, 4)
+        assert [p.lam > 0.0 for p in real] == [False, True]
+        monkeypatch.setattr(eigensolver, "_CONFIRM_RTOL", 0.0)
+        norm_sq, calls = eigensolver.area_l2_norm_sq, []
+
+        def counted(*args):
+            calls.append(1)
+            return norm_sq(*args)
+
+        monkeypatch.setattr(eigensolver, "area_l2_norm_sq", counted)
+        pairs, _ = solve_real_spectrum(op, 4, principal_only=True)
+        assert len(calls) == 1
+        assert len(pairs) == 1 and pairs[0].lam == real[1].lam
+        assert np.array_equal(pairs[0].field, real[1].field)
 
     def test_default_path_is_eigs_with_sigma(self, op64, monkeypatch):
         # Factoring A - sigma I itself, the default path still gets exactly
@@ -283,20 +313,31 @@ class TestTraces:
         assert np.all(traces["Sigma"].u == 0.0)
         assert np.all(np.isfinite(traces["BC"].u))
 
-    def test_trace_norms_attach(self, solved64, dom, grid64):
+    def test_trace_norms_returns_traces_and_bundle(self, solved64, dom, grid64):
         pairs, _ = solved64
-        bundle = trace_norms(pairs[0], dom, grid64)
-        assert pairs[0].trace_norms is bundle
-        assert pairs[0].traces is not None
+        pair = pairs[0]
+        before = dataclasses.asdict(pair)     # a deep copy: the field too
+        traces, bundle = trace_norms(pair, dom, grid64)
+        want = extract_traces(pair, dom, grid64)
+        assert set(traces) == {"BC", "Sigma"}
+        for kind in ("BC", "Sigma"):
+            for name in ("u", "ux", "uy"):
+                assert np.array_equal(getattr(traces[kind], name),
+                                      getattr(want[kind], name)), (kind, name)
+        assert bundle == norm_bundle_from_traces(traces["BC"], traces["Sigma"])
         assert bundle.im_u_L2_BC == 0.0
         assert bundle.w_ux_L2_sigma > 0.0
+        # The pair is left as it was solved.
+        after = vars(pair)
+        assert after.keys() == before.keys()
+        assert all(np.array_equal(after[k], v) for k, v in before.items())
 
     def test_synthetic_linear_field(self, dom, grid64):
         # u = y: u_y = 1, u_x = 0, so the BC norm of u_y approaches the
         # square root of the BC arc length.
         Y = np.broadcast_to(grid64.ys[None, :], (grid64.nx, grid64.ny)).copy()
         pair = EigenPair(lam=1.0, field=Y, residual=0.0, l2_norm_sq=1.0)
-        bundle = trace_norms(pair, dom, grid64)
+        _, bundle = trace_norms(pair, dom, grid64)
         arclen = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
         assert bundle.uy_L2_BC == pytest.approx(math.sqrt(arclen), rel=0.05)
         assert bundle.w_ux_L2_BC == pytest.approx(0.0, abs=1e-10)
@@ -324,15 +365,15 @@ class TestEndToEnd64:
     def test_identity_residual_small(self, solved64, dom, grid64):
         pairs, _ = solved64
         pair = pairs[0]
-        trace_norms(pair, dom, grid64)
-        out = pohozaev_residual(pair, dom)
+        traces, _ = trace_norms(pair, dom, grid64)
+        out = pohozaev_residual(pair, traces, dom)
         assert out["relative_residual"] < 0.2
         assert out["rhs_BC"] > 0.0 and out["rhs_sigma"] > 0.0
 
     def test_bound_satisfied(self, solved64, dom, grid64):
         pairs, _ = solved64
         pair = pairs[0]
-        norms = trace_norms(pair, dom, grid64)
+        _, norms = trace_norms(pair, dom, grid64)
         out = bound_check(pair, norms, ledger(X0))
         assert out["satisfied"], out
 
@@ -345,25 +386,30 @@ class TestExport:
         import tricomi.eigensolver as eigensolver
         assert tricomi._EIGENSOLVER_NAMES == set(eigensolver.__all__)
 
-    def test_binary_roundtrip(self, tmp_path, grid64, solved64):
+    def test_csv_shape(self, grid64, solved64):
         pairs, _ = solved64
-        path = tmp_path / "field.bin"
-        write_field_binary(path, grid64, pairs[0].field)
-        back = read_field_binary(path)
-        assert back["nx"] == grid64.nx and back["ny"] == grid64.ny
-        assert np.array_equal(back["field"], pairs[0].field)
-        assert back["bbox"] == (grid64.xs[0], grid64.xs[-1],
-                                grid64.ys[0], grid64.ys[-1])
-
-    def test_csv_shape(self, tmp_path, grid64, solved64):
-        pairs, _ = solved64
-        path = tmp_path / "field.csv"
-        write_field_csv(path, grid64, pairs[0].field)
-        lines = path.read_text().splitlines()
+        text = field_csv(grid64, pairs[0].field)
+        lines = text.splitlines()
+        assert text.endswith("\n")
         assert lines[0] == "x,y,u"
         assert len(lines) == 1 + grid64.nx * grid64.ny
-        assert path.read_text() == field_csv(grid64, pairs[0].field)
         i, j = 5, 7
         assert lines[1 + i * grid64.ny + j] == ",".join(
             format(float(v), ".17g")
             for v in (grid64.xs[i], grid64.ys[j], pairs[0].field[i, j]))
+
+
+class TestRecords:
+    # Records are values: each is complete when built and never set after.
+    @pytest.mark.parametrize("make, name", [
+        (lambda op: EigenPair(lam=1.0, field=np.zeros((2, 2)), residual=0.0,
+                              l2_norm_sq=1.0), "lam"),
+        (lambda op: op, "matrix"),
+        (lambda op: VerificationReport(claim_id="c", x0=-0.5, grid_size=1,
+                                       worst_margin=0.0, worst_location=-0.5,
+                                       passed=True), "passed"),
+    ], ids=["EigenPair", "TricomiOperator", "VerificationReport"])
+    def test_frozen(self, op64, make, name):
+        record = make(op64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, getattr(record, name))

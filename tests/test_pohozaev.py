@@ -258,17 +258,17 @@ class TestIdentityAndBound:
     def test_residual_requires_positive_eigenvalue(self, dom):
         pair = EigenPair(lam=-1.0, field=np.zeros((4, 4)), residual=0.0,
                          l2_norm_sq=1.0)
-        pair.traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
+        traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
         with pytest.raises(ValueError):
-            pohozaev_residual(pair, dom)
+            pohozaev_residual(pair, traces, dom)
 
     def test_zero_trace_residual_is_one(self, dom):
         # Zero boundary data makes the right-hand side vanish; the relative
         # residual is then exactly 1.
         pair = EigenPair(lam=2.0, field=np.zeros((4, 4)), residual=0.0,
                          l2_norm_sq=1.0)
-        pair.traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
-        out = pohozaev_residual(pair, dom)
+        traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
+        out = pohozaev_residual(pair, traces, dom)
         assert out["relative_residual"] == pytest.approx(1.0, rel=1e-15)
         assert out["lhs"] == pytest.approx(8.0, rel=1e-15)
 
