@@ -37,18 +37,24 @@ _CURVATURE_TOL = 1e-8
 _SHARP_TOL = 1e-6
 
 
-def sweep_grid(x0: float, n: int) -> np.ndarray:
-    """Uniform n-point grid on [2x0, 0] plus the critical breakpoints."""
-    led = ledger(x0)
+def _breakpoints(led: ConstantLedger) -> np.ndarray:
+    """The critical abscissae that the sweep holds besides its linspace,
+    sorted and unique."""
+    x0 = led.x0
     extra = [2.0 * x0, x0, 1.5 * x0, 0.5 * x0, led.x1, led.x2, 0.0]
     if led.x_plus is not None:
         extra += [led.x_plus, led.x_minus]
+    return np.unique(extra)
+
+
+def sweep_grid(x0: float, n: int) -> np.ndarray:
+    """Uniform n-point grid on [2x0, 0] plus the critical breakpoints."""
     # The same array as np.union1d(linspace, extra) without sorting the
     # already sorted linspace: insert the sorted extras after their equals,
     # then drop each entry equal to its left neighbour.  So on a tie the
     # linspace entry stays, which decides the sign of a zero.  A linspace is
     # nondecreasing, and at a subnormal x0 it holds equal neighbours itself.
-    extra = np.unique(extra)
+    extra = _breakpoints(ledger(x0))
     xs = np.linspace(2.0 * x0, 0.0, n)
     xs = np.insert(xs, np.searchsorted(xs, extra, side="right"), extra)
     xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
@@ -103,16 +109,17 @@ def find_inflection(x0: float) -> float:
 def _finish(claim_id, x0, grid, checks, notes_extra=""):
     """Fold named (margin, tol, location) triples into one report.
 
-    A NaN margin fails and ranks below every finite one."""
+    A margin that is not finite, such as a second difference over a step
+    whose square underflows, fails and ranks below every finite one."""
     worst_name, worst = None, math.inf
     worst_loc = x0
     passed = True
     parts = []
     for name, (margin, tol, loc) in checks.items():
-        if not margin >= -tol:
+        finite = math.isfinite(margin)
+        if not (finite and margin >= -tol):
             passed = False
-        ratio = margin / tol if tol > 0 else margin
-        rank = -math.inf if math.isnan(ratio) else ratio
+        rank = (margin / tol if tol > 0 else margin) if finite else -math.inf
         if rank < worst:
             worst, worst_name, worst_loc = rank, name, loc
         parts.append(f"{name}={margin:.3e}(tol={tol:.1e})")
@@ -137,7 +144,11 @@ class _Sweep:
 
     The h-profile, G1 and G2 checks all read these arrays, so `verify all`
     sorts the grid and evaluates g and h once per x0 instead of once per
-    check.  The arrays are read-only because the checks share them."""
+    check.  The arrays are read-only because the checks share them.
+
+    `inserted` holds the positions in xs of the breakpoints that are not
+    linspace nodes; every other entry of xs is a node of the linspace, in
+    order, so np.delete(xs, inserted) is that linspace."""
 
     grid_size: int
     dom: TricomiDomain
@@ -145,19 +156,56 @@ class _Sweep:
     xs: np.ndarray
     g: np.ndarray
     h: np.ndarray
+    inserted: np.ndarray
 
 
 def _sweep(x0: float, grid_size: int) -> _Sweep:
     if grid_size < 1000:
         raise ValueError("grid_size must be at least 1000")
     dom = TricomiDomain(x0)
+    led = ledger(x0)
     xs = sweep_grid(x0, grid_size)
     gx = dom.g(xs)
+    # A breakpoint equal to a linspace node is that node in the sweep.  Every
+    # breakpoint lies in [2x0, 0], so its search index is a valid one.
+    lin = np.linspace(2.0 * x0, 0.0, grid_size)
+    extra = _breakpoints(led)
+    on_lin = lin[np.searchsorted(lin, extra)] == extra
     # xs already lies in [2x0, 0], so h reuses g instead of evaluating it again.
-    arrays = (xs, gx, dom._h_from_g(xs, gx.copy()))
+    arrays = (xs, gx, dom._h_from_g(xs, gx.copy()),
+              np.searchsorted(xs, extra[~on_lin]))
     for a in arrays:
         a.flags.writeable = False
-    return _Sweep(grid_size, dom, ledger(x0), *arrays)
+    return _Sweep(grid_size, dom, led, *arrays)
+
+
+def _second_differences(sw: _Sweep):
+    """Central second differences of h at step delta = |2x0|/(n - 1), the
+    linspace's, at every sweep node more than 2 delta inside [2x0, 0].
+
+    A linspace node reads h at its linspace neighbours from the sweep; only
+    the inserted breakpoints evaluate h, at x - delta and x + delta.
+    Returns the nodes, their second differences and delta."""
+    xs, hx, ins = sw.xs, sw.h, sw.inserted
+    x0 = sw.dom.x0
+    delta = abs(2.0 * x0) / (sw.grid_size - 1)
+    # xs is sorted, so the nodes more than 2 delta inside form one slice.
+    lo, hi = (int(np.searchsorted(xs, 2.0 * x0 + 2.0 * delta, "right")),
+              int(np.searchsorted(xs, -2.0 * delta, "left")))
+    hl = np.delete(hx, ins)
+    diff = np.zeros(len(hl))  # the linspace's end nodes are never inside
+    mid = diff[1:-1]
+    np.multiply(hl[1:-1], -2.0, out=mid)  # (h[k-1] - 2 h[k]) + h[k+1], in place
+    mid += hl[:-2]
+    mid += hl[2:]
+    inside = (ins >= lo) & (ins < hi)
+    at = ins[inside]
+    left, right = np.split(sw.dom.h(np.concatenate((xs[at] - delta, xs[at] + delta))), 2)
+    own = np.zeros(len(ins))
+    own[inside] = left - 2.0 * hx[at] + right
+    d2 = np.insert(diff, ins - np.arange(len(ins)), own)[lo:hi]
+    d2 /= delta**2
+    return xs[lo:hi], d2, delta
 
 
 def _h_profile(sw: _Sweep) -> VerificationReport:
@@ -180,12 +228,7 @@ def _h_profile(sw: _Sweep) -> VerificationReport:
     even = -float(np.max(np.abs(hx - np.asarray(dom.h(2.0 * x0 - xs)))))
     checks["evenness"] = (even, 1e-12 * max(1.0, scale), x0)
 
-    # Central second divided differences; h is elementwise, so the centre
-    # term is read from the sweep rather than evaluated again.
-    delta = abs(2.0 * x0) / sw.grid_size
-    keep = (xs > 2.0 * x0 + 2.0 * delta) & (xs < -2.0 * delta)
-    interior = xs[keep]
-    d2 = (dom.h(interior - delta) - 2.0 * hx[keep] + dom.h(interior + delta)) / delta**2
+    interior, d2, delta = _second_differences(sw)
     curv_tol = _CURVATURE_TOL * x0 * x0
     if x0 >= X0_CRITICAL:
         j = int(np.argmin(d2))
@@ -211,10 +254,9 @@ def _h_profile(sw: _Sweep) -> VerificationReport:
 
 
 def _bound_notes(lo_gap, hi_gap) -> str:
-    return (f"lower_gap={float(np.min(lo_gap)):.3e}; "
-            f"upper_gap={float(np.min(hi_gap)):.3e}; "
-            f"sharp_lower={float(np.min(lo_gap)) <= _SHARP_TOL}; "
-            f"sharp_upper={float(np.min(hi_gap)) <= _SHARP_TOL}")
+    lo, hi = float(np.min(lo_gap)), float(np.min(hi_gap))
+    return (f"lower_gap={lo:.3e}; upper_gap={hi:.3e}; "
+            f"sharp_lower={lo <= _SHARP_TOL}; sharp_upper={hi <= _SHARP_TOL}")
 
 
 def _G1_bounds(sw: _Sweep) -> VerificationReport:

@@ -194,9 +194,9 @@ class TestVerify:
     # sha256 of stdout at the default --grid 100000, the workload's size.
     @pytest.mark.parametrize("x0, digest", [
         ("-0.05", "5ca47af622f0f996bb6d7fbdb1afca69aa53e7937b052159e596a4068b4f00f6"),
-        ("-0.5", "422186b327b18bcfd10d049d3b270bd500cf8f159a66896473dcfd6816e422d8"),
+        ("-0.5", "21e5ca3081af2ff3c0e84075ac80e81037f88314a7610699c7f86d45b8446e57"),
         ("-1", "1c306024b5ec9276c7004c850ec5168cfd90354b8bea9b3b1983bdb6a83d77ca"),
-        ("-4", "65c50cf8c882c3ec6eb2e8ac76ab331157697b448952d6d28a05a2a09b3d7e29"),
+        ("-4", "ce2aa4794a80623914576a53db84fba79e7a982a1e6efb1c8f86916d514717cb"),
     ])
     def test_all_default_grid_pinned(self, capsys, x0, digest):
         code, out, err = _run(capsys, "verify", "all", "--x0", x0)

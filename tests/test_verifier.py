@@ -16,7 +16,7 @@ from tricomi import (
     verify_profiles,
 )
 from tricomi.constants import X0_CRITICAL, X3, X4, ledger
-from tricomi.verifier import N_of_X, N_of_X_alt, _finish, _sweep
+from tricomi.verifier import N_of_X, N_of_X_alt, _finish, _second_differences, _sweep
 
 X0_SAMPLES = [-0.2, -0.4, -0.45, -0.55, -0.8, -1.5]
 
@@ -89,7 +89,9 @@ class TestG1G2Bounds:
 
 
 # Reports at grid size 20000, frozen from the per-check implementation that
-# built the grid and evaluated g and h separately in each check:
+# built the grid and evaluated g and h separately in each check, except the
+# curvature notes of the h rows, which come from second differences at the
+# linspace's step |2x0|/(n - 1) that read their neighbours from the sweep:
 # (x0, check) -> (worst_margin.hex(), worst_location.hex(), passed, grid_size, notes).
 # The x0 cover R1, R2a, R2b and R2c, plus the sharp cases of G1 and G2.
 _PINNED = {
@@ -100,13 +102,13 @@ _PINNED = {
     (-0.05, "G2"): ("0x1.a3814b740fb30p-5", "-0x1.3ddd90f79d970p-7", True, 20005,
         "worst=bounds; bounds=5.121e-02(tol=1.0e-10); abs_bound=3.305e-01(tol=1.0e-10); lower_gap=3.305e-01; upper_gap=5.121e-02; sharp_lower=False; sharp_upper=False"),
     (-0.45, "h"): ("-0x1.8000000000000p-53", "-0x1.ccccccccccccdp-2", True, 20007,
-        "worst=evenness; bounds=0.000e+00(tol=1.0e-10); evenness=-1.665e-16(tol=1.0e-12); convex_outer=2.511e-04(tol=2.0e-09); concave_inner=1.716e-04(tol=2.0e-09); inflection_in_range=5.135e-02(tol=1.0e-12)"),
+        "worst=evenness; bounds=0.000e+00(tol=1.0e-10); evenness=-1.665e-16(tol=1.0e-12); convex_outer=2.510e-04(tol=2.0e-09); concave_inner=1.717e-04(tol=2.0e-09); inflection_in_range=5.135e-02(tol=1.0e-12)"),
     (-0.45, "G1"): ("0x1.bf5f49f8e0000p-16", "-0x1.596ed5eb4f1dap-2", True, 20007,
         "worst=bounds; bounds=2.667e-05(tol=2.7e-10); lower_gap=2.667e-05; upper_gap=3.683e-01; sharp_lower=False; sharp_upper=False"),
     (-0.45, "G2"): ("0x1.864a432198900p-5", "-0x1.6aa50a8cdfa48p-1", True, 20007,
         "worst=bounds; bounds=4.764e-02(tol=5.4e-10); abs_bound=4.764e-02(tol=5.4e-10); lower_gap=4.764e-02; upper_gap=5.477e-02; sharp_lower=False; sharp_upper=False"),
     (-0.55, "h"): ("-0x1.0000000000000p-52", "-0x1.199999999999ap-1", True, 20007,
-        "worst=evenness; bounds=-1.110e-16(tol=1.0e-10); evenness=-2.220e-16(tol=1.0e-12); convex_outer=4.478e-04(tol=3.0e-09); concave_inner=5.598e-04(tol=3.0e-09); inflection_in_range=1.352e-01(tol=1.0e-12)"),
+        "worst=evenness; bounds=-1.110e-16(tol=1.0e-10); evenness=-2.220e-16(tol=1.0e-12); convex_outer=4.478e-04(tol=3.0e-09); concave_inner=5.599e-04(tol=3.0e-09); inflection_in_range=1.352e-01(tol=1.0e-12)"),
     (-0.55, "G1"): ("0x1.ce14d521c26c0p-6", "-0x1.9f6fe54074d2ep-2", True, 20007,
         "worst=bounds; bounds=2.820e-02(tol=3.3e-10); lower_gap=2.820e-02; upper_gap=2.898e-01; sharp_lower=False; sharp_upper=False"),
     (-0.55, "G2"): ("0x1.7c7edefd4a000p-11", "-0x1.c1424a15c1872p-1", True, 20007,
@@ -168,7 +170,56 @@ class TestSharedSweep:
                 a[0] = 1.0
 
 
+class TestSecondDifferences:
+    @pytest.mark.parametrize("x0", [-0.3, -1.0])
+    def test_two_grid_sized_h_evaluations(self, x0, monkeypatch):
+        # One for the sweep and one for the evenness mirror; the curvature
+        # check evaluates h only at the inserted breakpoints +- delta.
+        sizes = []
+        h_from_g = TricomiDomain._h_from_g
+        monkeypatch.setattr(TricomiDomain, "_h_from_g",
+                            lambda self, x, g: sizes.append(np.size(x)) or h_from_g(self, x, g))
+        verify_profiles(x0, 100000)
+        assert sum(size >= 100000 for size in sizes) == 2
+        assert all(size <= 18 for size in sizes if size < 100000)
+
+    @pytest.mark.parametrize("x0", [-0.05, -0.45, -0.55, -1.0, -4.0])
+    @pytest.mark.parametrize("n", [1000, 20000])
+    def test_neighbours_read_from_the_sweep(self, x0, n):
+        sw = _sweep(x0, n)
+        nodes, d2, delta = _second_differences(sw)
+        assert delta == abs(2.0 * x0) / (n - 1)
+        # Every node more than 2 delta inside [2x0, 0] gets a second
+        # difference, the inserted breakpoints among them.
+        xs = sw.xs
+        assert np.array_equal(nodes, xs[(xs > 2.0 * x0 + 2.0 * delta) & (xs < -2.0 * delta)])
+        inner = [e for e in xs[sw.inserted] if 2.0 * x0 + 2.0 * delta < e < -2.0 * delta]
+        assert inner and np.all(np.isin(inner, nodes))
+        assert np.array_equal(np.delete(xs, sw.inserted), np.linspace(2.0 * x0, 0.0, n))
+        # A linspace neighbour is x -+ delta up to a few ulp of x, so the
+        # quotients agree to rounding: 64 eps max(h) / delta^2 (the largest
+        # gap seen is under 5 eps max(h) / delta^2).
+        dom = sw.dom
+        direct = (dom.h(nodes - delta) - 2.0 * dom.h(nodes) + dom.h(nodes + delta)) / delta**2
+        bound = 64.0 * np.finfo(float).eps * float(np.max(sw.h)) / delta**2
+        assert np.max(np.abs(d2 - direct)) <= bound
+
+    def test_underflowed_step_fails(self):
+        # At x0 = -5e-324 the step's square underflows, so every second
+        # difference is infinite or NaN: the report fails, never passes.
+        with np.errstate(all="ignore"):
+            rep = verify_h_profile(-5e-324, 1000)
+        assert rep.passed is False and rep.notes.startswith("worst=convexity; ")
+
+
 class TestFinish:
+    def test_infinite_margin_fails_and_is_worst(self):
+        checks = {"bounds": (1.0, 1e-10, -0.2), "convexity": (math.inf, 0.0, -0.3)}
+        rep = _finish("h_profile", -0.5, np.zeros(1000), checks)
+        assert rep.passed is False
+        assert rep.worst_margin == math.inf and rep.worst_location == -0.3
+        assert rep.notes.startswith("worst=convexity; ")
+
     def test_nan_margin_fails_and_is_worst(self):
         checks = {"bounds": (1.0, 1e-10, -0.2), "convexity": (math.nan, 0.0, -0.3),
                   "evenness": (-5.0, 1e-12, -0.5)}
