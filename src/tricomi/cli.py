@@ -4,9 +4,11 @@ bound checks and static SVG plots.
 Output is deterministic: floats print with 17 significant digits, no
 timestamps, and the eigensolver uses a fixed start vector.  Exit codes:
 0 when every emitted report passed, 1 on a numerical failure, a failed
-check, an eigenpair whose algebraic residual is above 1e-8 or an --out file
-that cannot be written (each with one line of diagnostic JSON on stderr),
-2 on argument errors.  Every command computes under numpy's
+check, an algebraic residual above 1e-8 (of the principal pair for `bound`,
+`plot eigen` and `eigen --format csv`, which also exit 1 without one; of
+every listed pair for `eigen --format json`) or an --out file that cannot
+be written (each with one line of diagnostic JSON on stderr), 2 on argument
+errors.  Every command computes under numpy's
 errstate(raise): a floating-point overflow, division by zero or invalid
 operation is a numerical failure (exit 1), never a warning on stderr.
 
@@ -39,8 +41,7 @@ __all__ = ["main", "run"]
 
 log = logging.getLogger("tricomi")
 
-# Largest algebraic residual |Av - lambda v| / |v| that `eigen` and `bound`
-# accept.
+# Largest algebraic residual |Av - lambda v| / |v| that a command accepts.
 _RESIDUAL_TOL = 1e-8
 
 # numpy's error state for every command: a floating-point fault raises.
@@ -212,54 +213,56 @@ def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = Fa
     return dom, grid, pairs, complex_diag
 
 
-def _principal(pairs):
-    """The principal eigenpair: the real pair of smallest magnitude with
-    lambda > 0, or None.  A negative real eigenvalue of the discrete
-    operator is a spurious mode of the discretization."""
-    return next((p for p in pairs if p.lam > 0), None)
+def _principal(args, count: int, render):
+    """render(dom, grid, pair) -> (text, failure) on the principal pair
+    alone: the real pair of smallest magnitude with lambda > 0 among the
+    `count` nearest the shift (a negative one is a spurious mode of the
+    discretization).  Above the residual tolerance the text is still
+    written and the residual is the failure."""
+    dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, count, principal_only=True)
+    if not pairs:
+        return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
+    pair, = pairs
+    text, failure = render(dom, grid, pair)
+    if not pair.residual <= _RESIDUAL_TOL:
+        return text, {"error": "eigen residual above tolerance",
+                      "residual": pair.residual, "tol": _RESIDUAL_TOL}
+    return text, failure
 
 
 def _cmd_eigen(args):
     from . import eigensolver
 
+    if args.format == "csv":
+        return _principal(args, args.count, lambda dom, grid, pair: (
+            eigensolver.field_csv(grid, pair.field), None))
     dom, grid, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
     if not pairs:
         return None, {"error": "no real eigenvalue found", "x0": args.x0,
                       "complex_pairs": [str(c) for c in complex_diag]}
-    if args.format == "csv":
-        pair = _principal(pairs)
-        if pair is None:
-            return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
-        text = eigensolver.field_csv(grid, pair.field)
-    else:
-        text = _json({
-            "x0": args.x0,
-            "nx": args.nx,
-            "ny": args.ny,
-            "eigenvalues": [
-                {"lambda": p.lam, "residual": p.residual, "imag": p.imag}
-                for p in pairs
-            ],
-            "complex_pairs": [str(c) for c in complex_diag],
-        })
+    text = _json({
+        "x0": args.x0,
+        "nx": args.nx,
+        "ny": args.ny,
+        "eigenvalues": [
+            {"lambda": p.lam, "residual": p.residual, "imag": p.imag}
+            for p in pairs
+        ],
+        "complex_pairs": [str(c) for c in complex_diag],
+    })
     if all(p.residual <= _RESIDUAL_TOL for p in pairs):
         return text, None
     return text, {"error": "eigen residual above tolerance",
                   "residuals": [p.residual for p in pairs]}
 
 
-def _cmd_bound(args):
+def _bound(args, dom, grid, pair):
     from . import eigensolver
 
-    dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, args.count,
-                                 principal_only=True)
-    pair = _principal(pairs)
-    if pair is None:
-        return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
     traces, norms = _stage("traces", lambda: eigensolver.trace_norms(pair, dom, grid))
-    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair, traces, dom),
+    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces, dom),
                       lambda r: f", relative residual {r['relative_residual']:.3e}")
-    bound = _stage("bound", lambda: pohozaev.bound_check(pair, norms, ledger(args.x0),
+    bound = _stage("bound", lambda: pohozaev.bound_check(pair.lam, norms, ledger(args.x0),
                                                          rel_tol=args.tol),
                    lambda b: f", lhs {b['lhs']:.6g}, rhs {b['rhs']:.6g}")
     record = {
@@ -278,13 +281,14 @@ def _cmd_bound(args):
                            bound["eps1"], bound["eps2"], bound["satisfied"])])
     else:
         text = _json(record)
-    if not pair.residual <= _RESIDUAL_TOL:
-        return text, {"error": "eigen residual above tolerance",
-                      "residual": pair.residual, "tol": _RESIDUAL_TOL}
     if not record["passed"]:
         return text, {"error": "eigenfunction bound not satisfied",
                       "lhs": bound["lhs"], "rhs": bound["rhs"]}
     return text, None
+
+
+def _cmd_bound(args):
+    return _principal(args, args.count, functools.partial(_bound, args))
 
 
 # -- SVG plotting ------------------------------------------------------------
@@ -374,11 +378,7 @@ def _plot_domain(x0: float) -> str:
                 draw)
 
 
-def _plot_eigen(x0: float, nx: int, ny: int) -> str:
-    dom, grid, pairs, _ = _solve(x0, nx, ny, 4, principal_only=True)
-    pair = _principal(pairs)
-    if pair is None:
-        raise RuntimeError("no positive real eigenvalue found for the heat map")
+def _plot_eigen(x0: float, grid, pair) -> str:
     F = pair.field
     led = ledger(x0)
     vmax = float(np.max(np.abs(F))) or 1.0
@@ -406,7 +406,9 @@ def _plot_eigen(x0: float, nx: int, ny: int) -> str:
 
 def _cmd_plot(args):
     if args.target == "eigen":
-        return _plot_eigen(args.x0, args.nx, args.ny), None
+        # No --count here: the four pairs nearest the shift, bound's default.
+        return _principal(args, 4, lambda dom, grid, pair: (
+            _plot_eigen(args.x0, grid, pair), None))
     return (_plot_h if args.target == "h" else _plot_domain)(args.x0), None
 
 

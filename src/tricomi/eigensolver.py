@@ -102,7 +102,6 @@ class TricomiOperator:
     dom: TricomiDomain
     grid: Grid
     matrix: sp.csr_matrix
-    index: np.ndarray        # (nx, ny) int, -1 for non-unknowns
     nodes: np.ndarray        # (n_unknowns, 2) node (i, j)
     full_stencil: np.ndarray  # rows whose stencil is fully centered interior
     labels: np.ndarray       # (nx, ny) int8 node classification codes
@@ -257,18 +256,18 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
 
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return TricomiOperator(dom=dom, grid=grid, matrix=A, index=index, nodes=nodes,
-                           full_stencil=full, labels=plabels[2:-2, 2:-2].copy())
+    return TricomiOperator(dom=dom, grid=grid, matrix=A, nodes=nodes, full_stencil=full,
+                           labels=plabels[2:-2, 2:-2].copy())
 
 
 @dataclass(frozen=True)
 class EigenPair:
-    """A discrete eigenvalue with its normalized grid eigenfunction."""
+    """A discrete eigenvalue with its grid eigenfunction, normalized to unit
+    L2(Omega) norm."""
 
     lam: float
     field: np.ndarray
     residual: float
-    l2_norm_sq: float
     imag: float = 0.0
 
 
@@ -298,8 +297,7 @@ def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
         F = F / math.sqrt(nrm_sq)
     if float(np.sum(F)) < 0.0:
         F = -F
-    return EigenPair(lam=lam_r, field=F, residual=res, l2_norm_sq=1.0,
-                     imag=float(lam.imag))
+    return EigenPair(lam=lam_r, field=F, residual=res, imag=float(lam.imag))
 
 
 def _principal_passes(op: TricomiOperator, arnoldi, k: int, v0: np.ndarray):
@@ -400,14 +398,10 @@ def _sample_inward(grid: Grid, F: np.ndarray, valid: np.ndarray, x, y,
                    nx_in, ny_in, d0: float) -> np.ndarray:
     """Sample F at distance d0 along the inward normal from each point,
     stepping further in while the cell is not fully valid; 0 if it never is."""
-    out = np.zeros_like(x)
-    todo = np.arange(len(x))
-    for mult in (1.0, 1.5, 2.0, 3.0, 4.0, 6.0):
-        v, ok = _bilinear(grid, F, valid, x[todo] + mult * d0 * nx_in[todo],
-                          y[todo] + mult * d0 * ny_in[todo])
-        out[todo[ok]] = v[ok]
-        todo = todo[~ok]
-    return out
+    step = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 6.0])[:, None] * d0
+    v, ok = _bilinear(grid, F, valid, x + step * nx_in, y + step * ny_in)
+    first, cols = np.argmax(ok, axis=0), np.arange(len(x))
+    return np.where(ok[first, cols], v[first, cols], 0.0)
 
 
 def _gradient_grids(grid: Grid, F: np.ndarray):

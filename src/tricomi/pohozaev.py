@@ -289,16 +289,15 @@ def _identity_integrals(bc: BoundaryTrace, sg: BoundaryTrace, dom: TricomiDomain
             line_integral(sg, omega1_sigma_simplified(sg.x, sg.ux, sg.uy, dom)))
 
 
-def pohozaev_residual(eigenpair, traces: dict, dom: TricomiDomain) -> dict:
+def pohozaev_residual(lam: float, traces: dict, dom: TricomiDomain) -> dict:
     """Discrete residual of 4 lambda ||u||^2 = int_BC(w1+w2) ds + int_sigma w1 ds.
 
-    eigenpair must expose lam and l2_norm_sq; traces holds its boundary
-    traces {'BC': ..., 'Sigma': ...}, as `trace_norms` returns them.
+    lam is the eigenvalue of a unit-L2(Omega) pair, so the left side is
+    4 lambda; traces are its {'BC', 'Sigma'} traces from `trace_norms`.
     """
-    lam = eigenpair.lam
     if lam <= 0.0:
         raise ValueError("identity check needs a positive eigenvalue")
-    lhs = 4.0 * lam * eigenpair.l2_norm_sq
+    lhs = 4.0 * lam
     w1_bc, w2_bc, rhs_sigma = _identity_integrals(traces["BC"], traces["Sigma"], dom)
     rhs_bc = w1_bc + w2_bc
     rhs = rhs_bc + rhs_sigma
@@ -311,11 +310,12 @@ def pohozaev_residual(eigenpair, traces: dict, dom: TricomiDomain) -> dict:
     }
 
 
-def bound_check(eigenpair, norms: BoundaryNormBundle, led: ConstantLedger,
+def bound_check(lam: float, norms: BoundaryNormBundle, led: ConstantLedger,
                 rel_tol: float = 1e-2) -> dict:
-    """Check 2 sqrt(lambda) ||u|| against the optimized right-hand side."""
-    lam = eigenpair.lam
-    lhs = 2.0 * math.sqrt(lam) * math.sqrt(max(eigenpair.l2_norm_sq, 0.0))
+    """Check 2 sqrt(lambda) ||u|| against the optimized right-hand side;
+    lam is the eigenvalue of a unit-L2(Omega) pair, so the left side is
+    2 sqrt(lambda)."""
+    lhs = 2.0 * math.sqrt(lam)
     eps1, eps2, rhs = optimize_epsilons(norms, led)
     return {
         "lhs": lhs,

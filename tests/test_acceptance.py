@@ -249,8 +249,8 @@ def eigen_runs():
         pairs = [p for p in pairs if p.lam > 0]
         pair = pairs[0]
         traces, norms = trace_norms(pair, dom, grid)
-        identity = pohozaev_residual(pair, traces, dom)
-        bound = bound_check(pair, norms, ledger(-0.5), rel_tol=1e-2)
+        identity = pohozaev_residual(pair.lam, traces, dom)
+        bound = bound_check(pair.lam, norms, ledger(-0.5), rel_tol=1e-2)
         out[n] = {
             "pair": pair,
             "identity": identity,

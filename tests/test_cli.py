@@ -244,7 +244,8 @@ class TestEigenAndBound:
 
     def test_eigen_csv_writes_principal_not_spurious_mode(self, capsys, tmp_path):
         # At 80^2 the smallest-magnitude real pair is a spurious negative
-        # mode; the CSV holds the principal (smallest positive) pair's field.
+        # mode; the CSV holds the principal (smallest positive) pair's field,
+        # solved for alone.
         from tricomi import TricomiDomain
         from tricomi.eigensolver import Grid, assemble, solve_real_spectrum
         path = tmp_path / "field.csv"
@@ -252,9 +253,10 @@ class TestEigenAndBound:
                           "--ny", "80", "--format", "csv", "--out", str(path))
         assert code == 0
         dom = TricomiDomain(-0.5)
-        pairs, _ = solve_real_spectrum(assemble(dom, Grid.build(dom, 80, 80)), 4)
+        op = assemble(dom, Grid.build(dom, 80, 80))
+        pairs, _ = solve_real_spectrum(op, 4)
         assert pairs[0].lam < 0.0
-        pair = next(p for p in pairs if p.lam > 0)
+        (pair,), _ = solve_real_spectrum(op, 4, principal_only=True)
         assert pair.lam == pytest.approx(6.315, rel=1e-3)
         u = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
         assert np.array_equal(u, pair.field.ravel())
@@ -262,6 +264,7 @@ class TestEigenAndBound:
     @pytest.mark.parametrize("argv", [
         ("eigen", "--format", "csv", "--out"),
         ("plot", "eigen", "--out"),
+        ("bound", "--out"),
     ])
     def test_no_positive_eigenvalue_exits_1(self, capsys, monkeypatch, tmp_path,
                                             argv):
@@ -278,7 +281,8 @@ class TestEigenAndBound:
         code, out, err = _run(capsys, *argv, str(path), "--x0", "-0.5",
                               "--nx", "80", "--ny", "80")
         assert code == 1 and out == "" and not path.exists()
-        assert "no positive real eigenvalue" in json.loads(err)["error"]
+        assert json.loads(err) == {"error": "no positive real eigenvalue found",
+                                   "x0": -0.5}
 
     def test_eigen_csv_without_out_exits_before_solving(self, capsys, monkeypatch):
         from tricomi import cli
@@ -297,7 +301,15 @@ class TestEigenAndBound:
         assert d["bound"]["lhs"] <= d["bound"]["rhs"] * 1.01
         assert 0.0 < d["identity"]["relative_residual"] < 0.2
 
-    def test_bound_rejects_large_algebraic_residual(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("argv, written", [
+        (("bound",), '"passed": true'),
+        (("plot", "eigen"), "principal eigenfunction"),
+        (("eigen", "--format", "csv"), "x,y,u\n"),
+    ], ids=["bound", "plot-eigen", "eigen-csv"])
+    def test_rejects_large_algebraic_residual(self, capsys, monkeypatch, tmp_path,
+                                              argv, written):
+        # Each command on the principal pair gates that pair's residual, and
+        # still writes its text.
         from tricomi import cli
         solve = cli._solve
 
@@ -307,10 +319,12 @@ class TestEigenAndBound:
             return dom, grid, pairs, complex_diag
 
         monkeypatch.setattr(cli, "_solve", sloppy)
-        code, out, err = _run(capsys, "bound", "--x0", "-0.5")
-        assert code == 1
-        assert json.loads(out)["passed"] is True
-        assert json.loads(err)["residual"] == 1e-6
+        path = tmp_path / "out"
+        code, out, err = _run(capsys, *argv, "--x0", "-0.5", "--out", str(path))
+        assert code == 1 and out == ""
+        assert written in path.read_text()
+        assert json.loads(err) == {"error": "eigen residual above tolerance",
+                                   "residual": 1e-6, "tol": 1e-8}
 
 
 class TestPlot:
@@ -437,7 +451,7 @@ class TestPinnedOutput:
                               "--out", str(path))
         assert (code, out, err) == (0, "", "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "51ddb3dcdb3b4ae9270cccc061c9f72de5d77ca8f4ebd5a3e9a3ad8c3e1ba85b")
+            "6651d9470758e9c6bb680a9e04f90b3afc3e8c7d355ce9b20f4a9024ac5fdc89")
 
 
 class TestEdgeInputs:

@@ -142,7 +142,6 @@ class TestSpectrum:
         pairs, _ = solved64
         for p in pairs:
             assert p.residual <= 1e-8
-            assert p.l2_norm_sq == 1.0
         F = pairs[0].field
         assert area_l2_norm_sq(dom, grid64.xs, grid64.ys, F) == pytest.approx(
             1.0, rel=1e-10)
@@ -241,13 +240,19 @@ class TestPrincipalOnly:
             # The full 4-pair solve takes 58.
             assert calls["solve"] <= 30
 
-    def test_plot_eigen_is_principal_only(self, capsys, monkeypatch):
-        # `plot eigen` draws the principal pair alone and solves for it as
-        # `bound` does: one LU, 26 solves at 48^2 (the 4-pair solve takes 47).
+    @pytest.mark.parametrize("argv, written", [
+        (("plot", "eigen"), "principal eigenfunction"),
+        (("eigen", "--format", "csv"), "x,y,u\n"),
+    ], ids=["plot-eigen", "eigen-csv"])
+    def test_cli_is_principal_only(self, monkeypatch, tmp_path, argv, written):
+        # `plot eigen` (48^2) and `eigen --format csv` (64^2) use the
+        # principal pair alone and solve for it as `bound` does: one LU and
+        # 26 solves (the 4-pair solve takes 47 and 58).
         from tricomi.cli import run
         calls = _count_lu(monkeypatch)
-        assert run(["plot", "eigen", "--x0", "-0.5"]) == 0
-        assert "principal eigenfunction" in capsys.readouterr().out
+        path = tmp_path / "out"
+        assert run([*argv, "--x0", "-0.5", "--out", str(path)]) == 0
+        assert written in path.read_text()
         assert calls["splu"] == 1
         assert calls["solve"] <= 30
 
@@ -336,7 +341,7 @@ class TestTraces:
         # u = y: u_y = 1, u_x = 0, so the BC norm of u_y approaches the
         # square root of the BC arc length.
         Y = np.broadcast_to(grid64.ys[None, :], (grid64.nx, grid64.ny)).copy()
-        pair = EigenPair(lam=1.0, field=Y, residual=0.0, l2_norm_sq=1.0)
+        pair = EigenPair(lam=1.0, field=Y, residual=0.0)
         _, bundle = trace_norms(pair, dom, grid64)
         arclen = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
         assert bundle.uy_L2_BC == pytest.approx(math.sqrt(arclen), rel=0.05)
@@ -366,7 +371,7 @@ class TestEndToEnd64:
         pairs, _ = solved64
         pair = pairs[0]
         traces, _ = trace_norms(pair, dom, grid64)
-        out = pohozaev_residual(pair, traces, dom)
+        out = pohozaev_residual(pair.lam, traces, dom)
         assert out["relative_residual"] < 0.2
         assert out["rhs_BC"] > 0.0 and out["rhs_sigma"] > 0.0
 
@@ -374,7 +379,7 @@ class TestEndToEnd64:
         pairs, _ = solved64
         pair = pairs[0]
         _, norms = trace_norms(pair, dom, grid64)
-        out = bound_check(pair, norms, ledger(X0))
+        out = bound_check(pair.lam, norms, ledger(X0))
         assert out["satisfied"], out
 
 
@@ -402,8 +407,7 @@ class TestExport:
 class TestRecords:
     # Records are values: each is complete when built and never set after.
     @pytest.mark.parametrize("make, name", [
-        (lambda op: EigenPair(lam=1.0, field=np.zeros((2, 2)), residual=0.0,
-                              l2_norm_sq=1.0), "lam"),
+        (lambda op: EigenPair(lam=1.0, field=np.zeros((2, 2)), residual=0.0), "lam"),
         (lambda op: op, "matrix"),
         (lambda op: VerificationReport(claim_id="c", x0=-0.5, grid_size=1,
                                        worst_margin=0.0, worst_location=-0.5,

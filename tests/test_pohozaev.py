@@ -23,7 +23,6 @@ from tricomi import (
     verify_trace_inequalities,
 )
 from tricomi.constants import ledger
-from tricomi.eigensolver import EigenPair
 from tricomi.pohozaev import area_l2_norm_sq
 
 
@@ -256,28 +255,22 @@ class TestAreaNorm:
 
 class TestIdentityAndBound:
     def test_residual_requires_positive_eigenvalue(self, dom):
-        pair = EigenPair(lam=-1.0, field=np.zeros((4, 4)), residual=0.0,
-                         l2_norm_sq=1.0)
         traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
         with pytest.raises(ValueError):
-            pohozaev_residual(pair, traces, dom)
+            pohozaev_residual(-1.0, traces, dom)
 
     def test_zero_trace_residual_is_one(self, dom):
         # Zero boundary data makes the right-hand side vanish; the relative
         # residual is then exactly 1.
-        pair = EigenPair(lam=2.0, field=np.zeros((4, 4)), residual=0.0,
-                         l2_norm_sq=1.0)
         traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
-        out = pohozaev_residual(pair, traces, dom)
+        out = pohozaev_residual(2.0, traces, dom)
         assert out["relative_residual"] == pytest.approx(1.0, rel=1e-15)
         assert out["lhs"] == pytest.approx(8.0, rel=1e-15)
 
     def test_bound_fails_for_zero_norms(self, dom):
         from tricomi.pohozaev import BoundaryNormBundle
-        pair = EigenPair(lam=2.0, field=np.zeros((4, 4)), residual=0.0,
-                         l2_norm_sq=1.0)
         zero = BoundaryNormBundle(0, 0, 0, 0, 0, 0, 0)
-        out = bound_check(pair, zero, ledger(dom.x0))
+        out = bound_check(2.0, zero, ledger(dom.x0))
         assert not out["satisfied"]
         assert out["rhs"] == 0.0
         assert out["lhs"] > 0.0
