@@ -15,6 +15,16 @@ operation is a numerical failure (exit 1), never a warning on stderr.
 Each subcommand handler only computes.  It returns `(text, failure)`: the
 text for stdout or --out (None to write nothing) and the JSON failure record
 (None on success).  `run` alone writes both and picks the exit code.
+
+Each command loads only the layers it runs, since start-up dominates a
+short command.  `constants`, `plot h|domain` and `verify starshape` load
+`constants`, `geometry` and `report`; the other `verify` checks add
+`verifier` and/or `pohozaev`; `eigen`, `bound` and `plot eigen` add
+`eigensolver` (with scipy.sparse) and `pohozaev`.  Each run logs as
+TRICOMI_LOG says at that run: `info` or `debug` writes log lines to stderr;
+anything else writes none and does not import logging.  A `verify` with one
+job (one x0, or --jobs 1) runs in the calling thread; only a sweep with more
+jobs starts a thread pool.
 """
 
 from __future__ import annotations
@@ -23,23 +33,18 @@ import argparse
 import dataclasses
 import functools
 import json
-import logging
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
 
-from . import pohozaev, verifier
 from .constants import ledger
 from .geometry import TricomiDomain, reflected_membership, verify_star_shaped
 from .report import csv_table, reports_to_csv, reports_to_jsonl
 
 __all__ = ["main", "run"]
-
-log = logging.getLogger("tricomi")
 
 # Largest algebraic residual |Av - lambda v| / |v| that a command accepts.
 _RESIDUAL_TOL = 1e-8
@@ -48,12 +53,39 @@ _RESIDUAL_TOL = 1e-8
 _RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
+class _Quiet:
+    """The log of a run that writes no log lines."""
+
+    def debug(self, *args):
+        pass
+
+    info = debug
+
+
+# The log of the current run (see _setup_logging), and the stderr handler
+# that the last verbose run gave the "tricomi" logger.
+log = _Quiet()
+_log_handler = None
+
+
 def _setup_logging():
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(os.environ.get("TRICOMI_LOG", "error"))
-    if level is None:
-        level = logging.ERROR
-    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    """Point `log` at what TRICOMI_LOG asks for now.  The CLI never logs
+    above INFO, so any value but info and debug gets the quiet log, without
+    importing logging.  A verbose run writes to the sys.stderr it runs with."""
+    global log, _log_handler
+    level = os.environ.get("TRICOMI_LOG")
+    if level not in ("info", "debug"):
+        log = _Quiet()
+        return
+    import logging
+
+    log = logging.getLogger("tricomi")
+    log.removeHandler(_log_handler)
+    _log_handler = logging.StreamHandler(sys.stderr)
+    _log_handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    log.addHandler(_log_handler)
+    log.setLevel(logging.DEBUG if level == "debug" else logging.INFO)
+    log.propagate = False
 
 
 def _parse_range(spec: str):
@@ -134,12 +166,21 @@ def _starshape(x0: float, grid: int, reflected: bool):
                                membership=membership)]
 
 
+def _verifier():
+    from . import verifier   # loaded only by the checks that call it
+    return verifier
+
+
 def _integrands(x0: float, grid: int, reflected: bool):
+    from . import pohozaev
+
     n = grid if grid < 10000 else 1000
     return [pohozaev.verify_integrand_equivalence(x0, n_states=n)]
 
 
 def _inequalities(x0: float, grid: int, reflected: bool):
+    from . import pohozaev
+
     n = grid if grid < 10000 else 1000
     return [pohozaev.verify_trace_inequalities(x0, n_traces=n)]
 
@@ -147,13 +188,13 @@ def _inequalities(x0: float, grid: int, reflected: bool):
 # Each `verify` check, keyed by its argparse choice, and its parts in output
 # order.  A part maps (x0, grid, reflected) to its reports.
 _VERIFY_CHECKS = {
-    "h-profile": (lambda x0, grid, _: [verifier.verify_h_profile(x0, grid)],),
-    "g1-bounds": (lambda x0, grid, _: [verifier.verify_G1_bounds(x0, grid)],),
-    "g2-bounds": (lambda x0, grid, _: [verifier.verify_G2_bounds(x0, grid)],),
+    "h-profile": (lambda x0, grid, _: [_verifier().verify_h_profile(x0, grid)],),
+    "g1-bounds": (lambda x0, grid, _: [_verifier().verify_G1_bounds(x0, grid)],),
+    "g2-bounds": (lambda x0, grid, _: [_verifier().verify_G2_bounds(x0, grid)],),
     "starshape": (_starshape,),
     "integrands": (_integrands,),
     "inequalities": (_inequalities,),
-    "all": (lambda x0, grid, _: verifier.verify_profiles(x0, grid),
+    "all": (lambda x0, grid, _: _verifier().verify_profiles(x0, grid),
             _starshape, _integrands, _inequalities),
 }
 
@@ -175,19 +216,34 @@ def _verify_one(check: str, x0: float, grid: int, reflected: bool):
     return reports
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on (its affinity set, where the OS
+    has one), not all the machine's."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_verify(args):
     x0s = _x0_list(args)
-    jobs = args.jobs or min(os.cpu_count() or 1, len(x0s))
+    jobs = args.jobs or min(_usable_cpus(), len(x0s))
     log.info("verify %s over %d value(s) of x0 with %d job(s)",
              args.check, len(x0s), jobs)
 
+    # One job runs in the calling thread, more on a thread pool.  numpy's
+    # error state is per thread, so each call sets run's.
     def one(x0):
-        # numpy's error state is per thread, so each worker sets run's.
         with np.errstate(**_RAISE):
             return _verify_one(args.check, x0, args.grid, args.reflected)
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        reports = [r for batch in pool.map(one, x0s) for r in batch]
+    if jobs == 1:
+        batches = map(one, x0s)
+    else:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            batches = list(pool.map(one, x0s))
+    reports = [r for batch in batches for r in batch]
     if args.tol is not None:
         reports = [dataclasses.replace(r, passed=r.worst_margin >= -args.tol)
                    for r in reports]
@@ -257,7 +313,7 @@ def _cmd_eigen(args):
 
 
 def _bound(args, dom, grid, pair):
-    from . import eigensolver
+    from . import eigensolver, pohozaev
 
     traces, norms = _stage("traces", lambda: eigensolver.trace_norms(pair, dom, grid))
     identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces, dom),
@@ -449,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("check", choices=_VERIFY_CHECKS)
     _add_common(sv, sweep=True)
     sv.add_argument("--jobs", type=_pos_int, default=None,
-                    help="parallel workers for sweeps (default: cpu count)")
+                    help="parallel workers for sweeps (default: the CPUs this "
+                         "process may run on)")
     sv.add_argument("--grid", type=int, default=100000,
                     help="sweep grid size (or sample count for randomized checks)")
     sv.add_argument("--tol", type=_tol_float, default=None,

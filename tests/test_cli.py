@@ -424,6 +424,48 @@ class TestDebugLog:
             line.endswith(", one sweep for h_profile G1_bounds G2_bounds")
             for line in profiles)
 
+    def test_single_x0_verify_logs_as_a_sweep_does(self):
+        quiet, debug = _quiet_and_debug("verify", "g1-bounds", "--x0", "-0.5",
+                                        "--grid", "2000")
+        assert debug.stdout == quiet.stdout
+        info, line = debug.stderr.splitlines()
+        assert info == "INFO tricomi: verify g1-bounds over 1 value(s) of x0 with 1 job(s)"
+        assert line.startswith("DEBUG tricomi: G1_bounds ")
+        assert line.endswith(" s, x0=-0.5")
+
+
+class TestLogLevelPerRun:
+    """In one process, each run() logs as TRICOMI_LOG asks at that run."""
+
+    ARGV = ("verify", "g1-bounds", "--x0-range", "-1:-0.5:2", "--grid", "2000")
+
+    @pytest.mark.parametrize("levels", [("debug", None, "debug"), (None, "debug", None)])
+    def test_each_run_follows_the_current_level(self, capsys, monkeypatch, levels):
+        results = []
+        for level in levels:
+            if level is None:
+                monkeypatch.delenv("TRICOMI_LOG", raising=False)
+            else:
+                monkeypatch.setenv("TRICOMI_LOG", level)
+            results.append(_run(capsys, *self.ARGV, "--jobs", "1"))
+        for level, (code, out, err) in zip(levels, results):
+            assert code == 0 and out == results[0][1]
+            lines = err.splitlines()
+            if level is None:
+                assert lines == []
+            else:
+                assert lines[0] == ("INFO tricomi: verify g1-bounds over 2 value(s) "
+                                    "of x0 with 1 job(s)")
+                assert [line.split()[:3] for line in lines[1:]] == [
+                    ["DEBUG", "tricomi:", "G1_bounds"]] * 2
+
+    def test_default_jobs_count_the_usable_cpus(self, capsys, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setenv("TRICOMI_LOG", "info")
+        code, _, err = _run(capsys, *self.ARGV)
+        assert code == 0
+        assert err == "INFO tricomi: verify g1-bounds over 2 value(s) of x0 with 1 job(s)\n"
+
 
 class TestPinnedOutput:
     # sha256 of stdout (or of the --out file), pinned so that a change to
@@ -565,3 +607,40 @@ class TestLazyImport:
         out = subprocess.run([sys.executable, "-c", code],
                              capture_output=True, text=True, check=True).stdout
         assert out.split() == ["False", "True"]
+
+    # After `import tricomi`, then after each command in turn, the tricomi
+    # submodules and the watched modules loaded so far, one JSON list a line.
+    _LOADED = (
+        "import contextlib, io, json, sys\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules if m.startswith('tricomi.')\n"
+        "                  or m in ('logging', 'concurrent.futures', 'scipy.sparse'))\n"
+        "import tricomi\n"
+        "print(json.dumps(loaded()))\n"
+        "import tricomi.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert tricomi.cli.run(argv) == 0\n"
+        "    print(json.dumps(loaded()))\n")
+
+    @classmethod
+    def _loaded(cls, *argvs):
+        env = {k: v for k, v in os.environ.items() if k != "TRICOMI_LOG"}
+        out = subprocess.run([sys.executable, "-c", cls._LOADED, json.dumps(argvs)],
+                             capture_output=True, text=True, check=True, env=env).stdout
+        return [set(json.loads(line)) for line in out.splitlines()]
+
+    def test_each_command_loads_only_the_layers_it_runs(self):
+        base = {"tricomi.cli", "tricomi.constants", "tricomi.geometry", "tricomi.report"}
+        package, *commands, g1 = self._loaded(
+            ["constants", "--x0-range", "-2:-0.1:5", "--format", "csv"],
+            ["plot", "h", "--x0", "-0.5"],
+            ["verify", "starshape", "--x0", "-0.5", "--grid", "2000"],
+            ["verify", "g1-bounds", "--x0", "-0.5", "--grid", "2000"])
+        assert package == set()
+        assert commands == [base] * 3
+        assert g1 == base | {"tricomi.verifier"}
+        # scipy.sparse loads logging and concurrent.futures itself.
+        package, bound = self._loaded(["bound", "--nx", "48", "--ny", "48", "--x0", "-0.5"])
+        assert bound - {"logging", "concurrent.futures"} == base | {
+            "tricomi.eigensolver", "tricomi.pohozaev", "scipy.sparse"}

@@ -383,13 +383,43 @@ class TestEndToEnd64:
         assert out["satisfied"], out
 
 
+# Every name the package exported when it imported its layers eagerly:
+# (defining module, names).  The package now loads each on first use.
+_PACKAGE_EXPORTS = (
+    ("constants", ("G1", "G2", "SQRT3", "SQRT33", "X0_CRITICAL", "ConstantLedger",
+                   "g1", "g2", "ledger", "optimize_epsilons")),
+    ("geometry", ("MEMBERSHIP_TOL", "BoundaryCurve", "TricomiDomain", "boundary_points",
+                  "flow", "reflected_membership", "verify_star_shaped")),
+    ("pohozaev", ("BoundaryNormBundle", "BoundaryTrace", "area_l2_norm_sq", "bc_trace",
+                  "bound_check", "line_integral", "norm_bundle_from_traces", "omega1",
+                  "omega1_BC_simplified", "omega1_sigma_simplified", "omega2",
+                  "omega2_BC_simplified", "pohozaev_residual", "sigma_trace",
+                  "verify_integrand_equivalence", "verify_trace_inequalities")),
+    ("report", ("VerificationReport", "reports_to_csv", "reports_to_jsonl")),
+    ("verifier", ("find_inflection", "proof_internals", "sweep_grid", "verify_G1_bounds",
+                  "verify_G2_bounds", "verify_h_profile", "verify_profiles")),
+    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "extract_traces",
+                     "field_csv", "solve_real_spectrum", "trace_norms")),
+)
+
+
 class TestExport:
-    def test_lazy_exports_match_eigensolver_all(self):
-        # The package loads eigensolver names on first use; a public name in
-        # one list and not the other would be missing or unreachable.
+    def test_package_exports_resolve_to_their_modules(self):
+        import sys
+
         import tricomi
-        import tricomi.eigensolver as eigensolver
-        assert tricomi._EIGENSOLVER_NAMES == set(eigensolver.__all__)
+        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 51
+        for module, names in _PACKAGE_EXPORTS + (("cli", ()),):
+            mod = getattr(tricomi, module)
+            assert mod is sys.modules[f"tricomi.{module}"]
+            for name in names:
+                assert getattr(tricomi, name) is getattr(mod, name), name
+        # The eigensolver names are exactly eigensolver's public API.
+        eigensolver_names, = (names for module, names in _PACKAGE_EXPORTS
+                              if module == "eigensolver")
+        assert set(eigensolver_names) == set(tricomi.eigensolver.__all__)
+        with pytest.raises(AttributeError):
+            tricomi.no_such_name
 
     def test_csv_shape(self, grid64, solved64):
         pairs, _ = solved64
