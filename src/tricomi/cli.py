@@ -22,9 +22,9 @@ short command.  `constants`, `plot h|domain` and `verify starshape` load
 `verifier` and/or `pohozaev`; `eigen`, `bound` and `plot eigen` add
 `eigensolver` (with scipy.sparse) and `pohozaev`.  Each run logs as
 TRICOMI_LOG says at that run: `info` or `debug` writes log lines to stderr;
-anything else writes none and does not import logging.  A `verify` with one
-job (one x0, or --jobs 1) runs in the calling thread; only a sweep with more
-jobs starts a thread pool.
+anything else writes none and does not import logging.  A `verify` runs
+at most one job per x0; one job runs in the calling thread, and only more
+jobs start a thread pool.
 """
 
 from __future__ import annotations
@@ -39,6 +39,8 @@ import sys
 from time import perf_counter
 
 import numpy as np
+
+import tricomi
 
 from .constants import ledger
 from .geometry import TricomiDomain, reflected_membership, verify_star_shaped
@@ -159,54 +161,46 @@ def _cmd_constants(args):
     return _json(rows[0] if len(rows) == 1 else rows), None
 
 
-def _starshape(x0: float, grid: int, reflected: bool):
+def _starshape(x0: float, n: tuple, reflected: bool):
     dom = TricomiDomain(x0)
     membership = reflected_membership(dom) if reflected else None
-    return [verify_star_shaped(dom, grid if grid < 10000 else 200, 50,
-                               membership=membership)]
+    return [verify_star_shaped(dom, *n, membership=membership)]
 
 
-def _verifier():
-    from . import verifier   # loaded only by the checks that call it
-    return verifier
+def _integrands(x0: float, n: tuple, reflected: bool):
+    return [tricomi.verify_integrand_equivalence(x0, *n)]
 
 
-def _integrands(x0: float, grid: int, reflected: bool):
-    from . import pohozaev
-
-    n = grid if grid < 10000 else 1000
-    return [pohozaev.verify_integrand_equivalence(x0, n_states=n)]
-
-
-def _inequalities(x0: float, grid: int, reflected: bool):
-    from . import pohozaev
-
-    n = grid if grid < 10000 else 1000
-    return [pohozaev.verify_trace_inequalities(x0, n_traces=n)]
+def _inequalities(x0: float, n: tuple, reflected: bool):
+    return [tricomi.verify_trace_inequalities(x0, *n)]
 
 
 # Each `verify` check, keyed by its argparse choice, and its parts in output
-# order.  A part maps (x0, grid, reflected) to its reports.
+# order.  A part maps (x0, n, reflected) to its reports.  n is (--grid,),
+# which every check takes as its second argument, its sample count, or ()
+# when --grid is left out, so that each check samples its own default.  The
+# package loads verifier and pohozaev on first use, so only the checks that
+# call them load them.
 _VERIFY_CHECKS = {
-    "h-profile": (lambda x0, grid, _: [_verifier().verify_h_profile(x0, grid)],),
-    "g1-bounds": (lambda x0, grid, _: [_verifier().verify_G1_bounds(x0, grid)],),
-    "g2-bounds": (lambda x0, grid, _: [_verifier().verify_G2_bounds(x0, grid)],),
+    "h-profile": (lambda x0, n, _: [tricomi.verify_h_profile(x0, *n)],),
+    "g1-bounds": (lambda x0, n, _: [tricomi.verify_G1_bounds(x0, *n)],),
+    "g2-bounds": (lambda x0, n, _: [tricomi.verify_G2_bounds(x0, *n)],),
     "starshape": (_starshape,),
     "integrands": (_integrands,),
     "inequalities": (_inequalities,),
-    "all": (lambda x0, grid, _: _verifier().verify_profiles(x0, grid),
+    "all": (lambda x0, n, _: tricomi.verify_profiles(x0, *n),
             _starshape, _integrands, _inequalities),
 }
 
 
-def _verify_one(check: str, x0: float, grid: int, reflected: bool):
+def _verify_one(check: str, x0: float, n: tuple, reflected: bool):
     """The reports of `check` at x0.  Under TRICOMI_LOG=debug each report
     gets one line with the wall time of the call that made it; the three
     profile reports of `all` come from one shared sweep and one time."""
     reports = []
     for part in _VERIFY_CHECKS[check]:
         t = perf_counter()
-        batch = part(x0, grid, reflected)
+        batch = part(x0, n, reflected)
         dt = perf_counter() - t
         shared = (", one sweep for " + " ".join(r.claim_id for r in batch)
                   if len(batch) > 1 else "")
@@ -226,7 +220,8 @@ def _usable_cpus() -> int:
 
 def _cmd_verify(args):
     x0s = _x0_list(args)
-    jobs = args.jobs or min(_usable_cpus(), len(x0s))
+    jobs = min(args.jobs or _usable_cpus(), len(x0s))
+    n = () if args.grid is None else (args.grid,)
     log.info("verify %s over %d value(s) of x0 with %d job(s)",
              args.check, len(x0s), jobs)
 
@@ -234,7 +229,7 @@ def _cmd_verify(args):
     # error state is per thread, so each call sets run's.
     def one(x0):
         with np.errstate(**_RAISE):
-            return _verify_one(args.check, x0, args.grid, args.reflected)
+            return _verify_one(args.check, x0, n, args.reflected)
 
     if jobs == 1:
         batches = map(one, x0s)
@@ -505,10 +500,13 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("check", choices=_VERIFY_CHECKS)
     _add_common(sv, sweep=True)
     sv.add_argument("--jobs", type=_pos_int, default=None,
-                    help="parallel workers for sweeps (default: the CPUs this "
-                         "process may run on)")
-    sv.add_argument("--grid", type=int, default=100000,
-                    help="sweep grid size (or sample count for randomized checks)")
+                    help="parallel workers for sweeps, at most one per x0 "
+                         "(default: the CPUs this process may run on)")
+    sv.add_argument("--grid", type=int, default=None,
+                    help="sample count of the check, given to each part of "
+                         "all (default: each check's own: 100000 sweep nodes, "
+                         "200 boundary points for starshape, 1000 for "
+                         "integrands and inequalities)")
     sv.add_argument("--tol", type=_tol_float, default=None,
                     help="override the pass/fail margin tolerance")
     sv.add_argument("--reflected", action="store_true",
@@ -530,7 +528,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = subs.add_parser("plot", help="static SVG plots")
     sp.add_argument("target", choices=("h", "domain", "eigen"))
-    _add_common(sp, fmt_choices=("svg",), mesh=48)
+    _add_common(sp, fmt_choices=("svg",))
+    # plot eigen's mesh: run() rejects it for h and domain and sets its default.
+    for axis in ("--nx", "--ny"):
+        sp.add_argument(axis, type=_mesh_int, help="plot eigen only (default 48)")
     sp.set_defaults(handler=_cmd_plot, failed="plot failed", detail=("target", "x0"))
 
     return parser
@@ -566,6 +567,10 @@ def run(argv=None) -> int:
     if (args.command == "verify" and args.reflected
             and args.check not in ("starshape", "all")):
         parser.error("--reflected is the starshape control; give it to starshape or all")
+    if args.command == "plot":
+        if args.target != "eigen" and (args.nx, args.ny) != (None, None):
+            parser.error("--nx and --ny set the mesh of plot eigen; give them to plot eigen")
+        args.nx, args.ny = args.nx or 48, args.ny or 48
     try:
         with np.errstate(**_RAISE):
             text, failure = args.handler(args)

@@ -39,9 +39,6 @@ __all__ = [
     "field_csv",
 ]
 
-# Node classification codes.
-EXTERIOR, INTERIOR, DIRICHLET, FREE_BC = 0, 1, 2, 3
-
 _REAL_EIG_RTOL = 1e-8
 # ARPACK stops once every Ritz estimate is at most this times |theta|
 # (theta the Ritz value of the shift-inverted operator).  The LU solves that
@@ -104,7 +101,6 @@ class TricomiOperator:
     matrix: sp.csr_matrix
     nodes: np.ndarray        # (n_unknowns, 2) node (i, j)
     full_stencil: np.ndarray  # rows whose stencil is fully centered interior
-    labels: np.ndarray       # (nx, ny) int8 node classification codes
 
     @property
     def n(self) -> int:
@@ -181,10 +177,6 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
     changing the second-order interior consistency.  It is added in rows
     with y < 0, along each axis whose five-point stencil is all unknowns,
     with weight 0.5.
-
-    `labels` on the result marks each node INTERIOR (an unknown),
-    DIRICHLET or FREE_BC (an exterior node reached by a stencil arm across
-    AC/sigma resp. BC) or EXTERIOR.
     """
     hx, hy = grid.hx, grid.hy
     index = -np.ones((grid.nx, grid.ny), dtype=np.int64)
@@ -199,7 +191,6 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
     P = (nodes[:, 0] + 2) * strides[0] + nodes[:, 1] + 2
     pin = np.pad(grid.inside, 2).ravel()
     pidx = np.pad(index, 2, constant_values=-1).ravel()
-    plabels = np.pad(np.where(grid.inside, INTERIOR, EXTERIOR).astype(np.int8), 2)
 
     def unknown(axis, off):
         return pin[P + off * strides[axis]]
@@ -218,9 +209,6 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
         centered = active & ok_m & ok_p
         full &= centered | ~active
         miss_m, miss_p = active & ~ok_m, active & ~ok_p
-        for sign, miss, free in ((-1, miss_m, free_minus), (1, miss_p, free_plus)):
-            plabels.flat[P[miss] + sign * strides[axis]] = np.where(
-                free[miss], FREE_BC, DIRICHLET)
         free_p = miss_p & free_plus
         one_sided = (miss_m & free_minus) | free_p
         cut = active & ~centered & ~one_sided
@@ -256,8 +244,7 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
 
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return TricomiOperator(dom=dom, grid=grid, matrix=A, nodes=nodes, full_stencil=full,
-                           labels=plabels[2:-2, 2:-2].copy())
+    return TricomiOperator(dom=dom, grid=grid, matrix=A, nodes=nodes, full_stencil=full)
 
 
 @dataclass(frozen=True)

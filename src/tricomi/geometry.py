@@ -319,8 +319,8 @@ def boundary_points(dom: TricomiDomain, n: int):
 
 def verify_star_shaped(
     dom: TricomiDomain,
-    n_boundary: int,
-    n_times: int,
+    n_boundary: int = 200,
+    n_times: int = 50,
     membership: Callable | None = None,
 ) -> VerificationReport:
     """Check that dilation-flow trajectories of boundary points stay inside.

@@ -37,28 +37,30 @@ _CURVATURE_TOL = 1e-8
 _SHARP_TOL = 1e-6
 
 
-def _breakpoints(led: ConstantLedger) -> np.ndarray:
-    """The critical abscissae that the sweep holds besides its linspace,
-    sorted and unique."""
+def _nodes(led: ConstantLedger, n: int):
+    """The sweep of `sweep_grid(led.x0, n)`, and a mask that is True at its
+    linspace nodes and False at the breakpoints inserted among them."""
+    # The same array as np.union1d(linspace, breakpoints) without sorting the
+    # already sorted linspace: insert the sorted breakpoints after their
+    # equals, then drop each entry equal to its left neighbour.  So on a tie
+    # the linspace entry stays, which decides the sign of a zero.  A linspace
+    # is nondecreasing, and at a subnormal x0 it holds equal neighbours itself.
     x0 = led.x0
     extra = [2.0 * x0, x0, 1.5 * x0, 0.5 * x0, led.x1, led.x2, 0.0]
     if led.x_plus is not None:
         extra += [led.x_plus, led.x_minus]
-    return np.unique(extra)
+    extra = np.unique(extra)
+    xs = np.linspace(2.0 * x0, 0.0, n)
+    at = np.searchsorted(xs, extra, side="right")
+    xs = np.insert(xs, at, extra)
+    on_linspace = np.insert(np.ones(n, dtype=bool), at, False)
+    keep = np.concatenate(([True], xs[1:] != xs[:-1]))
+    return np.clip(xs[keep], 2.0 * x0, 0.0), on_linspace[keep]
 
 
 def sweep_grid(x0: float, n: int) -> np.ndarray:
     """Uniform n-point grid on [2x0, 0] plus the critical breakpoints."""
-    # The same array as np.union1d(linspace, extra) without sorting the
-    # already sorted linspace: insert the sorted extras after their equals,
-    # then drop each entry equal to its left neighbour.  So on a tie the
-    # linspace entry stays, which decides the sign of a zero.  A linspace is
-    # nondecreasing, and at a subnormal x0 it holds equal neighbours itself.
-    extra = _breakpoints(ledger(x0))
-    xs = np.linspace(2.0 * x0, 0.0, n)
-    xs = np.insert(xs, np.searchsorted(xs, extra, side="right"), extra)
-    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    return np.clip(xs, 2.0 * x0, 0.0)
+    return _nodes(ledger(x0), n)[0]
 
 
 def _G_of_X(x0: float, X):
@@ -85,8 +87,8 @@ def N_of_X_alt(x0: float, X):
 def find_inflection(x0: float) -> float:
     """Inflection abscissa of h in (x0, x_plus), for x0 < -sqrt(3)/4.
 
-    Solves N(X) = 0 by bisection to 1e-12; N is negative at X = 0 and
-    positive at X_plus, and increasing in between.
+    Solves N(X) = 0 by bisection to 1e-12 or to adjacent doubles; N is
+    negative at X = 0 and positive at X_plus, and increasing in between.
     """
     if x0 >= X0_CRITICAL:
         raise ValueError("inflection point exists only for x0 < -sqrt(3)/4")
@@ -99,6 +101,8 @@ def find_inflection(x0: float) -> float:
     lo, hi = 0.0, X_plus
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):   # past X = 8192 the doubles are 1.8e-12 apart
+            break
         if float(N_of_X_alt(x0, mid)) < 0.0:
             lo = mid
         else:
@@ -146,9 +150,9 @@ class _Sweep:
     sorts the grid and evaluates g and h once per x0 instead of once per
     check.  The arrays are read-only because the checks share them.
 
-    `inserted` holds the positions in xs of the breakpoints that are not
-    linspace nodes; every other entry of xs is a node of the linspace, in
-    order, so np.delete(xs, inserted) is that linspace."""
+    `on_linspace` is True at the nodes of the linspace and False at the
+    breakpoints that are not linspace nodes, so xs[on_linspace] is that
+    linspace, in order."""
 
     grid_size: int
     dom: TricomiDomain
@@ -156,7 +160,7 @@ class _Sweep:
     xs: np.ndarray
     g: np.ndarray
     h: np.ndarray
-    inserted: np.ndarray
+    on_linspace: np.ndarray
 
 
 def _sweep(x0: float, grid_size: int) -> _Sweep:
@@ -164,16 +168,10 @@ def _sweep(x0: float, grid_size: int) -> _Sweep:
         raise ValueError("grid_size must be at least 1000")
     dom = TricomiDomain(x0)
     led = ledger(x0)
-    xs = sweep_grid(x0, grid_size)
+    xs, on_linspace = _nodes(led, grid_size)
     gx = dom.g(xs)
-    # A breakpoint equal to a linspace node is that node in the sweep.  Every
-    # breakpoint lies in [2x0, 0], so its search index is a valid one.
-    lin = np.linspace(2.0 * x0, 0.0, grid_size)
-    extra = _breakpoints(led)
-    on_lin = lin[np.searchsorted(lin, extra)] == extra
     # xs already lies in [2x0, 0], so h reuses g instead of evaluating it again.
-    arrays = (xs, gx, dom._h_from_g(xs, gx.copy()),
-              np.searchsorted(xs, extra[~on_lin]))
+    arrays = (xs, gx, dom._h_from_g(xs, gx.copy()), on_linspace)
     for a in arrays:
         a.flags.writeable = False
     return _Sweep(grid_size, dom, led, *arrays)
@@ -186,24 +184,24 @@ def _second_differences(sw: _Sweep):
     A linspace node reads h at its linspace neighbours from the sweep; only
     the inserted breakpoints evaluate h, at x - delta and x + delta.
     Returns the nodes, their second differences and delta."""
-    xs, hx, ins = sw.xs, sw.h, sw.inserted
+    xs, hx, lin = sw.xs, sw.h, sw.on_linspace
     x0 = sw.dom.x0
     delta = abs(2.0 * x0) / (sw.grid_size - 1)
     # xs is sorted, so the nodes more than 2 delta inside form one slice.
     lo, hi = (int(np.searchsorted(xs, 2.0 * x0 + 2.0 * delta, "right")),
               int(np.searchsorted(xs, -2.0 * delta, "left")))
-    hl = np.delete(hx, ins)
+    hl = hx[lin]
     diff = np.zeros(len(hl))  # the linspace's end nodes are never inside
     mid = diff[1:-1]
     np.multiply(hl[1:-1], -2.0, out=mid)  # (h[k-1] - 2 h[k]) + h[k+1], in place
     mid += hl[:-2]
     mid += hl[2:]
-    inside = (ins >= lo) & (ins < hi)
-    at = ins[inside]
+    d2 = np.zeros(len(xs))
+    d2[lin] = diff
+    at = np.flatnonzero(~lin[lo:hi]) + lo
     left, right = np.split(sw.dom.h(np.concatenate((xs[at] - delta, xs[at] + delta))), 2)
-    own = np.zeros(len(ins))
-    own[inside] = left - 2.0 * hx[at] + right
-    d2 = np.insert(diff, ins - np.arange(len(ins)), own)[lo:hi]
+    d2[at] = left - 2.0 * hx[at] + right
+    d2 = d2[lo:hi]
     d2 /= delta**2
     return xs[lo:hi], d2, delta
 
@@ -295,22 +293,22 @@ def _G2_bounds(sw: _Sweep) -> VerificationReport:
     return _finish("G2_bounds", dom.x0, xs, checks, _bound_notes(lo_gap, hi_gap))
 
 
-def verify_h_profile(x0: float, grid_size: int) -> VerificationReport:
+def verify_h_profile(x0: float, grid_size: int = 100_000) -> VerificationReport:
     """Bounds, evenness and convexity pattern of the normal-modulus h."""
     return _h_profile(_sweep(x0, grid_size))
 
 
-def verify_G1_bounds(x0: float, grid_size: int) -> VerificationReport:
+def verify_G1_bounds(x0: float, grid_size: int = 100_000) -> VerificationReport:
     """Regime-correct two-sided bound on G1 = g1/h over [2x0, 0]."""
     return _G1_bounds(_sweep(x0, grid_size))
 
 
-def verify_G2_bounds(x0: float, grid_size: int) -> VerificationReport:
+def verify_G2_bounds(x0: float, grid_size: int = 100_000) -> VerificationReport:
     """Two-sided bound on G2 = g2/h plus the symmetric bound |G2| <= C13."""
     return _G2_bounds(_sweep(x0, grid_size))
 
 
-def verify_profiles(x0: float, grid_size: int) -> list:
+def verify_profiles(x0: float, grid_size: int = 100_000) -> list:
     """The h-profile, G1 and G2 reports, in that order, from one shared sweep.
 
     Equal to the three single calls, but builds the grid and evaluates g and

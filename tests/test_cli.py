@@ -67,6 +67,9 @@ class TestArgumentContract:
         ["verify", "g2-bounds", "--x0", "-0.5", "--reflected"],
         ["verify", "integrands", "--x0", "-0.5", "--reflected"],
         ["verify", "inequalities", "--x0-range", "-1:-0.5:2", "--reflected"],
+        # --nx and --ny set plot eigen's mesh; the other plots reject them.
+        ["plot", "h", "--x0", "-0.5", "--nx", "33"],
+        ["plot", "domain", "--x0", "-0.5", "--ny", "48"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -178,12 +181,43 @@ class TestVerify:
 
     def test_all_builds_one_sweep_grid(self, capsys, monkeypatch):
         from tricomi import verifier
-        calls = []
-        sweep_grid = verifier.sweep_grid
-        monkeypatch.setattr(verifier, "sweep_grid",
-                            lambda *a: calls.append(a) or sweep_grid(*a))
+        calls, ledgers = [], []
+        nodes, ledger = verifier._nodes, verifier.ledger
+        monkeypatch.setattr(verifier, "_nodes",
+                            lambda led, n: calls.append((led.x0, n)) or nodes(led, n))
+        monkeypatch.setattr(verifier, "ledger", lambda x0: ledgers.append(x0) or ledger(x0))
         code, _, _ = _run(capsys, "verify", "all", "--x0", "-0.5", "--grid", "1200")
-        assert code == 0 and calls == [(-0.5, 1200)]
+        assert code == 0 and calls == [(-0.5, 1200)] and ledgers == [-0.5]
+
+    # Each check's sample count is --grid itself, at any size: star points
+    # times 51 flow times, two curves of states, 64 nodes per trace bundle.
+    @pytest.mark.parametrize("check, grid, size", [
+        ("starshape", "10000", 510000),
+        ("integrands", "20000", 40000),
+        ("inequalities", "20000", 1280000),
+    ])
+    def test_grid_honored_at_any_size(self, capsys, check, grid, size):
+        code, out, _ = _run(capsys, "verify", check, "--x0", "-0.5", "--grid", grid)
+        assert code == 0 and json.loads(out)["grid_size"] == size
+
+    def test_all_gives_grid_to_each_part(self, capsys):
+        from tricomi.verifier import sweep_grid
+        code, out, _ = _run(capsys, "verify", "all", "--x0", "-0.5", "--grid", "12000")
+        sizes = [json.loads(line)["grid_size"] for line in out.splitlines()]
+        assert code == 0
+        assert sizes == [len(sweep_grid(-0.5, 12000))] * 3 + [12000 * 51, 12000 * 2, 12000 * 64]
+
+    def test_h_profile_ends_at_large_x0(self):
+        # Past X = 8192 the inflection's bisection reaches adjacent doubles
+        # before its 1e-12 width; it must stop there rather than loop.
+        proc = subprocess.run(
+            [sys.executable, "-m", "tricomi.cli", "verify", "h-profile",
+             "--x0", "-1e4", "--grid", "1000"],
+            capture_output=True, text=True, timeout=60)
+        if proc.returncode == 1:
+            assert len(proc.stderr.splitlines()) == 1 and json.loads(proc.stderr)
+        else:
+            assert proc.returncode == 0 and json.loads(proc.stdout)["claim_id"] == "h_profile"
 
     def test_all_sweep_independent_of_jobs(self, capsys):
         argv = ("verify", "all", "--x0-range", "-4:-0.05:6")
@@ -629,6 +663,12 @@ class TestLazyImport:
         out = subprocess.run([sys.executable, "-c", cls._LOADED, json.dumps(argvs)],
                              capture_output=True, text=True, check=True, env=env).stdout
         return [set(json.loads(line)) for line in out.splitlines()]
+
+    def test_one_x0_runs_in_the_calling_thread(self):
+        # --jobs is capped at the number of x0 values, so no pool starts.
+        _, starshape = self._loaded(["verify", "starshape", "--x0", "-0.5",
+                                     "--grid", "2000", "--jobs", "4"])
+        assert "concurrent.futures" not in starshape
 
     def test_each_command_loads_only_the_layers_it_runs(self):
         base = {"tricomi.cli", "tricomi.constants", "tricomi.geometry", "tricomi.report"}

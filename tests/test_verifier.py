@@ -193,9 +193,9 @@ class TestSecondDifferences:
         # difference, the inserted breakpoints among them.
         xs = sw.xs
         assert np.array_equal(nodes, xs[(xs > 2.0 * x0 + 2.0 * delta) & (xs < -2.0 * delta)])
-        inner = [e for e in xs[sw.inserted] if 2.0 * x0 + 2.0 * delta < e < -2.0 * delta]
+        inner = [e for e in xs[~sw.on_linspace] if 2.0 * x0 + 2.0 * delta < e < -2.0 * delta]
         assert inner and np.all(np.isin(inner, nodes))
-        assert np.array_equal(np.delete(xs, sw.inserted), np.linspace(2.0 * x0, 0.0, n))
+        assert np.array_equal(xs[sw.on_linspace], np.linspace(2.0 * x0, 0.0, n))
         # A linspace neighbour is x -+ delta up to a few ulp of x, so the
         # quotients agree to rounding: 64 eps max(h) / delta^2 (the largest
         # gap seen is under 5 eps max(h) / delta^2).
@@ -244,6 +244,14 @@ class TestInflection:
         X = xbar - x0
         scale = max(1.0, abs(float(N_of_X_alt(x0, led.x_plus - x0))))
         assert abs(float(N_of_X_alt(x0, X))) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("x0", [-1e4, -1e6])
+    def test_ends_where_doubles_are_coarser_than_the_tolerance(self, x0):
+        # Past X = 8192 neighbouring doubles lie more than 1e-12 apart, so
+        # the bisection stops at adjacent doubles, where N changes sign.
+        X = find_inflection(x0) - x0
+        step = 4.0 * math.ulp(X)
+        assert float(N_of_X_alt(x0, X - step)) < 0.0 < float(N_of_X_alt(x0, X + step))
 
     def test_curvature_changes_sign_at_inflection(self):
         x0 = -1.0
