@@ -47,9 +47,14 @@ _REAL_EIG_RTOL = 1e-8
 # residual; tol=0 (machine epsilon) spends about a fifth more solves on it.
 _RITZ_TOL = 1e-12
 # `solve_real_spectrum(principal_only=True)`: the Ritz tolerance of the pass
-# that picks the principal pair, the relative distance within which the
-# tight pass must confirm that pick, and the tight pass's restart bound.
+# that picks the principal pair, the backward error |Av - lambda v| /
+# (|A|_1 |v|) at or below which the pick is converged to rounding and kept,
+# the relative distance within which the tight pass must confirm any other
+# pick, and the tight pass's restart bound.  Converged picks read at most
+# 6.4e-17 (64^2 to 320^2, x0 in [-4, -0.05]); the unconverged ones found
+# read 1.7e-12 and 3.5e-9.
 _PICK_TOL = 1e-4
+_CONVERGED = 64 * np.finfo(float).eps
 _CONFIRM_RTOL = 1e-6
 _TIGHT_MAXITER = 20
 # Weight of the fourth-difference damping in the hyperbolic half (`assemble`).
@@ -272,12 +277,17 @@ def _first_positive(w):
     return next((i for i, lam in enumerate(w) if _is_real(lam) and lam.real > 0), None)
 
 
-def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
-    """The real pair (lam, v), normalized to unit L2(Omega) norm with
-    nonnegative mean, with its algebraic residual."""
-    lam_r = float(lam.real)
+def _real_vector(op: TricomiOperator, lam, v):
+    """v turned real (its largest entry rotated onto the real axis), and its
+    algebraic residual |Av - Re(lam) v| / |v|."""
     v = np.real(v * np.exp(-1j * np.angle(v[np.argmax(np.abs(v))])))
-    res = float(np.linalg.norm(op.matrix @ v - lam_r * v) / np.linalg.norm(v))
+    return v, float(np.linalg.norm(op.matrix @ v - lam.real * v) / np.linalg.norm(v))
+
+
+def _unit_pair(op: TricomiOperator, lam, v, res: float) -> EigenPair:
+    """The pair (lam, v) of real v, normalized to unit L2(Omega) norm with
+    nonnegative mean, carrying its algebraic residual res."""
+    lam_r = float(lam.real)
     F = op.to_field(v)
     nrm_sq = area_l2_norm_sq(op.dom, op.grid.xs, op.grid.ys, F)
     if nrm_sq > 0:
@@ -287,16 +297,25 @@ def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
     return EigenPair(lam=lam_r, field=F, residual=res, imag=float(lam.imag))
 
 
+def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
+    """The real pair (lam, v), normalized, with its algebraic residual."""
+    return _unit_pair(op, lam, *_real_vector(op, lam, v))
+
+
 def _principal_passes(op: TricomiOperator, arnoldi, k: int, v0: np.ndarray):
     """The principal pair alone, as solve_real_spectrum's result: a loose
-    pass over k pairs picks it, and a tight pass over it and the pairs
-    nearer the shift converges it.  None when the tight pass does not
-    confirm the pick."""
+    pass over k pairs picks it, and keeps it if it has converged to
+    rounding; else a tight pass over it and the pairs nearer the shift
+    converges it.  None when the tight pass does not confirm the pick."""
     w, V = arnoldi(k, v0, _PICK_TOL)
     complex_diag = [complex(lam) for lam in w if not _is_real(lam)]
     p = _first_positive(w)
     if p is None:
         return [], complex_diag
+    v, res = _real_vector(op, w[p], V[:, p])
+    norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()  # |A|_1
+    if res <= _CONVERGED * norm1:
+        return [_unit_pair(op, w[p], v, res)], complex_diag
     start = np.sum(V[:, :p + 1].real + V[:, :p + 1].imag, axis=1)
     try:
         wt, Vt = arnoldi(p + 1, start, _RITZ_TOL, ncv=min(p + 4, op.n),
@@ -329,20 +348,27 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     With `principal_only`, real_pairs holds at most the principal pair (the
     real pair of smallest magnitude with lambda > 0), and the diagnostics
     come from a loose pass (Ritz tolerance 1e-4) over `count` pairs that
-    picks it.  A tight pass then converges only that pair and the p pairs
+    picks it.  The pick is kept as it is when it has converged to rounding:
+    its backward error |Av - lambda v| / (|A|_1 |v|) is at most 64 machine
+    epsilons.  At 64^2, x0 = -1/2, that is 21 LU solves instead of 58.
+    Otherwise (at 40^2, x0 = -1/2, say, where the principal pair is the 4th
+    Ritz value) a tight pass converges only that pair and the p pairs
     nearer the shift, from a start vector spanned by their loose Ritz
     vectors, over p + 4 Arnoldi vectors (p + 3 can converge onto the wrong
     member of an ill-conditioned real cluster).  If it does not converge,
     or lands more than 1e-6 relative from the loose pick, the full
-    `count`-pair pass decides, and only its principal pair is normalized.
-    At 64^2, x0 = -1/2, that is 26 LU solves instead of 58.
+    `count`-pair pass decides.  Only the returned pair is normalized.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     k = min(count, op.n - 2)
     v0 = np.full(op.n, 1.0 / math.sqrt(op.n))  # fixed start vector: reproducible runs
     try:
-        lu = spla.splu((op.matrix - shift * sp.eye(op.n)).tocsc())
+        # A - shift I, with the shift taken off the stored diagonal (every
+        # row of `assemble` stores one): the arrays of (A - shift I).tocsc().
+        shifted = op.matrix.tocsc(copy=True)
+        shifted.setdiag(shifted.diagonal() - shift)
+        lu = spla.splu(shifted)
         OPinv = spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float)
 
         def arnoldi(k, v0, tol, **kwargs):

@@ -43,13 +43,16 @@ def _nodes(led: ConstantLedger, n: int):
     # The same array as np.union1d(linspace, breakpoints) without sorting the
     # already sorted linspace: insert the sorted breakpoints after their
     # equals, then drop each entry equal to its left neighbour.  So on a tie
-    # the linspace entry stays, which decides the sign of a zero.  A linspace
-    # is nondecreasing, and at a subnormal x0 it holds equal neighbours itself.
+    # the linspace entry stays, which decides the sign of a zero, and of
+    # equal breakpoints the first in sorted order.  A linspace is
+    # nondecreasing, and at a subnormal x0 it holds equal neighbours itself.
+    # np.sort, not np.unique: np.unique imports numpy.ma, which a short
+    # `verify` would otherwise load for nothing.
     x0 = led.x0
     extra = [2.0 * x0, x0, 1.5 * x0, 0.5 * x0, led.x1, led.x2, 0.0]
     if led.x_plus is not None:
         extra += [led.x_plus, led.x_minus]
-    extra = np.unique(extra)
+    extra = np.sort(extra)
     xs = np.linspace(2.0 * x0, 0.0, n)
     at = np.searchsorted(xs, extra, side="right")
     xs = np.insert(xs, at, extra)

@@ -510,9 +510,9 @@ class TestPinnedOutput:
         (("constants", "--x0-range", "-2:-0.1:5", "--format", "csv"),
          "682e583d90fe74e1321beda88698ccf15feea52126fc7330fe2daa7f54880f78"),
         (("bound", "--x0", "-0.5"),
-         "1fea150bcb8d55446e5a92af0c4f209780c2c8b6c8e4064d435acae40dc92ca9"),
+         "0b20f27ca812b1a748ff39be57c32f27fd0041bcc45b96571f13179391fdef3b"),
         (("bound", "--x0", "-0.5", "--format", "csv"),
-         "4ff99b6622854882e341a6d3456c4280a57d8cdce738a97df80ff395b50bb26b"),
+         "ddcc35df96ec5840759b986f74aeb05f95dac93f74100a706608340b3576dd53"),
         (("eigen", "--x0", "-0.5", "--count", "2"),
          "0cfcf8981cfe36970e1dde3054f64f0e0771c4e9b8fc4d1ad43eb8ea9196661f"),
     ])
@@ -527,7 +527,7 @@ class TestPinnedOutput:
                               "--out", str(path))
         assert (code, out, err) == (0, "", "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "6651d9470758e9c6bb680a9e04f90b3afc3e8c7d355ce9b20f4a9024ac5fdc89")
+            "b9281b78f35bd85a049803eb239c007a6a79dc1fc66a95571436aef537b12875")
 
 
 class TestEdgeInputs:
@@ -547,6 +547,16 @@ class TestEdgeInputs:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"].startswith(error)
+
+    def test_residual_gate_is_relative_to_lambda(self, capsys):
+        # x0 -> 0-: lambda grows as |x0|^(-4/3), and with it the algebraic
+        # residual of a converged pair.  Here it is above 1e-8 but below
+        # 1e-8 lambda, so the pair passes.
+        code, out, err = _run(capsys, "eigen", "--x0", "-0.002", "--nx", "128",
+                              "--ny", "128")
+        assert (code, err) == (0, "")
+        (pair,) = json.loads(out)["eigenvalues"]
+        assert 1e-8 < pair["residual"] <= 1e-8 * pair["lambda"]
 
     def test_sweep_x0_are_python_floats(self):
         # A sweep computes with the types of a single --x0: numpy scalars
@@ -648,7 +658,8 @@ class TestLazyImport:
         "import contextlib, io, json, sys\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules if m.startswith('tricomi.')\n"
-        "                  or m in ('logging', 'concurrent.futures', 'scipy.sparse'))\n"
+        "                  or m in ('logging', 'concurrent.futures', 'numpy.ma',\n"
+        "                           'scipy.sparse'))\n"
         "import tricomi\n"
         "print(json.dumps(loaded()))\n"
         "import tricomi.cli\n"
@@ -679,8 +690,10 @@ class TestLazyImport:
             ["verify", "g1-bounds", "--x0", "-0.5", "--grid", "2000"])
         assert package == set()
         assert commands == [base] * 3
+        # numpy.ma is not among them: the sweep's breakpoints are sorted
+        # without np.unique, which would load it.
         assert g1 == base | {"tricomi.verifier"}
-        # scipy.sparse loads logging and concurrent.futures itself.
+        # scipy.sparse loads logging, concurrent.futures and numpy.ma itself.
         package, bound = self._loaded(["bound", "--nx", "48", "--ny", "48", "--x0", "-0.5"])
-        assert bound - {"logging", "concurrent.futures"} == base | {
+        assert bound - {"logging", "concurrent.futures", "numpy.ma"} == base | {
             "tricomi.eigensolver", "tricomi.pohozaev", "scipy.sparse"}

@@ -200,8 +200,9 @@ def _count_lu(monkeypatch):
 
 
 class TestPrincipalOnly:
-    # `principal_only`: a loose pass picks the principal pair, a tight pass
-    # converges it alone, on one LU shared with the fallback.
+    # `principal_only`: a loose pass picks the principal pair and keeps it
+    # once converged to rounding; else a tight pass converges it alone, on
+    # one LU shared with the fallback.
     @pytest.mark.parametrize("n, spurious_first", [(64, False), (80, True), (112, True)])
     def test_matches_default_principal(self, dom, n, spurious_first):
         op = assemble(dom, Grid.build(dom, n, n))
@@ -229,29 +230,78 @@ class TestPrincipalOnly:
         solve_real_spectrum(op64, 4, principal_only=principal_only)
         assert calls["splu"] == 1
         if principal_only:
-            # The full 4-pair solve takes 58.
-            assert calls["solve"] <= 30
+            # The loose pass alone: its pick has converged.  The full 4-pair
+            # solve takes 58.
+            assert calls["solve"] == 21
 
     @pytest.mark.parametrize("argv, written", [
+        (("bound",), '"passed": true'),
         (("plot", "eigen"), "principal eigenfunction"),
         (("eigen", "--format", "csv"), "x,y,u\n"),
-    ], ids=["plot-eigen", "eigen-csv"])
+    ], ids=["bound", "plot-eigen", "eigen-csv"])
     def test_cli_is_principal_only(self, monkeypatch, tmp_path, argv, written):
-        # `plot eigen` (48^2) and `eigen --format csv` (64^2) use the
-        # principal pair alone and solve for it as `bound` does: one LU and
-        # 26 solves (the 4-pair solve takes 47 and 58).
+        # `bound` (64^2), `plot eigen` (48^2) and `eigen --format csv` (64^2)
+        # solve for the principal pair alone: one LU and the loose pass's 21
+        # solves (the 4-pair solve takes 58, 47 and 58).
         from tricomi.cli import run
         calls = _count_lu(monkeypatch)
         path = tmp_path / "out"
         assert run([*argv, "--x0", "-0.5", "--out", str(path)]) == 0
         assert written in path.read_text()
         assert calls["splu"] == 1
-        assert calls["solve"] <= 30
+        assert calls["solve"] == 21
+
+    def test_unconverged_pick_takes_the_tight_pass(self, monkeypatch, tmp_path):
+        # At 40^2 the principal pair is the 4th Ritz value, and the loose
+        # pass leaves it at a backward error of 3.5e-9: the tight pass runs,
+        # only its pair is normalized, and the page is the tight pair's.
+        import hashlib
+
+        import tricomi.eigensolver as eigensolver
+        from tricomi.cli import run
+        calls = _count_lu(monkeypatch)
+        norm_sq, normalized = eigensolver.area_l2_norm_sq, []
+
+        def counted(*args):
+            normalized.append(1)
+            return norm_sq(*args)
+
+        monkeypatch.setattr(eigensolver, "area_l2_norm_sq", counted)
+        path = tmp_path / "page.svg"
+        assert run(["plot", "eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40",
+                    "--out", str(path)]) == 0
+        assert calls["splu"] == 1 and calls["solve"] > 21
+        assert len(normalized) == 1
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "4cbaaf4ff4e3e56ce2c5a419337259eca7ed82cc2d92dc0c4a9bb160b97722f0")
+
+    @pytest.mark.parametrize("n", [64, 80])
+    def test_factors_a_minus_shift_identity(self, dom, monkeypatch, n):
+        # The shift comes off the stored diagonal: the factored arrays are
+        # exactly those of (A - shift I).tocsc().
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+        op = assemble(dom, Grid.build(dom, n, n))
+        splu, factored = spla.splu, []
+
+        def recording(M, *args, **kwargs):
+            factored.append(M)
+            return splu(M, *args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", recording)
+        solve_real_spectrum(op, 1)
+        (M,) = factored
+        want = (op.matrix - 1e-3 * sp.eye(op.n)).tocsc()
+        assert M.format == "csc"
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(M, name), getattr(want, name))
 
     def test_fallback_is_the_full_solve(self, op64, solved64, monkeypatch):
-        # When the tight pass does not confirm the pick, the full pass on
-        # the same LU decides: exactly the default path's principal pair.
+        # When the pick has not converged and the tight pass does not
+        # confirm it, the full pass on the same LU decides: exactly the
+        # default path's principal pair.
         import tricomi.eigensolver as eigensolver
+        monkeypatch.setattr(eigensolver, "_CONVERGED", 0.0)
         monkeypatch.setattr(eigensolver, "_CONFIRM_RTOL", 0.0)
         calls = _count_lu(monkeypatch)
         pairs, complex_diag = solve_real_spectrum(op64, 4, principal_only=True)
@@ -268,6 +318,7 @@ class TestPrincipalOnly:
         op = assemble(dom, Grid.build(dom, 80, 80))
         real, _ = solve_real_spectrum(op, 4)
         assert [p.lam > 0.0 for p in real] == [False, True]
+        monkeypatch.setattr(eigensolver, "_CONVERGED", 0.0)
         monkeypatch.setattr(eigensolver, "_CONFIRM_RTOL", 0.0)
         norm_sq, calls = eigensolver.area_l2_norm_sq, []
 
