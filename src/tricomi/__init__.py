@@ -22,8 +22,8 @@ _EXPORTS = {name: module for module, names in (
     ("report", ("VerificationReport", "reports_to_csv", "reports_to_jsonl")),
     ("verifier", ("find_inflection", "proof_internals", "sweep_grid", "verify_G1_bounds",
                   "verify_G2_bounds", "verify_h_profile", "verify_profiles")),
-    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "extract_traces",
-                     "field_csv", "solve_real_spectrum", "trace_norms")),
+    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "field_csv",
+                     "solve_real_spectrum", "trace_norms")),
 ) for name in names}
 _SUBMODULES = ("cli", "constants", "eigensolver", "geometry", "pohozaev", "report",
                "verifier")

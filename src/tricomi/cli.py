@@ -16,6 +16,8 @@ stderr.
 Each subcommand handler only computes.  It returns `(text, failure)`: the
 text for stdout or --out (None to write nothing) and the JSON failure record
 (None on success).  `run` alone writes both and picks the exit code.
+`bound`, `plot eigen` and `eigen --format csv` solve for the principal pair
+and render it with `render(op, pair)`, where `op` is the solved operator.
 
 Each command loads only the layers it runs, since start-up dominates a
 short command.  `constants`, `plot h|domain` and `verify starshape` load
@@ -264,7 +266,7 @@ def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = Fa
         "solve", lambda: eigensolver.solve_real_spectrum(op, count,
                                                          principal_only=principal_only),
         lambda _: size(op))
-    return dom, grid, pairs, complex_diag
+    return op, pairs, complex_diag
 
 
 def _residual_ok(pair) -> bool:
@@ -272,16 +274,17 @@ def _residual_ok(pair) -> bool:
 
 
 def _principal(args, count: int, render):
-    """render(dom, grid, pair) -> (text, failure) on the principal pair
-    alone: the real pair of smallest magnitude with lambda > 0 among the
-    `count` nearest the shift (a negative one is a spurious mode of the
-    discretization).  Above the residual tolerance the text is still
-    written and the residual is the failure."""
-    dom, grid, pairs, _ = _solve(args.x0, args.nx, args.ny, count, principal_only=True)
+    """render(op, pair) -> (text, failure) on the principal pair alone: the
+    real pair of smallest magnitude with lambda > 0 among the `count` nearest
+    the shift (a negative one is a spurious mode of the discretization), and
+    the operator `op` that solved it, which holds its domain and grid.
+    Above the residual tolerance the text is still written and the residual
+    is the failure."""
+    op, pairs, _ = _solve(args.x0, args.nx, args.ny, count, principal_only=True)
     if not pairs:
         return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
     pair, = pairs
-    text, failure = render(dom, grid, pair)
+    text, failure = render(op, pair)
     if not _residual_ok(pair):
         return text, {"error": "eigen residual above tolerance",
                       "residual": pair.residual, "tol": _RESIDUAL_TOL}
@@ -292,9 +295,9 @@ def _cmd_eigen(args):
     from . import eigensolver
 
     if args.format == "csv":
-        return _principal(args, args.count, lambda dom, grid, pair: (
-            eigensolver.field_csv(grid, pair.field), None))
-    dom, grid, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
+        return _principal(args, args.count, lambda op, pair: (
+            eigensolver.field_csv(op, pair), None))
+    _, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
     if not pairs:
         return None, {"error": "no real eigenvalue found", "x0": args.x0,
                       "complex_pairs": [str(c) for c in complex_diag]}
@@ -314,11 +317,11 @@ def _cmd_eigen(args):
                   "residuals": [p.residual for p in pairs]}
 
 
-def _bound(args, dom, grid, pair):
+def _bound(args, op, pair):
     from . import eigensolver, pohozaev
 
-    traces, norms = _stage("traces", lambda: eigensolver.trace_norms(pair, dom, grid))
-    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces, dom),
+    traces, norms = _stage("traces", lambda: eigensolver.trace_norms(op, pair))
+    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces, op.dom),
                       lambda r: f", relative residual {r['relative_residual']:.3e}")
     bound = _stage("bound", lambda: pohozaev.bound_check(pair.lam, norms, ledger(args.x0),
                                                          rel_tol=args.tol),
@@ -436,8 +439,8 @@ def _plot_domain(x0: float) -> str:
                 draw)
 
 
-def _plot_eigen(x0: float, grid, pair) -> str:
-    F = pair.field
+def _plot_eigen(op, pair) -> str:
+    x0, grid, F = op.dom.x0, op.grid, pair.field
     led = ledger(x0)
     vmax = float(np.max(np.abs(F))) or 1.0
 
@@ -465,8 +468,7 @@ def _plot_eigen(x0: float, grid, pair) -> str:
 def _cmd_plot(args):
     if args.target == "eigen":
         # No --count here: the four pairs nearest the shift, bound's default.
-        return _principal(args, 4, lambda dom, grid, pair: (
-            _plot_eigen(args.x0, grid, pair), None))
+        return _principal(args, 4, lambda op, pair: (_plot_eigen(op, pair), None))
     return (_plot_h if args.target == "h" else _plot_domain)(args.x0), None
 
 

@@ -35,7 +35,6 @@ __all__ = [
     "assemble",
     "solve_real_spectrum",
     "trace_norms",
-    "extract_traces",
     "field_csv",
 ]
 
@@ -47,19 +46,16 @@ _REAL_EIG_RTOL = 1e-8
 # residual; tol=0 (machine epsilon) spends about a fifth more solves on it.
 _RITZ_TOL = 1e-12
 # `solve_real_spectrum(principal_only=True)`: the Ritz tolerance of the pass
-# that picks the principal pair, the backward error |Av - lambda v| /
-# (|A|_1 |v|) at or below which the pick is converged to rounding and kept,
-# the relative distance within which the tight pass must confirm any other
-# pick, and the tight pass's restart bound.  Converged picks read at most
+# that picks the principal pair, and the backward error |Av - lambda v| /
+# (|A|_1 |v|) at or below which the pick is converged to rounding and kept;
+# any other pick goes to the full pass.  Converged picks read at most
 # 6.4e-17 (64^2 to 320^2, x0 in [-4, -0.05]); the unconverged ones found
 # read 1.7e-12 and 3.5e-9.
 _PICK_TOL = 1e-4
 _CONVERGED = 64 * np.finfo(float).eps
-_CONFIRM_RTOL = 1e-6
-_TIGHT_MAXITER = 20
 # Weight of the fourth-difference damping in the hyperbolic half (`assemble`).
 _STABILIZATION = 0.5
-# Trace nodes per boundary curve, BC and sigma (`extract_traces`).
+# Trace nodes per boundary curve, BC and sigma (`trace_norms`).
 _TRACE_NODES = 400
 
 
@@ -302,32 +298,6 @@ def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
     return _unit_pair(op, lam, *_real_vector(op, lam, v))
 
 
-def _principal_passes(op: TricomiOperator, arnoldi, k: int, v0: np.ndarray):
-    """The principal pair alone, as solve_real_spectrum's result: a loose
-    pass over k pairs picks it, and keeps it if it has converged to
-    rounding; else a tight pass over it and the pairs nearer the shift
-    converges it.  None when the tight pass does not confirm the pick."""
-    w, V = arnoldi(k, v0, _PICK_TOL)
-    complex_diag = [complex(lam) for lam in w if not _is_real(lam)]
-    p = _first_positive(w)
-    if p is None:
-        return [], complex_diag
-    v, res = _real_vector(op, w[p], V[:, p])
-    norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()  # |A|_1
-    if res <= _CONVERGED * norm1:
-        return [_unit_pair(op, w[p], v, res)], complex_diag
-    start = np.sum(V[:, :p + 1].real + V[:, :p + 1].imag, axis=1)
-    try:
-        wt, Vt = arnoldi(p + 1, start, _RITZ_TOL, ncv=min(p + 4, op.n),
-                         maxiter=_TIGHT_MAXITER)
-    except spla.ArpackNoConvergence:
-        return None
-    q = _first_positive(wt)
-    if q is None or abs(wt[q].real - w[p].real) > _CONFIRM_RTOL * w[p].real:
-        return None
-    return [_real_pair(op, wt[q], Vt[:, q])], complex_diag
-
-
 def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
                         principal_only: bool = False):
     """Up to `count` smallest-magnitude eigenpairs via shift-invert Arnoldi.
@@ -346,18 +316,14 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     residuals to 1e-8.
 
     With `principal_only`, real_pairs holds at most the principal pair (the
-    real pair of smallest magnitude with lambda > 0), and the diagnostics
-    come from a loose pass (Ritz tolerance 1e-4) over `count` pairs that
-    picks it.  The pick is kept as it is when it has converged to rounding:
-    its backward error |Av - lambda v| / (|A|_1 |v|) is at most 64 machine
+    real pair of smallest magnitude with lambda > 0), picked by a loose pass
+    (Ritz tolerance 1e-4) over `count` pairs.  The pick is kept, with the
+    loose pass's diagnostics, when it has converged to rounding: its
+    backward error |Av - lambda v| / (|A|_1 |v|) is at most 64 machine
     epsilons.  At 64^2, x0 = -1/2, that is 21 LU solves instead of 58.
     Otherwise (at 40^2, x0 = -1/2, say, where the principal pair is the 4th
-    Ritz value) a tight pass converges only that pair and the p pairs
-    nearer the shift, from a start vector spanned by their loose Ritz
-    vectors, over p + 4 Arnoldi vectors (p + 3 can converge onto the wrong
-    member of an ill-conditioned real cluster).  If it does not converge,
-    or lands more than 1e-6 relative from the loose pick, the full
-    `count`-pair pass decides.  Only the returned pair is normalized.
+    Ritz value) the full `count`-pair pass on the same LU decides, as on the
+    default path.  Only the returned pair is normalized.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -371,18 +337,23 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
         lu = spla.splu(shifted)
         OPinv = spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float)
 
-        def arnoldi(k, v0, tol, **kwargs):
+        def arnoldi(tol):
             return _by_magnitude(*spla.eigs(op.matrix, k=k, sigma=shift, which="LM",
-                                            v0=v0, tol=tol, OPinv=OPinv, **kwargs))
+                                            v0=v0, tol=tol, OPinv=OPinv))
 
-        found = _principal_passes(op, arnoldi, k, v0) if principal_only else None
-        if found is not None:
-            return found
-        w, V = arnoldi(k, v0, _RITZ_TOL)
+        if principal_only:
+            w, V = arnoldi(_PICK_TOL)
+            p = _first_positive(w)
+            complex_diag = [complex(lam) for lam in w if not _is_real(lam)]
+            if p is None:
+                return [], complex_diag
+            v, res = _real_vector(op, w[p], V[:, p])
+            norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()  # |A|_1
+            if res <= _CONVERGED * norm1:
+                return [_unit_pair(op, w[p], v, res)], complex_diag
+        w, V = arnoldi(_RITZ_TOL)
     except RuntimeError as exc:
-        raise RuntimeError(
-            f"shift-invert factorization failed ({exc}); try a finer grid "
-            "or a different shift") from exc
+        raise RuntimeError(f"shift-invert factorization failed ({exc})") from exc
     if principal_only:
         p = _first_positive(w)
         keep = [] if p is None else [p]
@@ -443,16 +414,16 @@ def _gradient_grids(grid: Grid, F: np.ndarray):
     return Ux, Uy, valid
 
 
-def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> dict:
-    """Interpolated boundary traces of the eigenfunction and its gradient,
-    at 400 nodes per curve.
+def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
+    """The eigenpair's boundary traces {'BC', 'Sigma'}, of the eigenfunction
+    and its gradient at 400 nodes per curve, and their norm bundle.
 
     On BC (no data imposed) the values are pulled back a short distance
     along the inward normal and sampled bilinearly.  On sigma and AC the
     trace of u is the imposed Dirichlet value 0, and the gradient is the
     normal derivative reconstructed from two interior samples.
     """
-    F = pair.field
+    dom, grid, F = op.dom, op.grid, pair.field
     Ux, Uy, valid = _gradient_grids(grid, F)
     d = 2.0 * max(grid.hx, grid.hy)
 
@@ -472,21 +443,13 @@ def extract_traces(pair: EigenPair, dom: TricomiDomain, grid: Grid) -> dict:
     u2 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)
     un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
     sg = sg.filled(ux=un * nx_o, uy=un * ny_o)
-    return {"BC": bc, "Sigma": sg}
-
-
-def trace_norms(pair: EigenPair, dom: TricomiDomain,
-                grid: Grid) -> tuple[dict, BoundaryNormBundle]:
-    """The eigenpair's boundary traces {'BC', 'Sigma'} (`extract_traces`)
-    and their norm bundle."""
-    traces = extract_traces(pair, dom, grid)
-    return traces, norm_bundle_from_traces(traces["BC"], traces["Sigma"])
+    return {"BC": bc, "Sigma": sg}, norm_bundle_from_traces(bc, sg)
 
 
 # -- field export -----------------------------------------------------------
 
-def field_csv(grid: Grid, F: np.ndarray) -> str:
-    """The field as CSV text: one `x,y,u` row per node, x-major."""
-    X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+def field_csv(op: TricomiOperator, pair: EigenPair) -> str:
+    """The pair's field as CSV text: one `x,y,u` row per node, x-major."""
+    X, Y = np.meshgrid(op.grid.xs, op.grid.ys, indexing="ij")
     return csv_table(("x", "y", "u"), zip(X.ravel().tolist(), Y.ravel().tolist(),
-                                           F.ravel().tolist()))
+                                           pair.field.ravel().tolist()))

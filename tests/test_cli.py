@@ -307,8 +307,8 @@ class TestEigenAndBound:
         solve = cli._solve
 
         def negative_only(*args, **kwargs):
-            dom, grid, pairs, complex_diag = solve(*args, **kwargs)
-            return dom, grid, [p for p in pairs if p.lam < 0], complex_diag
+            op, pairs, complex_diag = solve(*args, **kwargs)
+            return op, [p for p in pairs if p.lam < 0], complex_diag
 
         monkeypatch.setattr(cli, "_solve", negative_only)
         path = tmp_path / "out"
@@ -348,9 +348,9 @@ class TestEigenAndBound:
         solve = cli._solve
 
         def sloppy(*args, **kwargs):
-            dom, grid, pairs, complex_diag = solve(*args, **kwargs)
+            op, pairs, complex_diag = solve(*args, **kwargs)
             pairs = [dataclasses.replace(p, residual=1e-6) for p in pairs]
-            return dom, grid, pairs, complex_diag
+            return op, pairs, complex_diag
 
         monkeypatch.setattr(cli, "_solve", sloppy)
         path = tmp_path / "out"
@@ -547,6 +547,17 @@ class TestEdgeInputs:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"].startswith(error)
+
+    def test_singular_factorization_names_only_its_cause(self, capsys):
+        # At x0 = -1e-120 the shifted matrix is singular in floating point.
+        # The error names the failed factorization and gives no advice: no
+        # option sets the shift, and a finer grid does not help.
+        code, out, err = _run(capsys, "eigen", "--x0", "-1e-120", "--nx", "48",
+                              "--ny", "48")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error.startswith("eigensolve failed: shift-invert factorization failed (")
+        assert "different shift" not in error
 
     def test_residual_gate_is_relative_to_lambda(self, capsys):
         # x0 -> 0-: lambda grows as |x0|^(-4/3), and with it the algebraic

@@ -13,7 +13,6 @@ from tricomi import (
     VerificationReport,
     assemble,
     bound_check,
-    extract_traces,
     field_csv,
     norm_bundle_from_traces,
     pohozaev_residual,
@@ -201,8 +200,7 @@ def _count_lu(monkeypatch):
 
 class TestPrincipalOnly:
     # `principal_only`: a loose pass picks the principal pair and keeps it
-    # once converged to rounding; else a tight pass converges it alone, on
-    # one LU shared with the fallback.
+    # once converged to rounding; else the full pass decides, on the same LU.
     @pytest.mark.parametrize("n, spurious_first", [(64, False), (80, True), (112, True)])
     def test_matches_default_principal(self, dom, n, spurious_first):
         op = assemble(dom, Grid.build(dom, n, n))
@@ -251,10 +249,11 @@ class TestPrincipalOnly:
         assert calls["splu"] == 1
         assert calls["solve"] == 21
 
-    def test_unconverged_pick_takes_the_tight_pass(self, monkeypatch, tmp_path):
+    def test_unconverged_pick_takes_the_full_pass(self, monkeypatch, tmp_path):
         # At 40^2 the principal pair is the 4th Ritz value, and the loose
-        # pass leaves it at a backward error of 3.5e-9: the tight pass runs,
-        # only its pair is normalized, and the page is the tight pair's.
+        # pass leaves it at a backward error of 3.5e-9: the full pass runs on
+        # the same LU (69 solves in all), only its principal pair is
+        # normalized, and the page is that pair's.
         import hashlib
 
         import tricomi.eigensolver as eigensolver
@@ -270,10 +269,22 @@ class TestPrincipalOnly:
         path = tmp_path / "page.svg"
         assert run(["plot", "eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40",
                     "--out", str(path)]) == 0
-        assert calls["splu"] == 1 and calls["solve"] > 21
+        assert calls["splu"] == 1 and calls["solve"] == 69
         assert len(normalized) == 1
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
             "4cbaaf4ff4e3e56ce2c5a419337259eca7ed82cc2d92dc0c4a9bb160b97722f0")
+
+    @pytest.mark.parametrize("n, x0, count", [(40, -0.5, 4), (48, -1e3, 4), (36, -1e3, 1)])
+    def test_unconverged_pick_is_the_default_principal_pair(self, n, x0, count):
+        # Each pick here is left unconverged by the loose pass, so the full
+        # pass decides: bit for bit the default path's principal pair.
+        d = TricomiDomain(x0)
+        op = assemble(d, Grid.build(d, n, n))
+        real, _ = solve_real_spectrum(op, count)
+        want = next(p for p in real if p.lam > 0.0)
+        (got,), _ = solve_real_spectrum(op, count, principal_only=True)
+        assert got.lam == want.lam
+        assert np.array_equal(got.field, want.field)
 
     @pytest.mark.parametrize("n", [64, 80])
     def test_factors_a_minus_shift_identity(self, dom, monkeypatch, n):
@@ -297,12 +308,10 @@ class TestPrincipalOnly:
             assert np.array_equal(getattr(M, name), getattr(want, name))
 
     def test_fallback_is_the_full_solve(self, op64, solved64, monkeypatch):
-        # When the pick has not converged and the tight pass does not
-        # confirm it, the full pass on the same LU decides: exactly the
-        # default path's principal pair.
+        # When the pick has not converged, the full pass on the same LU
+        # decides: exactly the default path's principal pair.
         import tricomi.eigensolver as eigensolver
         monkeypatch.setattr(eigensolver, "_CONVERGED", 0.0)
-        monkeypatch.setattr(eigensolver, "_CONFIRM_RTOL", 0.0)
         calls = _count_lu(monkeypatch)
         pairs, complex_diag = solve_real_spectrum(op64, 4, principal_only=True)
         assert calls["splu"] == 1
@@ -319,7 +328,6 @@ class TestPrincipalOnly:
         real, _ = solve_real_spectrum(op, 4)
         assert [p.lam > 0.0 for p in real] == [False, True]
         monkeypatch.setattr(eigensolver, "_CONVERGED", 0.0)
-        monkeypatch.setattr(eigensolver, "_CONFIRM_RTOL", 0.0)
         norm_sq, calls = eigensolver.area_l2_norm_sq, []
 
         def counted(*args):
@@ -355,23 +363,18 @@ class TestPrincipalOnly:
 
 
 class TestTraces:
-    def test_sigma_trace_is_dirichlet_zero(self, solved64, dom, grid64):
+    def test_sigma_trace_is_dirichlet_zero(self, solved64, op64):
         pairs, _ = solved64
-        traces = extract_traces(pairs[0], dom, grid64)
+        traces, _ = trace_norms(op64, pairs[0])
         assert np.all(traces["Sigma"].u == 0.0)
         assert np.all(np.isfinite(traces["BC"].u))
 
-    def test_trace_norms_returns_traces_and_bundle(self, solved64, dom, grid64):
+    def test_trace_norms_returns_traces_and_bundle(self, solved64, op64):
         pairs, _ = solved64
         pair = pairs[0]
         before = dataclasses.asdict(pair)     # a deep copy: the field too
-        traces, bundle = trace_norms(pair, dom, grid64)
-        want = extract_traces(pair, dom, grid64)
+        traces, bundle = trace_norms(op64, pair)
         assert set(traces) == {"BC", "Sigma"}
-        for kind in ("BC", "Sigma"):
-            for name in ("u", "ux", "uy"):
-                assert np.array_equal(getattr(traces[kind], name),
-                                      getattr(want[kind], name)), (kind, name)
         assert bundle == norm_bundle_from_traces(traces["BC"], traces["Sigma"])
         assert bundle.im_u_L2_BC == 0.0
         assert bundle.w_ux_L2_sigma > 0.0
@@ -380,12 +383,12 @@ class TestTraces:
         assert after.keys() == before.keys()
         assert all(np.array_equal(after[k], v) for k, v in before.items())
 
-    def test_synthetic_linear_field(self, dom, grid64):
+    def test_synthetic_linear_field(self, dom, grid64, op64):
         # u = y: u_y = 1, u_x = 0, so the BC norm of u_y approaches the
         # square root of the BC arc length.
         Y = np.broadcast_to(grid64.ys[None, :], (grid64.nx, grid64.ny)).copy()
         pair = EigenPair(lam=1.0, field=Y, residual=0.0)
-        _, bundle = trace_norms(pair, dom, grid64)
+        _, bundle = trace_norms(op64, pair)
         arclen = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
         assert bundle.uy_L2_BC == pytest.approx(math.sqrt(arclen), rel=0.05)
         assert bundle.w_ux_L2_BC == pytest.approx(0.0, abs=1e-10)
@@ -400,9 +403,9 @@ class TestTraces:
     ])
     def test_trace_gradients_pinned(self, n, x0, bc, sigma):
         d = TricomiDomain(x0)
-        grid = Grid.build(d, n, n)
-        pairs, _ = solve_real_spectrum(assemble(d, grid), 4)
-        traces = extract_traces(pairs[0], d, grid)
+        op = assemble(d, Grid.build(d, n, n))
+        pairs, _ = solve_real_spectrum(op, 4)
+        traces, _ = trace_norms(op, pairs[0])
         for kind, want in (("BC", bc), ("Sigma", sigma)):
             t = traces[kind]
             got = tuple(float(np.sum(v**2)).hex() for v in (t.ux, t.uy))
@@ -410,18 +413,18 @@ class TestTraces:
 
 
 class TestEndToEnd64:
-    def test_identity_residual_small(self, solved64, dom, grid64):
+    def test_identity_residual_small(self, solved64, dom, op64):
         pairs, _ = solved64
         pair = pairs[0]
-        traces, _ = trace_norms(pair, dom, grid64)
+        traces, _ = trace_norms(op64, pair)
         out = pohozaev_residual(pair.lam, traces, dom)
         assert out["relative_residual"] < 0.2
         assert out["rhs_BC"] > 0.0 and out["rhs_sigma"] > 0.0
 
-    def test_bound_satisfied(self, solved64, dom, grid64):
+    def test_bound_satisfied(self, solved64, op64):
         pairs, _ = solved64
         pair = pairs[0]
-        _, norms = trace_norms(pair, dom, grid64)
+        _, norms = trace_norms(op64, pair)
         out = bound_check(pair.lam, norms, ledger(X0))
         assert out["satisfied"], out
 
@@ -441,8 +444,8 @@ _PACKAGE_EXPORTS = (
     ("report", ("VerificationReport", "reports_to_csv", "reports_to_jsonl")),
     ("verifier", ("find_inflection", "proof_internals", "sweep_grid", "verify_G1_bounds",
                   "verify_G2_bounds", "verify_h_profile", "verify_profiles")),
-    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "extract_traces",
-                     "field_csv", "solve_real_spectrum", "trace_norms")),
+    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "field_csv",
+                     "solve_real_spectrum", "trace_norms")),
 )
 
 
@@ -451,7 +454,7 @@ class TestExport:
         import sys
 
         import tricomi
-        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 51
+        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 50
         for module, names in _PACKAGE_EXPORTS + (("cli", ()),):
             mod = getattr(tricomi, module)
             assert mod is sys.modules[f"tricomi.{module}"]
@@ -464,9 +467,9 @@ class TestExport:
         with pytest.raises(AttributeError):
             tricomi.no_such_name
 
-    def test_csv_shape(self, grid64, solved64):
+    def test_csv_shape(self, grid64, op64, solved64):
         pairs, _ = solved64
-        text = field_csv(grid64, pairs[0].field)
+        text = field_csv(op64, pairs[0])
         lines = text.splitlines()
         assert text.endswith("\n")
         assert lines[0] == "x,y,u"
