@@ -35,6 +35,12 @@ _MARGIN_RTOL = 1e-10
 _CURVATURE_TOL = 1e-8
 # Sharpness of a bound is declared when the grid gap closes to this level.
 _SHARP_TOL = 1e-6
+# The checks compute and reduce their per-node margins a slice of at most
+# this many nodes at a time: 64 KiB of float64, under glibc's 128 KiB mmap
+# threshold, so a slice's temporaries reuse the heap pages the last slice
+# freed.  glibc hands a whole-sweep temporary (800 KB at the default grid)
+# back to the OS when it is freed, and the next call faults it in again.
+_BLOCK = 8192
 
 
 def _nodes(led: ConstantLedger, n: int):
@@ -209,6 +215,39 @@ def _second_differences(sw: _Sweep):
     return xs[lo:hi], d2, delta
 
 
+def _slices(n: int):
+    """Consecutive slices of at most _BLOCK entries that cover range(n)."""
+    return [slice(k, min(k + _BLOCK, n)) for k in range(0, n, _BLOCK)]
+
+
+def _argmin(values, start: int):
+    """np.argmin of one slice that begins at index `start` of its array:
+    (the minimum, its index in the array)."""
+    i = int(np.argmin(values))
+    return values[i], start + i
+
+
+def _first_min(parts):
+    """(minimum, index) of np.argmin over a whole array, from its slices'
+    `_argmin` pairs in order.  np.argmin over the slice minima picks the
+    first slice holding the first NaN or else the smallest value, so the
+    first index wins a tie, and of -0.0 and 0.0 the first keeps its sign."""
+    k = int(np.argmin([value for value, _ in parts]))
+    return float(parts[k][0]), parts[k][1]
+
+
+def _curvature_ranges(nodes, xbar_m, xbar, guard):
+    """Index ranges of the sorted nodes where the second family's h is
+    convex, [0, head) and [tail, n), and where it is concave, [a, b): the
+    convex nodes lie at least `guard` outside the inflections xbar_m and
+    xbar, the concave ones at least `guard` inside them."""
+    head = int(np.searchsorted(nodes, xbar_m - guard, "right"))
+    tail = int(np.searchsorted(nodes, xbar + guard, "left"))
+    a = int(np.searchsorted(nodes, xbar_m + guard, "left"))
+    b = int(np.searchsorted(nodes, xbar - guard, "right"))
+    return ((0, head), (tail, len(nodes))), (a, b)
+
+
 def _h_profile(sw: _Sweep) -> VerificationReport:
     dom, led, xs, hx = sw.dom, sw.led, sw.xs, sw.h
     x0 = dom.x0
@@ -222,12 +261,14 @@ def _h_profile(sw: _Sweep) -> VerificationReport:
     else:
         lower = math.sqrt(x0 * x0 - 3.0 / 64.0)
         upper = led.C4
-    bound_margin = np.minimum(hx - lower, upper - hx)
-    i = int(np.argmin(bound_margin))
-    checks["bounds"] = (float(bound_margin[i]), tol, float(xs[i]))
-
-    even = -float(np.max(np.abs(hx - np.asarray(dom.h(2.0 * x0 - xs)))))
-    checks["evenness"] = (even, 1e-12 * max(1.0, scale), x0)
+    bounds, uneven = [], []
+    for s in _slices(len(xs)):
+        h = hx[s]
+        bounds.append(_argmin(np.minimum(h - lower, upper - h), s.start))
+        uneven.append(np.max(np.abs(h - dom.h(2.0 * x0 - xs[s]))))
+    margin, i = _first_min(bounds)
+    checks["bounds"] = (margin, tol, float(xs[i]))
+    checks["evenness"] = (-float(np.max(uneven)), 1e-12 * max(1.0, scale), x0)
 
     interior, d2, delta = _second_differences(sw)
     curv_tol = _CURVATURE_TOL * x0 * x0
@@ -236,64 +277,64 @@ def _h_profile(sw: _Sweep) -> VerificationReport:
         checks["convexity"] = (float(d2[j]), curv_tol, float(interior[j]))
     else:
         xbar = find_inflection(x0)
-        xbar_m = 2.0 * x0 - xbar  # mirror inflection
-        guard = 2.0 * delta
-        convex = (interior <= xbar_m - guard) | (interior >= xbar + guard)
-        concave = (interior >= xbar_m + guard) & (interior <= xbar - guard)
-        if np.any(convex):
-            sub, vals = interior[convex], d2[convex]
-            j = int(np.argmin(vals))
-            checks["convex_outer"] = (float(vals[j]), curv_tol, float(sub[j]))
-        if np.any(concave):
-            sub, vals = interior[concave], -d2[concave]
-            j = int(np.argmin(vals))
-            checks["concave_inner"] = (float(vals[j]), curv_tol, float(sub[j]))
+        outer, (a, b) = _curvature_ranges(interior, 2.0 * x0 - xbar, xbar, 2.0 * delta)
+        convex = [_argmin(d2[lo:hi], lo) for lo, hi in outer if lo < hi]
+        if convex:
+            value, j = _first_min(convex)
+            checks["convex_outer"] = (value, curv_tol, float(interior[j]))
+        if a < b:
+            j = a + int(np.argmax(d2[a:b]))
+            checks["concave_inner"] = (float(-d2[j]), curv_tol, float(interior[j]))
         checks["inflection_in_range"] = (
             min(xbar - x0, (led.x_plus - xbar) if led.x_plus else 0.0), 1e-12, xbar)
 
     return _finish("h_profile", x0, xs, checks)
 
 
-def _bound_notes(lo_gap, hi_gap) -> str:
-    lo, hi = float(np.min(lo_gap)), float(np.min(hi_gap))
+def _G_bounds(claim_id, sw: _Sweep, G, lower, upper, abs_bound=None):
+    """lower <= G <= upper over the sweep, and |G| <= abs_bound if given,
+    where G(s) gives G on the sweep's slice s."""
+    peak, margins, lo_gaps, hi_gaps, abs_margins = [], [], [], [], []
+    for s in _slices(len(sw.xs)):
+        vals = G(s)
+        peak.append(np.max(np.abs(vals)))
+        lo_gap = vals - lower
+        hi_gap = upper - vals
+        margins.append(_argmin(np.minimum(lo_gap, hi_gap), s.start))
+        lo_gaps.append(np.min(lo_gap))
+        hi_gaps.append(np.min(hi_gap))
+        if abs_bound is not None:
+            abs_margins.append(_argmin(abs_bound - np.abs(vals), s.start))
+    tol = _MARGIN_RTOL * max(1.0, float(np.max(peak)))
+    margin, i = _first_min(margins)
+    checks = {"bounds": (margin, tol, float(sw.xs[i]))}
+    if abs_bound is not None:
+        margin, j = _first_min(abs_margins)
+        checks["abs_bound"] = (margin, tol, float(sw.xs[j]))
+    notes = _bound_notes(float(np.min(lo_gaps)), float(np.min(hi_gaps)))
+    return _finish(claim_id, sw.dom.x0, sw.xs, checks, notes)
+
+
+def _bound_notes(lo: float, hi: float) -> str:
     return (f"lower_gap={lo:.3e}; upper_gap={hi:.3e}; "
             f"sharp_lower={lo <= _SHARP_TOL}; sharp_upper={hi <= _SHARP_TOL}")
 
 
 def _G1_bounds(sw: _Sweep) -> VerificationReport:
     dom, led, xs = sw.dom, sw.led, sw.xs
-    vals = g1(dom, xs) / sw.h
-    tol = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    lower = led.C5 if dom.x0 >= X0_CRITICAL else led.C7
-    upper = led.C6 if dom.x0 >= X0_CRITICAL else led.C8
-
-    lo_gap = vals - lower
-    hi_gap = upper - vals
-    margin = np.minimum(lo_gap, hi_gap)
-    i = int(np.argmin(margin))
-    checks = {"bounds": (float(margin[i]), tol, float(xs[i]))}
-    return _finish("G1_bounds", dom.x0, xs, checks, _bound_notes(lo_gap, hi_gap))
+    first = dom.x0 >= X0_CRITICAL
+    return _G_bounds("G1_bounds", sw, lambda s: g1(dom, xs[s]) / sw.h[s],
+                     led.C5 if first else led.C7, led.C6 if first else led.C8)
 
 
 def _G2_bounds(sw: _Sweep) -> VerificationReport:
     dom, led, xs = sw.dom, sw.led, sw.xs
+    first = dom.x0 >= X0_CRITICAL
     # g2/h in the operation order of constants.g2 and constants.G2.
-    vals = 4.0 * (2.0 * xs - dom.x0) * sw.g**1.5 / sw.h
-    tol = _MARGIN_RTOL * max(1.0, float(np.max(np.abs(vals))))
-    lower = led.C9 if dom.x0 >= X0_CRITICAL else led.C11
-    upper = led.C10 if dom.x0 >= X0_CRITICAL else led.C12
-
-    lo_gap = vals - lower
-    hi_gap = upper - vals
-    margin = np.minimum(lo_gap, hi_gap)
-    i = int(np.argmin(margin))
-    abs_margin = led.C13 - np.abs(vals)
-    j = int(np.argmin(abs_margin))
-    checks = {
-        "bounds": (float(margin[i]), tol, float(xs[i])),
-        "abs_bound": (float(abs_margin[j]), tol, float(xs[j])),
-    }
-    return _finish("G2_bounds", dom.x0, xs, checks, _bound_notes(lo_gap, hi_gap))
+    return _G_bounds("G2_bounds", sw,
+                     lambda s: 4.0 * (2.0 * xs[s] - dom.x0) * sw.g[s]**1.5 / sw.h[s],
+                     led.C9 if first else led.C11, led.C10 if first else led.C12,
+                     abs_bound=led.C13)
 
 
 def verify_h_profile(x0: float, grid_size: int = 100_000) -> VerificationReport:

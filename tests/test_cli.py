@@ -225,15 +225,25 @@ class TestVerify:
         assert one == _run(capsys, *argv, "--jobs", "2")
         assert one[0] == 0 and len(one[1].splitlines()) == 6 * 6
 
-    # sha256 of stdout at the default --grid 100000, the workload's size.
-    @pytest.mark.parametrize("x0, digest", [
-        ("-0.05", "5ca47af622f0f996bb6d7fbdb1afca69aa53e7937b052159e596a4068b4f00f6"),
-        ("-0.5", "21e5ca3081af2ff3c0e84075ac80e81037f88314a7610699c7f86d45b8446e57"),
-        ("-1", "1c306024b5ec9276c7004c850ec5168cfd90354b8bea9b3b1983bdb6a83d77ca"),
-        ("-4", "ce2aa4794a80623914576a53db84fba79e7a982a1e6efb1c8f86916d514717cb"),
+    # sha256 of stdout at the default --grid 100000, the workload's size, and
+    # at grids whose sweep ends inside a slice of the verifier's _BLOCK = 8192
+    # nodes: 8197 nodes at (-3, 8193) and 16388 at (-0.3, 16385).
+    @pytest.mark.parametrize("x0, grid, digest", [
+        pytest.param("-0.05", None, "5ca47af622f0f996bb6d7fbdb1afca69aa53e7937b052159e596a4068b4f00f6",
+                     id="-0.05-default"),
+        pytest.param("-0.5", None, "21e5ca3081af2ff3c0e84075ac80e81037f88314a7610699c7f86d45b8446e57",
+                     id="-0.5-default"),
+        pytest.param("-1", None, "1c306024b5ec9276c7004c850ec5168cfd90354b8bea9b3b1983bdb6a83d77ca",
+                     id="-1-default"),
+        pytest.param("-4", None, "ce2aa4794a80623914576a53db84fba79e7a982a1e6efb1c8f86916d514717cb",
+                     id="-4-default"),
+        pytest.param("-3", "8193", "48c5b4470960a2926b40efd7c7cbde9ebd5fd03484a785f1a2e7048ecfa628b7",
+                     id="-3-8193"),
+        pytest.param("-0.3", "16385", "94093c623b979cc154d9903311738dba252837fb9bd09845aab9a64bb148af05",
+                     id="-0.3-16385"),
     ])
-    def test_all_default_grid_pinned(self, capsys, x0, digest):
-        code, out, err = _run(capsys, "verify", "all", "--x0", x0)
+    def test_all_pinned_at_grid(self, capsys, x0, grid, digest):
+        code, out, err = _run(capsys, "verify", "all", "--x0", x0, *(("--grid", grid) if grid else ()))
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -1,6 +1,7 @@
 """Dense-grid verifier: h profile, G1/G2 bounds, inflection, proof internals."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,18 @@ from tricomi import (
     verify_profiles,
 )
 from tricomi.constants import X0_CRITICAL, X3, X4, ledger
-from tricomi.verifier import N_of_X, N_of_X_alt, _finish, _second_differences, _sweep
+from tricomi.verifier import (
+    _BLOCK,
+    N_of_X,
+    N_of_X_alt,
+    _argmin,
+    _curvature_ranges,
+    _finish,
+    _first_min,
+    _second_differences,
+    _slices,
+    _sweep,
+)
 
 X0_SAMPLES = [-0.2, -0.4, -0.45, -0.55, -0.8, -1.5]
 
@@ -173,15 +185,18 @@ class TestSharedSweep:
 class TestSecondDifferences:
     @pytest.mark.parametrize("x0", [-0.3, -1.0])
     def test_two_grid_sized_h_evaluations(self, x0, monkeypatch):
-        # One for the sweep and one for the evenness mirror; the curvature
-        # check evaluates h only at the inserted breakpoints +- delta.
+        # One call for the sweep; the evenness mirror evaluates h slice by
+        # slice, and the curvature check only at the inserted breakpoints
+        # +- delta, at most 18 nodes.
         sizes = []
         h_from_g = TricomiDomain._h_from_g
         monkeypatch.setattr(TricomiDomain, "_h_from_g",
                             lambda self, x, g: sizes.append(np.size(x)) or h_from_g(self, x, g))
         verify_profiles(x0, 100000)
-        assert sum(size >= 100000 for size in sizes) == 2
-        assert all(size <= 18 for size in sizes if size < 100000)
+        n = len(sweep_grid(x0, 100000))
+        assert sizes.count(n) == 1
+        assert all(size <= _BLOCK for size in sizes if size != n)
+        assert 2 * n <= sum(sizes) <= 2 * n + 18
 
     @pytest.mark.parametrize("x0", [-0.05, -0.45, -0.55, -1.0, -4.0])
     @pytest.mark.parametrize("n", [1000, 20000])
@@ -210,6 +225,98 @@ class TestSecondDifferences:
         with np.errstate(all="ignore"):
             rep = verify_h_profile(-5e-324, 1000)
         assert rep.passed is False and rep.notes.startswith("worst=convexity; ")
+
+
+def _bits(value):
+    return np.float64(value).view(np.int64)
+
+
+def _sliced_argmin(a):
+    return _first_min([_argmin(a[s], s.start) for s in _slices(len(a))])
+
+
+class TestSlices:
+    LENGTHS = [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 7]
+
+    @staticmethod
+    def _cases(n):
+        """Arrays of length n: random values, a minimum tied across each
+        slice edge, -0.0 against 0.0 in both orders, and two NaNs."""
+        rng = np.random.default_rng(n)
+        edges = list(range(_BLOCK, n, _BLOCK)) or [n - 1]
+        yield rng.standard_normal(n)
+        tie = rng.random(n) + 1.0
+        for e in edges:
+            tie[e - 1 : e + 1] = -1.0
+        yield tie
+        for first, second in ((-0.0, 0.0), (0.0, -0.0)):
+            zeros = rng.random(n) + 1.0
+            zeros[edges[-1]:] = second
+            zeros[max(edges[0] - 1, 0)] = first
+            yield zeros
+        nan = rng.standard_normal(n)
+        nan[edges[-1]:] = math.nan
+        nan[max(edges[0] - 1, 0)] = math.nan
+        yield nan
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_cover_the_range(self, n):
+        slices = _slices(n)
+        assert all(s.stop - s.start <= _BLOCK for s in slices)
+        assert np.array_equal(np.concatenate([np.arange(n)[s] for s in slices]), np.arange(n))
+
+    @pytest.mark.parametrize("n", LENGTHS)
+    def test_reducer_equals_whole_array(self, n):
+        for a in self._cases(n):
+            i = int(np.argmin(a))
+            value, j = _sliced_argmin(a)
+            assert j == i and _bits(value) == _bits(a[i])
+            for whole in (np.min, np.max):
+                parts = [whole(a[s]) for s in _slices(n)]
+                if np.any(a == 0.0):   # the sign of a zero minimum is np.min's choice
+                    assert whole(parts) == whole(a)
+                else:
+                    assert _bits(whole(parts)) == _bits(whole(a))
+
+    def test_first_nan_wins(self):
+        a = np.ones(3 * _BLOCK + 7)
+        a[[_BLOCK + 3, 2 * _BLOCK]] = math.nan
+        value, j = _sliced_argmin(a)
+        assert math.isnan(value) and j == _BLOCK + 3 == int(np.argmin(a))
+        for whole in (np.min, np.max):
+            assert math.isnan(whole([whole(a[s]) for s in _slices(len(a))]))
+
+    # Nodes are multiples of 1/32, so every guarded bound below is a node or
+    # exactly between two; the last node is -0.0, which equals 0.0.
+    @pytest.mark.parametrize("xbar_m, xbar, guard", [
+        (-1.5, -0.5, 0.125), (-1.5, -0.5, 0.5), (-1.5, -0.5, 0.75), (-1.5, -0.5, 2.0),
+        (-1.25, -0.75, 1.0 / 64.0), (-1.25, -0.75, 0.0), (-1.5, -0.5, 0.5 + 1.0 / 64.0),
+    ])
+    def test_curvature_ranges_equal_masks(self, xbar_m, xbar, guard):
+        nodes = np.arange(-64, 1) / 32.0
+        nodes[-1] = -0.0
+        convex = (nodes <= xbar_m - guard) | (nodes >= xbar + guard)
+        concave = (nodes >= xbar_m + guard) & (nodes <= xbar - guard)
+        outer, (a, b) = _curvature_ranges(nodes, xbar_m, xbar, guard)
+        ranged = np.zeros(len(nodes), dtype=bool)
+        for lo, hi in outer:
+            ranged[lo:hi] = True
+        assert np.array_equal(ranged, convex)
+        ranged[:] = False
+        ranged[a:max(a, b)] = True
+        assert np.array_equal(ranged, concave)
+
+    def test_peak_memory_of_a_default_sweep(self):
+        # The sweep's four arrays take about 2.4 MiB at x0 = -3; margins
+        # computed over the whole sweep at once took the peak to 7 MiB.
+        verify_profiles(-3.0, 1000)
+        tracemalloc.start()
+        try:
+            verify_profiles(-3.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5.5 * 2**20
 
 
 class TestFinish:
