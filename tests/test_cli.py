@@ -201,11 +201,12 @@ class TestVerify:
         assert code == 0 and json.loads(out)["grid_size"] == size
 
     def test_all_gives_grid_to_each_part(self, capsys):
-        from tricomi.verifier import sweep_grid
+        from tricomi.verifier import _nodes, ledger
         code, out, _ = _run(capsys, "verify", "all", "--x0", "-0.5", "--grid", "12000")
         sizes = [json.loads(line)["grid_size"] for line in out.splitlines()]
         assert code == 0
-        assert sizes == [len(sweep_grid(-0.5, 12000))] * 3 + [12000 * 51, 12000 * 2, 12000 * 64]
+        n = len(_nodes(ledger(-0.5), 12000)[0])
+        assert sizes == [n] * 3 + [12000 * 51, 12000 * 2, 12000 * 64]
 
     def test_h_profile_ends_at_large_x0(self):
         # Past X = 8192 the inflection's bisection reaches adjacent doubles

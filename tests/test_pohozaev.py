@@ -132,7 +132,7 @@ class TestQuadrature:
         # ux = 1, uy = 0: the arc elements cancel and the integral is
         # (8/7) (-y_C)^(7/2).
         n = 4001
-        tr = bc_trace(dom, n, ux=np.ones(n))
+        tr = bc_trace(dom, n).filled(ux=np.ones(n))
         val = line_integral(tr, omega1_BC_simplified(tr.y, tr.ux, tr.uy))
         exact = (8.0 / 7.0) * (-dom.y_C) ** 3.5
         assert val == pytest.approx(exact, rel=1e-6)
@@ -143,8 +143,9 @@ class TestQuadrature:
         u, ux, uy = rng.uniform(-1.0, 1.0, (3, 5, 48))
         integral = lambda tr: line_integral(
             tr, tr.u * tr.ux + np.abs(tr.y) * tr.uy**2 - tr.x * tr.ux)
-        batched = integral(make(dom, 48, u=u, ux=ux, uy=uy))
-        rows = [integral(make(dom, 48, u=u[k], ux=ux[k], uy=uy[k])) for k in range(5)]
+        tr = make(dom, 48)
+        batched = integral(tr.filled(u=u, ux=ux, uy=uy))
+        rows = [integral(tr.filled(u=u[k], ux=ux[k], uy=uy[k])) for k in range(5)]
         assert batched.shape == (5,)
         assert batched.tolist() == rows
 
@@ -190,39 +191,28 @@ class TestNormBundle:
         # u = y on BC: ||u||^2 = int y^2 sqrt(1 - y) dy.
         n = 4001
         y = np.linspace(dom.y_C, 0.0, n)
-        tr = bc_trace(dom, n, u=y)
-        bundle = norm_bundle_from_traces(tr)
+        tr = bc_trace(dom, n).filled(u=y)
+        bundle = norm_bundle_from_traces(tr, sigma_trace(dom, n))
         exact = quad(lambda t: t * t * math.sqrt(1.0 - t), dom.y_C, 0.0)[0]
-        assert bundle.re_u_L2_BC**2 == pytest.approx(exact, rel=1e-7)
-        assert bundle.u_L2_BC == bundle.re_u_L2_BC
-        assert bundle.im_u_L2_BC == 0.0
+        assert bundle.u_L2_BC**2 == pytest.approx(exact, rel=1e-7)
 
     def test_weighted_ux_norm(self, dom):
         n = 4001
-        tr = bc_trace(dom, n, ux=np.ones(n))
-        bundle = norm_bundle_from_traces(tr)
+        tr = bc_trace(dom, n).filled(ux=np.ones(n))
+        bundle = norm_bundle_from_traces(tr, sigma_trace(dom, n))
         exact = quad(lambda t: -t * math.sqrt(1.0 - t), dom.y_C, 0.0)[0]
         assert bundle.w_ux_L2_BC**2 == pytest.approx(exact, rel=1e-7)
-
-    def test_imaginary_part_combines(self, dom):
-        n = 201
-        y = np.linspace(dom.y_C, 0.0, n)
-        re = bc_trace(dom, n, u=y)
-        im = bc_trace(dom, n, u=2.0 * y)
-        bundle = norm_bundle_from_traces(re, im_bc=im)
-        assert bundle.u_L2_BC == pytest.approx(
-            math.hypot(bundle.re_u_L2_BC, bundle.im_u_L2_BC), rel=1e-14)
-        assert bundle.im_u_L2_BC == pytest.approx(2.0 * bundle.re_u_L2_BC, rel=1e-12)
 
     def test_batched_bundle_matches_rows(self, dom):
         # Every field of a batched bundle equals the bundle of each row, bit
         # for bit; single traces give Python floats.
         rng = np.random.default_rng(5)
         draws = rng.uniform(-1.0, 1.0, (6, 6, 40))
+        bc, sg = bc_trace(dom, 40), sigma_trace(dom, 40)
         bundle = lambda k: norm_bundle_from_traces(
-            bc_trace(dom, 40, u=draws[0, k], ux=draws[1, k], uy=draws[2, k]),
-            sigma_trace(dom, 40, ux=draws[3, k], uy=draws[4, k]),
-            im_bc=bc_trace(dom, 40, u=draws[5, k]))
+            bc.filled(u=draws[0, k], ux=draws[1, k], uy=draws[2, k]),
+            sg.filled(ux=draws[3, k], uy=draws[4, k]),
+            im_bc=bc.filled(u=draws[5, k]))
         batched = bundle(slice(None))
         rows = [bundle(k) for k in range(6)]
         for name, v in vars(batched).items():

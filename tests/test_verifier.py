@@ -9,8 +9,6 @@ import pytest
 from tricomi import (
     TricomiDomain,
     find_inflection,
-    proof_internals,
-    sweep_grid,
     verify_G1_bounds,
     verify_G2_bounds,
     verify_h_profile,
@@ -25,12 +23,59 @@ from tricomi.verifier import (
     _curvature_ranges,
     _finish,
     _first_min,
+    _G_of_X,
+    _nodes,
     _second_differences,
     _slices,
     _sweep,
 )
 
 X0_SAMPLES = [-0.2, -0.4, -0.45, -0.55, -0.8, -1.5]
+
+
+def sweep_grid(x0, n):
+    """The sorted abscissae of the dense sweep of (x0, n)."""
+    return _nodes(ledger(x0), n)[0]
+
+
+def proof_internals(x0, X=None, x=None):
+    """Evaluate the proof-internal functions at one abscissa.
+
+    Accepts either the shifted coordinate X = x - x0 in [0, -x0] or the
+    plain abscissa x.  H, H', N, N1, R live on the shifted coordinate;
+    S1, S2 (derivative numerators of G1, G2) live on x in [2x0, 0], with
+    G1'(x) proportional to S1(x) and G2'(x) proportional to -S2(x).
+    """
+    if (X is None) == (x is None):
+        raise ValueError("give exactly one of X or x")
+    if X is None:
+        X = x - x0
+    else:
+        x = x0 + X
+    dom = TricomiDomain(x0)
+    out = {"X": float(X), "x": float(x)}
+    if 0.0 <= X <= -x0 + 1e-12:
+        G = float(_G_of_X(x0, X))
+        H = math.hypot(X, (2.0 / 3.0) * G * G)
+        out["H"] = H
+        out["G"] = G
+        out["H_prime"] = (3.0 - 4.0 * G) * X / (3.0 * H)
+        out["N"] = float(N_of_X(x0, X))
+        out["N_alt"] = float(N_of_X_alt(x0, X))
+        out["N1"] = float(2.0 * (5.0 * X**2 - 3.0 * x0**2) * G**2
+                          + 21.0 * X**4 - 66.0 * x0**2 * X**2 + 45.0 * x0**4)
+        denom = 4.0 * (11.0 * x0**2 - 7.0 * X**2)
+        if denom != 0.0:
+            out["R"] = (21.0 * x0**2 - 25.0 * X**2) / denom
+    if 2.0 * x0 - 1e-12 <= x <= 1e-12:
+        gx = float(dom.g(x))
+        out["S1"] = (3.0 * (2.0 * x**3 - 6.0 * x0 * x**2 + 7.0 * x0**2 * x - 3.0 * x0**3)
+                     - x * (4.0 * x**2 - 13.0 * x0 * x + 6.0 * x0**2) * gx)
+        out["S2"] = (3.0 * (2.0 * x**4 - 8.0 * x0 * x**3 + 12.0 * x0**2 * x**2
+                            - 7.0 * x0**3 * x + x0**4)
+                     - x * (4.0 * x**3 - 17.0 * x0 * x**2 + 17.0 * x0**2 * x
+                            + 2.0 * x0**3) * gx)
+    return out
 
 
 class TestSweepGrid:
