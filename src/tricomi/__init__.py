@@ -12,16 +12,16 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("constants", ("G1", "G2", "SQRT3", "SQRT33", "X0_CRITICAL", "ConstantLedger",
                    "g1", "g2", "ledger", "optimize_epsilons")),
-    ("geometry", ("MEMBERSHIP_TOL", "BoundaryCurve", "TricomiDomain", "boundary_points",
-                  "flow", "reflected_membership", "verify_star_shaped")),
+    ("geometry", ("MEMBERSHIP_TOL", "BoundaryCurve", "TricomiDomain",
+                  "reflected_membership", "verify_star_shaped")),
     ("pohozaev", ("BoundaryNormBundle", "BoundaryTrace", "area_l2_norm_sq", "bc_trace",
                   "bound_check", "line_integral", "norm_bundle_from_traces", "omega1",
                   "omega1_BC_simplified", "omega1_sigma_simplified", "omega2",
                   "omega2_BC_simplified", "pohozaev_residual", "sigma_trace",
                   "verify_integrand_equivalence", "verify_trace_inequalities")),
     ("report", ("VerificationReport", "reports_to_csv", "reports_to_jsonl")),
-    ("verifier", ("find_inflection", "proof_internals", "sweep_grid", "verify_G1_bounds",
-                  "verify_G2_bounds", "verify_h_profile", "verify_profiles")),
+    ("verifier", ("find_inflection", "verify_G1_bounds", "verify_G2_bounds",
+                  "verify_h_profile", "verify_profiles")),
     ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "field_csv",
                      "solve_real_spectrum", "trace_norms")),
 ) for name in names}

@@ -237,7 +237,7 @@ _EPS_LO, _EPS_HI = 1e-6, 1e6
 def _bracket_sum(led: ConstantLedger, bundle, eps1: float, eps2: float) -> float:
     a1 = bundle.w_ux_L2_BC**2
     a2 = bundle.uy_L2_BC**2
-    cross = (bundle.re_u_L2_BC + bundle.im_u_L2_BC) * (bundle.w_ux_L2_BC + bundle.uy_L2_BC)
+    cross = bundle.u_L2_BC * (bundle.w_ux_L2_BC + bundle.uy_L2_BC)
     b1 = bundle.w_ux_L2_sigma**2
     b2 = bundle.uy_L2_sigma**2
     return (

@@ -19,7 +19,6 @@ from .report import VerificationReport
 __all__ = [
     "TricomiDomain",
     "BoundaryCurve",
-    "flow",
     "verify_star_shaped",
     "MEMBERSHIP_TOL",
 ]
@@ -28,7 +27,7 @@ __all__ = [
 # as inside (flow trajectories ride exactly along BC).
 MEMBERSHIP_TOL = 1e-12
 
-# Inputs closer than this to a parametrization endpoint make g' meaningless.
+# Abscissae at most this far outside [2x0, 0] are clipped onto it; farther ones raise.
 _ENDPOINT_GUARD = 1e-12
 
 
@@ -57,23 +56,6 @@ class TricomiDomain:
     def y_C(self) -> float:
         """Ordinate of the vertex C, where AC and BC meet."""
         return -((3.0 * abs(self.x0) / 2.0) ** (2.0 / 3.0))
-
-    @property
-    def A(self):
-        return (2.0 * self.x0, 0.0)
-
-    @property
-    def B(self):
-        return (0.0, 0.0)
-
-    @property
-    def C(self):
-        return (self.x0, self.y_C)
-
-    @property
-    def apex(self):
-        """Highest point of sigma, (x0, g(x0))."""
-        return (self.x0, self.g(self.x0))
 
     # -- closed-form boundary functions -------------------------------------
 
@@ -119,15 +101,6 @@ class TricomiDomain:
         out = self._g(self._check_range(x))
         return float(out) if out.ndim == 0 else out
 
-    def g_prime(self, x):
-        """dg/dx = -(3/2)(x - x0)/g(x)^2 on the open interval (2x0, 0)."""
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 2.0 * self.x0 + _ENDPOINT_GUARD) or np.any(x >= -_ENDPOINT_GUARD):
-            raise ValueError("g' is singular at the endpoints of [2*x0, 0]")
-        gx = self.g(x)
-        out = -1.5 * (x - self.x0) / gx**2
-        return float(out) if out.ndim == 0 else out
-
     def h(self, x):
         """Modulus of the non-normalized normal on sigma:
         {(x - x0)^2 + (4/9) g(x)^4}^(1/2), positive on all of [2x0, 0]."""
@@ -161,10 +134,6 @@ class TricomiDomain:
                               yl - self.y_C)
         return float(out) if out.ndim == 0 else out
 
-    def contains(self, p):
-        """True iff p lies in the closed domain, with tolerance MEMBERSHIP_TOL."""
-        return self.membership_slack(p) >= -MEMBERSHIP_TOL
-
     def membership_slack_grid(self, X, Y):
         """Vectorized membership_slack over coordinate arrays, with numpy powers.
 
@@ -193,27 +162,15 @@ class TricomiDomain:
             return _make_sigma(self)
         raise ValueError(f"unknown boundary kind {kind!r}")
 
-    def starlike_product(self, kind: str, t):
-        """<(-3x, -2y), outer normal> at the boundary point of parameter t.
-
-        Closed forms: 6 x0 (1-y)^(-1/2) on AC, identically 0 on BC,
-        -3 x x0 / h(x) on sigma; all <= 0.
-        """
-        curve = self.boundary_curve(kind)
-        x, y = curve.position(t)
-        nx, ny = curve.normal(t)
-        return -3.0 * x * nx - 2.0 * y * ny
-
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """A parametrized boundary piece with tangent, arc element and unit
-    outer normal, oriented counterclockwise (interior on the left)."""
+    """A parametrized boundary piece with arc element and unit outer
+    normal, oriented counterclockwise (interior on the left)."""
 
     kind: str
     param_range: tuple[float, float]
     position: Callable
-    tangent: Callable
     normal: Callable
     arc_element: Callable
 
@@ -229,9 +186,6 @@ def _make_ac(dom: TricomiDomain) -> BoundaryCurve:
     def position(t):
         return (2.0 * dom.x0 + (2.0 / 3.0) * t**1.5, -t)
 
-    def tangent(t):
-        return (np.sqrt(t), -np.ones_like(np.asarray(t, dtype=float)))
-
     def normal(t):
         s = 1.0 / np.sqrt(1.0 + t)
         return (-s, -np.sqrt(t) * s)
@@ -239,7 +193,7 @@ def _make_ac(dom: TricomiDomain) -> BoundaryCurve:
     def arc_element(t):
         return np.sqrt(1.0 + t)
 
-    return BoundaryCurve("AC", (0.0, t_max), position, tangent, normal, arc_element)
+    return BoundaryCurve("AC", (0.0, t_max), position, normal, arc_element)
 
 
 def _make_bc(dom: TricomiDomain) -> BoundaryCurve:
@@ -248,9 +202,6 @@ def _make_bc(dom: TricomiDomain) -> BoundaryCurve:
     def position(t):
         return (-(2.0 / 3.0) * (-t) ** 1.5, t)
 
-    def tangent(t):
-        return (np.sqrt(-t), np.ones_like(np.asarray(t, dtype=float)))
-
     def normal(t):
         s = 1.0 / np.sqrt(1.0 - t)
         return (s, -np.sqrt(-t) * s)
@@ -258,7 +209,7 @@ def _make_bc(dom: TricomiDomain) -> BoundaryCurve:
     def arc_element(t):
         return np.sqrt(1.0 - t)
 
-    return BoundaryCurve("BC", (dom.y_C, 0.0), position, tangent, normal, arc_element)
+    return BoundaryCurve("BC", (dom.y_C, 0.0), position, normal, arc_element)
 
 
 def _make_sigma(dom: TricomiDomain) -> BoundaryCurve:
@@ -267,12 +218,6 @@ def _make_sigma(dom: TricomiDomain) -> BoundaryCurve:
     def position(t):
         x = -np.asarray(t, dtype=float)
         return (x, dom.g(x))
-
-    def tangent(t):
-        # Undefined at the endpoints where g' blows up; use normal() there.
-        x = -np.asarray(t, dtype=float)
-        gp = dom.g_prime(x)
-        return (-np.ones_like(x), -gp)
 
     def normal(t):
         # Endpoint-safe form h(x)^(-1) (x - x0, (2/3) g(x)^2).
@@ -285,21 +230,12 @@ def _make_sigma(dom: TricomiDomain) -> BoundaryCurve:
         x = -np.asarray(t, dtype=float)
         return 1.5 * dom.h(x) / np.asarray(dom.g(x)) ** 2
 
-    return BoundaryCurve("Sigma", (0.0, -2.0 * dom.x0), position, tangent, normal, arc_element)
-
-
-def flow(p, t):
-    """Exact dilation flow (x e^{-3t}, y e^{-2t}); t = +inf returns the origin."""
-    x, y = float(p[0]), float(p[1])
-    if t < 0.0:
-        raise ValueError("flow time must be nonnegative")
-    if math.isinf(t):
-        return (0.0, 0.0)
-    return (x * math.exp(-3.0 * t), y * math.exp(-2.0 * t))
+    return BoundaryCurve("Sigma", (0.0, -2.0 * dom.x0), position, normal, arc_element)
 
 
 def _boundary_arrays(dom: TricomiDomain, n: int):
-    """x and y arrays of the n points of boundary_points."""
+    """x and y arrays of max(2, n // 3) equispaced points on each boundary
+    piece, corners included: sigma, then AC, then BC."""
     n_piece = max(2, n // 3)
     xs, ys = [], []
     for kind in ("Sigma", "AC", "BC"):
@@ -309,12 +245,6 @@ def _boundary_arrays(dom: TricomiDomain, n: int):
         xs.append(np.asarray(x, dtype=float))
         ys.append(np.asarray(y, dtype=float))
     return np.concatenate(xs), np.concatenate(ys)
-
-
-def boundary_points(dom: TricomiDomain, n: int):
-    """n points distributed over the three boundary pieces (corners included)."""
-    xs, ys = _boundary_arrays(dom, n)
-    return list(zip(xs.tolist(), ys.tolist()))
 
 
 def verify_star_shaped(
@@ -337,7 +267,8 @@ def verify_star_shaped(
     slack_of = membership if membership is not None else dom.membership_slack
     times = np.concatenate([[0.0], np.geomspace(1e-6, 10.0, n_times - 1), [math.inf]])
     xs, ys = _boundary_arrays(dom, n_boundary)
-    # The flow factors of `flow`, one libm exp per time; t = inf maps to (0, 0).
+    # The dilation flow (x e^{-3t}, y e^{-2t}), one libm exp per time; the
+    # t = inf limit is the origin.
     X = np.zeros((len(xs), len(times)))
     Y = np.zeros_like(X)
     X[:, :-1] = xs[:, None] * [math.exp(-3.0 * t) for t in times[:-1]]

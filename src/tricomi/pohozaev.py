@@ -52,7 +52,7 @@ class BoundaryTrace:
     the nodes on their last axis and may carry leading batch axes, one trace
     per index, all sharing params and weights.  The node positions x, y and
     the arc element arc at the nodes are computed once, on construction;
-    `filled` copies share them.
+    `filled` copies share them, and set the fields.
     """
 
     curve: BoundaryCurve
@@ -103,8 +103,6 @@ class BoundaryNormBundle:
     """
 
     u_L2_BC: float
-    re_u_L2_BC: float
-    im_u_L2_BC: float
     w_ux_L2_BC: float
     uy_L2_BC: float
     w_ux_L2_sigma: float
@@ -177,20 +175,18 @@ def omega1_sigma_simplified(x, ux, uy, dom: TricomiDomain):
 
 # -- quadrature -------------------------------------------------------------
 
-def _trace(curve: BoundaryCurve, params, weights, u, ux, uy) -> BoundaryTrace:
-    """A trace on the given nodes; a field left as None is zero."""
+def _trace(curve: BoundaryCurve, params, weights) -> BoundaryTrace:
+    """A trace on the given nodes with every field zero."""
     z = np.zeros(len(params))
-    return BoundaryTrace(curve, params, weights,
-                         *(z if v is None else np.asarray(v, dtype=float)
-                           for v in (u, ux, uy)))
+    return BoundaryTrace(curve, params, weights, z, z, z)
 
 
-def bc_trace(dom: TricomiDomain, n: int, u=None, ux=None, uy=None) -> BoundaryTrace:
-    """Trapezoid nodes uniform in y over [y_C, 0]."""
+def bc_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
+    """Zero trace on trapezoid nodes uniform in y over [y_C, 0]."""
     w = np.full(n, (0.0 - dom.y_C) / (n - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    return _trace(dom.boundary_curve("BC"), np.linspace(dom.y_C, 0.0, n), w, u, ux, uy)
+    return _trace(dom.boundary_curve("BC"), np.linspace(dom.y_C, 0.0, n), w)
 
 
 def _graded(s):
@@ -198,8 +194,8 @@ def _graded(s):
     return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def sigma_trace(dom: TricomiDomain, n: int, u=None, ux=None, uy=None) -> BoundaryTrace:
-    """Midpoint nodes graded toward both endpoints of sigma.
+def sigma_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
+    """Zero trace on midpoint nodes graded toward both endpoints of sigma.
 
     The arc element (3/2) h / g^2 is singular like distance^(-2/3) at the
     endpoints; cubic grading of the node map restores algebraic convergence.
@@ -207,7 +203,7 @@ def sigma_trace(dom: TricomiDomain, n: int, u=None, ux=None, uy=None) -> Boundar
     s = (np.arange(n) + 0.5) / n
     t = -2.0 * dom.x0 * _graded(s)          # parameter t = -x in (0, -2x0)
     dt_ds = -2.0 * dom.x0 * 30.0 * s**2 * (1.0 - s) ** 2
-    return _trace(dom.boundary_curve("Sigma"), t, dt_ds / n, u, ux, uy)
+    return _trace(dom.boundary_curve("Sigma"), t, dt_ds / n)
 
 
 def line_integral(trace: BoundaryTrace, values):
@@ -223,8 +219,7 @@ def line_integral(trace: BoundaryTrace, values):
     return float(out) if out.ndim == 0 else out
 
 
-def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace | None = None,
-                            im_bc: BoundaryTrace | None = None) -> BoundaryNormBundle:
+def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace) -> BoundaryNormBundle:
     """Discrete boundary norms with the same quadrature as line_integral.
 
     Single traces give a float in every field; batched traces (all with the
@@ -234,17 +229,12 @@ def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace | None = Non
     def norm(trace, values):
         return np.sqrt(np.maximum(line_integral(trace, values), 0.0))
 
-    re_u = norm(bc, bc.u**2)
-    im_u = norm(im_bc, im_bc.u**2) if im_bc is not None else 0.0
     norms = {
-        "u_L2_BC": np.hypot(re_u, im_u),
-        "re_u_L2_BC": re_u,
-        "im_u_L2_BC": im_u,
+        "u_L2_BC": norm(bc, bc.u**2),
         "w_ux_L2_BC": norm(bc, np.abs(bc.y) * bc.ux**2),
         "uy_L2_BC": norm(bc, bc.uy**2),
-        "w_ux_L2_sigma": (0.0 if sigma is None
-                          else norm(sigma, np.abs(sigma.y) * sigma.ux**2)),
-        "uy_L2_sigma": 0.0 if sigma is None else norm(sigma, sigma.uy**2),
+        "w_ux_L2_sigma": norm(sigma, np.abs(sigma.y) * sigma.ux**2),
+        "uy_L2_sigma": norm(sigma, sigma.uy**2),
     }
     return BoundaryNormBundle(**{name: float(v) if np.ndim(v) == 0 else v
                                  for name, v in norms.items()})
@@ -351,8 +341,8 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000, seed: int = 0,
     # Bundle k holds uniform (u, ux, uy) in [-1, 1] on BC, then on sigma;
     # the sigma u values are drawn to keep that order and then unused.
     draws = rng.uniform(-1.0, 1.0, (n_traces, 2, 3, n_nodes))
-    bc = bc_trace(dom, n_nodes, u=draws[:, 0, 0], ux=draws[:, 0, 1], uy=draws[:, 0, 2])
-    sg = sigma_trace(dom, n_nodes, ux=draws[:, 1, 1], uy=draws[:, 1, 2])
+    bc = bc_trace(dom, n_nodes).filled(u=draws[:, 0, 0], ux=draws[:, 0, 1], uy=draws[:, 0, 2])
+    sg = sigma_trace(dom, n_nodes).filled(ux=draws[:, 1, 1], uy=draws[:, 1, 2])
     nb = norm_bundle_from_traces(bc, sg)
     w1_bc, w2_bc, w1_sg = _identity_integrals(bc, sg, dom)
 

@@ -1,9 +1,8 @@
 """Dense-grid verification of the shape of h and the bounds on G1, G2.
 
 Checks are floating-point sweeps with margin tolerances, not certified
-interval arithmetic.  The proof-internal functions H, N, N1, R, S1, S2 are
-exposed so tests can cross-check derivatives and monotonicity claims by an
-independent route (divided differences vs. printed closed forms).
+interval arithmetic.  The curvature numerator N of h is given in two forms,
+expanded and factored; the inflection search uses the factored one.
 """
 
 from __future__ import annotations
@@ -18,13 +17,11 @@ from .geometry import TricomiDomain
 from .report import VerificationReport
 
 __all__ = [
-    "sweep_grid",
     "verify_h_profile",
     "verify_G1_bounds",
     "verify_G2_bounds",
     "verify_profiles",
     "find_inflection",
-    "proof_internals",
     "N_of_X",
     "N_of_X_alt",
 ]
@@ -44,8 +41,9 @@ _BLOCK = 8192
 
 
 def _nodes(led: ConstantLedger, n: int):
-    """The sweep of `sweep_grid(led.x0, n)`, and a mask that is True at its
-    linspace nodes and False at the breakpoints inserted among them."""
+    """The sorted sweep of [2x0, 0]: an n-point linspace plus the critical
+    breakpoints of the ledger, and a mask that is True at the linspace
+    nodes and False at the breakpoints inserted among them."""
     # The same array as np.union1d(linspace, breakpoints) without sorting the
     # already sorted linspace: insert the sorted breakpoints after their
     # equals, then drop each entry equal to its left neighbour.  So on a tie
@@ -65,11 +63,6 @@ def _nodes(led: ConstantLedger, n: int):
     on_linspace = np.insert(np.ones(n, dtype=bool), at, False)
     keep = np.concatenate(([True], xs[1:] != xs[:-1]))
     return np.clip(xs[keep], 2.0 * x0, 0.0), on_linspace[keep]
-
-
-def sweep_grid(x0: float, n: int) -> np.ndarray:
-    """Uniform n-point grid on [2x0, 0] plus the critical breakpoints."""
-    return _nodes(ledger(x0), n)[0]
 
 
 def _G_of_X(x0: float, X):
@@ -359,43 +352,3 @@ def verify_profiles(x0: float, grid_size: int = 100_000) -> list:
     h on it once."""
     sw = _sweep(x0, grid_size)
     return [_h_profile(sw), _G1_bounds(sw), _G2_bounds(sw)]
-
-
-def proof_internals(x0: float, X=None, x=None) -> dict:
-    """Evaluate the proof-internal functions at one abscissa.
-
-    Accepts either the shifted coordinate X = x - x0 in [0, -x0] or the
-    plain abscissa x.  H, H', N, N1, R live on the shifted coordinate;
-    S1, S2 (derivative numerators of G1, G2) live on x in [2x0, 0], with
-    G1'(x) proportional to S1(x) and G2'(x) proportional to -S2(x).
-    """
-    if (X is None) == (x is None):
-        raise ValueError("give exactly one of X or x")
-    if X is None:
-        X = x - x0
-    else:
-        x = x0 + X
-    dom = TricomiDomain(x0)
-    out = {"X": float(X), "x": float(x)}
-    if 0.0 <= X <= -x0 + 1e-12:
-        G = float(_G_of_X(x0, X))
-        H = math.hypot(X, (2.0 / 3.0) * G * G)
-        out["H"] = H
-        out["G"] = G
-        out["H_prime"] = (3.0 - 4.0 * G) * X / (3.0 * H)
-        out["N"] = float(N_of_X(x0, X))
-        out["N_alt"] = float(N_of_X_alt(x0, X))
-        out["N1"] = float(2.0 * (5.0 * X**2 - 3.0 * x0**2) * G**2
-                          + 21.0 * X**4 - 66.0 * x0**2 * X**2 + 45.0 * x0**4)
-        denom = 4.0 * (11.0 * x0**2 - 7.0 * X**2)
-        if denom != 0.0:
-            out["R"] = (21.0 * x0**2 - 25.0 * X**2) / denom
-    if 2.0 * x0 - 1e-12 <= x <= 1e-12:
-        gx = float(dom.g(x))
-        out["S1"] = (3.0 * (2.0 * x**3 - 6.0 * x0 * x**2 + 7.0 * x0**2 * x - 3.0 * x0**3)
-                     - x * (4.0 * x**2 - 13.0 * x0 * x + 6.0 * x0**2) * gx)
-        out["S2"] = (3.0 * (2.0 * x**4 - 8.0 * x0 * x**3 + 12.0 * x0**2 * x**2
-                            - 7.0 * x0**3 * x + x0**4)
-                     - x * (4.0 * x**3 - 17.0 * x0 * x**2 + 17.0 * x0**2 * x
-                            + 2.0 * x0**3) * gx)
-    return out

@@ -204,9 +204,7 @@ class TestPolynomials:
 def _bundle(rng):
     v = rng.uniform(0.0, 2.0, 5)
     return BoundaryNormBundle(
-        u_L2_BC=math.hypot(v[0], 0.3 * v[0]),
-        re_u_L2_BC=v[0],
-        im_u_L2_BC=0.3 * v[0],
+        u_L2_BC=v[0],
         w_ux_L2_BC=v[1],
         uy_L2_BC=v[2],
         w_ux_L2_sigma=v[3],
@@ -231,7 +229,7 @@ class TestOptimizeEpsilons:
             b = _bundle(rng)
             eps1, eps2, rhs = optimize_epsilons(b, led)
             a1, a2 = b.w_ux_L2_BC**2, b.uy_L2_BC**2
-            cross = (b.re_u_L2_BC + b.im_u_L2_BC) * (b.w_ux_L2_BC + b.uy_L2_BC)
+            cross = b.u_L2_BC * (b.w_ux_L2_BC + b.uy_L2_BC)
             b1, b2 = b.w_ux_L2_sigma**2, b.uy_L2_sigma**2
             for e1, e2 in rng.uniform(0.05, 20.0, (25, 2)):
                 other = math.sqrt(max(
@@ -249,7 +247,7 @@ class TestOptimizeEpsilons:
 
     def test_degenerate_bundles(self):
         led = ledger(-0.6)
-        zero = BoundaryNormBundle(0, 0, 0, 0, 0, 0, 0)
+        zero = BoundaryNormBundle(0, 0, 0, 0, 0)
         eps1, eps2, rhs = optimize_epsilons(zero, led)
         assert rhs == 0.0 and eps1 == 1.0
 
@@ -258,7 +256,7 @@ class TestOptimizeEpsilons:
     def test_degenerate_sigma_norms(self, w_ux, uy, eps):
         # Only the sigma norms vanish: eps2 goes to the end of [1e-6, 1e6]
         # its one nonzero term prefers, or to 1; eps1 stays closed form.
-        bundle = BoundaryNormBundle(0.5, 0.5, 0.0, 0.3, 0.6, w_ux, uy)
+        bundle = BoundaryNormBundle(0.5, 0.3, 0.6, w_ux, uy)
         eps1, eps2, rhs = optimize_epsilons(bundle, ledger(-0.6))
         assert eps2 == eps
         assert eps1 == pytest.approx(2.0, rel=1e-12)
@@ -266,4 +264,4 @@ class TestOptimizeEpsilons:
 
     def test_negative_norm_rejected(self):
         with pytest.raises(ValueError):
-            BoundaryNormBundle(1, 1, 0, -0.5, 0, 0, 0)
+            BoundaryNormBundle(1, -0.5, 0, 0, 0)

@@ -207,12 +207,11 @@ class TestNormBundle:
         # Every field of a batched bundle equals the bundle of each row, bit
         # for bit; single traces give Python floats.
         rng = np.random.default_rng(5)
-        draws = rng.uniform(-1.0, 1.0, (6, 6, 40))
+        draws = rng.uniform(-1.0, 1.0, (5, 6, 40))
         bc, sg = bc_trace(dom, 40), sigma_trace(dom, 40)
         bundle = lambda k: norm_bundle_from_traces(
             bc.filled(u=draws[0, k], ux=draws[1, k], uy=draws[2, k]),
-            sg.filled(ux=draws[3, k], uy=draws[4, k]),
-            im_bc=bc.filled(u=draws[5, k]))
+            sg.filled(ux=draws[3, k], uy=draws[4, k]))
         batched = bundle(slice(None))
         rows = [bundle(k) for k in range(6)]
         for name, v in vars(batched).items():
@@ -259,7 +258,7 @@ class TestIdentityAndBound:
 
     def test_bound_fails_for_zero_norms(self, dom):
         from tricomi.pohozaev import BoundaryNormBundle
-        zero = BoundaryNormBundle(0, 0, 0, 0, 0, 0, 0)
+        zero = BoundaryNormBundle(0, 0, 0, 0, 0)
         out = bound_check(2.0, zero, ledger(dom.x0))
         assert not out["satisfied"]
         assert out["rhs"] == 0.0
