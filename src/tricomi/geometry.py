@@ -255,12 +255,13 @@ def verify_star_shaped(
 ) -> VerificationReport:
     """Check that dilation-flow trajectories of boundary points stay inside.
 
-    Samples n_boundary boundary points and n_times log-spaced flow times in
-    [0, 10] plus the t = +inf limit, and records the worst membership
-    slack.  A different `membership` predicate turns this into a negative
-    control (e.g. the x-reflected domain, which the flow of Omega exits).
-    The predicate is called once, with the (points, times) coordinate
-    arrays (X, Y), and returns the slack array of that shape.
+    Samples max(2, n_boundary // 3) points on each boundary piece and
+    n_times log-spaced flow times in [0, 10] plus the t = +inf limit, and
+    records the worst membership slack; grid_size counts these samples.
+    A different `membership` predicate turns this into a negative control
+    (e.g. the x-reflected domain, which the flow of Omega exits).  The
+    predicate is called once, with the (points, times) coordinate arrays
+    (X, Y), and returns the slack array of that shape.
     """
     if n_boundary < 2 or n_times < 2:
         raise ValueError("need at least 2 boundary points and 2 flow times")
@@ -284,7 +285,7 @@ def verify_star_shaped(
     return VerificationReport(
         claim_id="star_shaped",
         x0=dom.x0,
-        grid_size=n_boundary * len(times),
+        grid_size=X.size,
         worst_margin=worst,
         worst_location=p[0],
         passed=worst >= -tol,

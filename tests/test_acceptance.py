@@ -230,7 +230,7 @@ def test_criterion_6_star_shaped():
                                  membership=reflected_membership(dom))
     ok = fails == 0 and not control.passed
     record("6 (star-shapedness)", ok,
-           f"200 boundary points x 50 flow times at 4 x0, worst slack "
+           f"198 boundary points x 51 flow times at 4 x0, worst slack "
            f"{worst:.2e} (tol -1e-10); {fails} failures; reflected control "
            f"{'fails as required' if not control.passed else 'unexpectedly passes'}")
 

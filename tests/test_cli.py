@@ -189,10 +189,11 @@ class TestVerify:
         code, _, _ = _run(capsys, "verify", "all", "--x0", "-0.5", "--grid", "1200")
         assert code == 0 and calls == [(-0.5, 1200)] and ledgers == [-0.5]
 
-    # Each check's sample count is --grid itself, at any size: star points
-    # times 51 flow times, two curves of states, 64 nodes per trace bundle.
+    # Each check's sample count follows --grid at any size: 3 (grid // 3)
+    # boundary points times 51 flow times, two curves of states, 64 nodes
+    # per trace bundle.
     @pytest.mark.parametrize("check, grid, size", [
-        ("starshape", "10000", 510000),
+        ("starshape", "10000", 509949),
         ("integrands", "20000", 40000),
         ("inequalities", "20000", 1280000),
     ])
@@ -230,17 +231,17 @@ class TestVerify:
     # at grids whose sweep ends inside a slice of the verifier's _BLOCK = 8192
     # nodes: 8197 nodes at (-3, 8193) and 16388 at (-0.3, 16385).
     @pytest.mark.parametrize("x0, grid, digest", [
-        pytest.param("-0.05", None, "5ca47af622f0f996bb6d7fbdb1afca69aa53e7937b052159e596a4068b4f00f6",
+        pytest.param("-0.05", None, "3bfef4a628c9c48997f9790adb2616c889ea8361d29dd28e8568479219ed774b",
                      id="-0.05-default"),
-        pytest.param("-0.5", None, "21e5ca3081af2ff3c0e84075ac80e81037f88314a7610699c7f86d45b8446e57",
+        pytest.param("-0.5", None, "4398e1c048fc5c600fddf3daca9d39fe621e6208481e92582507c8a74155f0f0",
                      id="-0.5-default"),
-        pytest.param("-1", None, "1c306024b5ec9276c7004c850ec5168cfd90354b8bea9b3b1983bdb6a83d77ca",
+        pytest.param("-1", None, "e23548c68c24ae607fdaa86a7511840453a391003bbd047a099dbf0adbcfb07a",
                      id="-1-default"),
-        pytest.param("-4", None, "ce2aa4794a80623914576a53db84fba79e7a982a1e6efb1c8f86916d514717cb",
+        pytest.param("-4", None, "2aafb08266716794e306a86ebf8fc57d3709de4f0aab208ffd48b8e365d89a35",
                      id="-4-default"),
         pytest.param("-3", "8193", "48c5b4470960a2926b40efd7c7cbde9ebd5fd03484a785f1a2e7048ecfa628b7",
                      id="-3-8193"),
-        pytest.param("-0.3", "16385", "94093c623b979cc154d9903311738dba252837fb9bd09845aab9a64bb148af05",
+        pytest.param("-0.3", "16385", "3624aca820de70b0bc35988e3b729a6fffaca8f132bd0cfe11281d298315d19b",
                      id="-0.3-16385"),
     ])
     def test_all_pinned_at_grid(self, capsys, x0, grid, digest):

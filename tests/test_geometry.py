@@ -316,7 +316,7 @@ class TestStarShapedArrayPass:
         assert rep.notes == (f"tolerance={_STAR_TOL.get(x0, '1e-10')}; "
                              f"worst point={point}, t={t}")
         assert rep.passed is (not reflected)
-        assert rep.grid_size == n * 51
+        assert rep.grid_size == 3 * (n // 3) * 51
 
     @pytest.mark.parametrize("x0", [-0.05, -0.5, -4.0])
     @pytest.mark.parametrize("reflected", [False, True])
