@@ -51,8 +51,9 @@ class BoundaryTrace:
     integral of f ds ~= sum(f * arc * weights).  The fields u, ux, uy have
     the nodes on their last axis and may carry leading batch axes, one trace
     per index, all sharing params and weights.  The node positions x, y and
-    the arc element arc at the nodes are computed once, on construction;
-    `filled` copies share them, and set the fields.
+    the arc element arc at the nodes are computed once, on construction.
+    `bc_trace` and `sigma_trace` give zero fields; `filled` copies set them
+    and share the nodes' geometry.
     """
 
     curve: BoundaryCurve
