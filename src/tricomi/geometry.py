@@ -32,14 +32,19 @@ _ENDPOINT_GUARD = 1e-12
 
 
 def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
-    """Elementwise power through Python floats, i.e. libm pow.
+    """Elementwise libm pow, equal bit for bit to a Python float power.
 
-    numpy's SIMD pow can differ from libm in the last ulp, depending on the
-    CPU's vector unit, while a Python float power always calls libm.  The
-    membership slack, the cut-cell crossings and the BC sample points all
-    take their powers here, so array and scalar evaluations agree bit for
-    bit and the results are the same on every CPU."""
-    return (base.astype(object) ** exponent).astype(float)
+    numpy's float64 float_power loop calls C pow once per element, the same
+    libm call a Python float power makes.  np.power is not used: its SIMD
+    loop differs from libm in the last ulp on some inputs (about 5 % on an
+    AVX-512 CPU), which would move pinned margins and make them depend on
+    the CPU's vector unit.  The membership slack, the cut-cell crossings
+    and the BC sample points all take their powers here, so array and
+    scalar evaluations agree bit for bit on every CPU.  An overflow raises
+    FloatingPointError (an ArithmeticError), as a Python float power raises
+    OverflowError, whatever the caller's errstate."""
+    with np.errstate(over="raise"):
+        return np.float_power(base, exponent)
 
 
 @dataclass(frozen=True)
@@ -119,8 +124,10 @@ class TricomiDomain:
         margin, in the natural units of each inequality.
 
         p = (x, y) may hold scalars, giving a Python float, or coordinate
-        arrays, giving an array of their shape.  The powers go through libm
-        (`_libm_pow`), so each array entry equals the scalar call bit for bit.
+        arrays, giving an array of their shape.  The powers take one libm
+        call per element in numpy's C loop (`_libm_pow`), so each array
+        entry equals the scalar call bit for bit, and an overflowing power
+        raises ArithmeticError.
         """
         x, y = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
         up = y >= 0.0

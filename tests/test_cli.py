@@ -552,6 +552,7 @@ class TestEdgeInputs:
         (("eigen", "--x0", "-1e-300", "--count", "1"), "eigensolve failed: "),
         (("bound", "--x0", "-1e-300"), "bound check failed: "),
         (("bound", "--x0", "-1e300"), "bound check failed: "),
+        (("verify", "starshape", "--x0", "-1e300"), "verification failed: "),
     ])
     def test_exits_1_with_one_json_line(self, argv, error):
         proc = subprocess.run([sys.executable, "-m", "tricomi.cli", *argv],
@@ -559,6 +560,12 @@ class TestEdgeInputs:
         assert proc.returncode == 1 and proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"].startswith(error)
+
+    def test_starshape_far_x0_passes(self, capsys):
+        # The slack's powers stay finite at x0 = -1e120 (x0^2 = 1e240).
+        code, out, err = _run(capsys, "verify", "starshape", "--x0", "-1e120")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["passed"] is True
 
     def test_singular_factorization_names_only_its_cause(self, capsys):
         # At x0 = -1e-120 the shifted matrix is singular in floating point.

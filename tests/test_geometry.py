@@ -11,7 +11,7 @@ from tricomi import (
     reflected_membership,
     verify_star_shaped,
 )
-from tricomi.geometry import _boundary_arrays
+from tricomi.geometry import _boundary_arrays, _libm_pow
 
 
 @pytest.fixture(params=[-0.3, -0.5, -1.0, -2.0])
@@ -380,3 +380,24 @@ def test_membership_grid_matches_scalar():
     grid = dom.membership_slack_grid(X, Y)
     scalar = np.array([dom.membership_slack((x, y)) for x, y in zip(X, Y)])
     assert np.allclose(grid, scalar, rtol=0, atol=1e-14)
+
+
+class TestLibmPow:
+    # _libm_pow must equal a Python float power (C pow) bit for bit; it
+    # fails here if numpy ever routes float_power through a SIMD loop.
+    @pytest.mark.parametrize("exponent, signed, top", [
+        (2, True, 150), (3, True, 100), (1.5, False, 150), (2.0 / 3.0, False, 150),
+    ])
+    def test_matches_python_float_power(self, exponent, signed, top):
+        rng = np.random.default_rng(25)
+        base = 10.0 ** rng.uniform(-300.0, top, 100_000)
+        base = np.concatenate([base, [0.0, -0.0, 5e-324, 1e-310, 2.2e-308, 1.0]])
+        if signed:
+            base[::2] = -base[::2]
+        ref = np.array([float(v) ** exponent for v in base])
+        assert np.array_equal(_libm_pow(base, exponent).view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}])
+    def test_overflow_raises(self, errstate):
+        with np.errstate(**errstate), pytest.raises(ArithmeticError):
+            _libm_pow(np.array([1.0, 1e200]), 2)
