@@ -514,8 +514,9 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--grid", type=int, default=None,
                     help="sample count of the check, given to each part of "
                          "all (default: each check's own: 100000 sweep nodes, "
-                         "200 boundary points for starshape, 1000 for "
-                         "integrands and inequalities)")
+                         "198 boundary points for starshape, which takes "
+                         "n // 3 per curve, 1000 for integrands and "
+                         "inequalities)")
     sv.add_argument("--tol", type=_tol_float, default=None,
                     help="override the pass/fail margin tolerance")
     sv.add_argument("--reflected", action="store_true",
