@@ -237,9 +237,9 @@ class TestVerify:
                      id="-0.5-default"),
         pytest.param("-1", None, "e23548c68c24ae607fdaa86a7511840453a391003bbd047a099dbf0adbcfb07a",
                      id="-1-default"),
-        pytest.param("-4", None, "2aafb08266716794e306a86ebf8fc57d3709de4f0aab208ffd48b8e365d89a35",
+        pytest.param("-4", None, "441bdaa2a11f7ed0f608867958e4944caff241cc946a8ec4ac7fc5485f394214",
                      id="-4-default"),
-        pytest.param("-3", "8193", "48c5b4470960a2926b40efd7c7cbde9ebd5fd03484a785f1a2e7048ecfa628b7",
+        pytest.param("-3", "8193", "54db9443318ad4efaee454b569e23554112ac00a7d024a32c95ca039480e8f4f",
                      id="-3-8193"),
         pytest.param("-0.3", "16385", "3624aca820de70b0bc35988e3b729a6fffaca8f132bd0cfe11281d298315d19b",
                      id="-0.3-16385"),

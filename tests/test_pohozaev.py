@@ -36,6 +36,10 @@ def dom(request):
     return TricomiDomain(request.param)
 
 
+# The tolerance 1e-12 * max(1, |x0|^(2/3)) as the notes print it, where it is not 1e-12.
+_INTEGRAND_TOL = {-4.0: "2.51984e-12", -17.0: "6.61149e-12"}
+
+
 class TestIntegrands:
     def test_omega1_bc_is_perfect_square(self, dom):
         rng = np.random.default_rng(0)
@@ -81,8 +85,8 @@ class TestIntegrands:
         (-0.3, 2, 10, "0x1.1962e87ce8271p-40", "-0x1.f03c06f6580a1p-3", "omega1_BC"),
         (-0.5, 0, 1000, "0x1.19299812dea11p-40", "-0x1.cca3afcb00dbcp-1", "omega1_sigma"),
         (-1.0, 11, 1, "0x1.19669cab32bf4p-40", "-0x1.862906dcb1e89p-1", "omega1_BC"),
-        (-4.0, 3, 300, "0x1.18419812dea11p-40", "-0x1.824f2623c81a6p+1", "omega2_BC"),
-        (-17.0, 0, 300, "0x1.176017f96f22cp-40", "-0x1.c3fc6d01918eep+3", "omega2_BC"),
+        (-4.0, 3, 300, "0x1.6206e12915e23p-39", "-0x1.824f2623c81a6p+1", "omega2_BC"),
+        (-17.0, 0, 300, "0x1.d0b79f714c397p-38", "-0x1.c3fc6d01918eep+3", "omega2_BC"),
     ])
     def test_equivalence_report_pinned(self, x0, seed, n_states, margin, location, worst):
         # Values of the closure-tracking implementation: same draws, same
@@ -90,8 +94,16 @@ class TestIntegrands:
         rep = verify_integrand_equivalence(x0, n_states=n_states, seed=seed)
         assert float(rep.worst_margin).hex() == margin
         assert float(rep.worst_location).hex() == location
-        assert rep.notes == f"tolerance=1e-12; worst: {worst}"
+        assert rep.notes == f"tolerance={_INTEGRAND_TOL.get(x0, '1e-12')}; worst: {worst}"
         assert rep.passed and rep.grid_size == 2 * n_states
+
+    @pytest.mark.parametrize("x0", [-1e5, -1e8, -1e15])
+    def test_tolerance_scales_with_x0(self, x0):
+        # On BC the general omega2 adds F terms of size |y_C| ~ |x0|^(2/3)
+        # that cancel, so its rounding error grows like |x0|^(2/3).
+        rep = verify_integrand_equivalence(x0)
+        assert rep.passed, rep.notes
+        assert rep.notes.startswith(f"tolerance={1e-12 * abs(x0) ** (2.0 / 3.0):g}; ")
 
 
 class TestQuadrature:
