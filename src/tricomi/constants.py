@@ -9,7 +9,7 @@ boundary-integral estimates and are minimized by `optimize_epsilons`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -43,18 +43,20 @@ X4 = -math.sqrt((15.0 - SQRT33) / 32.0)
 
 def g1(dom: TricomiDomain, x):
     """3x(2x - 3x0); vanishes at 0 and (3/2)x0, equals 6x0^2 at 2x0."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 2.0 * dom.x0 - 1e-12) or np.any(x > 1e-12):
-        raise ValueError("x outside [2*x0, 0]")
+    x = dom._check_range(x)
     out = 3.0 * x * (2.0 * x - 3.0 * dom.x0)
     return float(out) if out.ndim == 0 else out
+
+
+def _g2_of(x0: float, x, g):
+    """g2 at abscissae x from g = g(x); the verifier's sweep reuses its g."""
+    return 4.0 * (2.0 * x - x0) * g**1.5
 
 
 def g2(dom: TricomiDomain, x):
     """4(2x - x0) g(x)^(3/2); vanishes at the endpoints and at x0/2."""
     x = np.asarray(x, dtype=float)
-    gx = np.asarray(dom.g(x))
-    out = 4.0 * (2.0 * x - dom.x0) * gx**1.5
+    out = _g2_of(dom.x0, x, np.asarray(dom.g(x)))
     return float(out) if out.ndim == 0 else out
 
 
@@ -68,6 +70,12 @@ def G2(dom: TricomiDomain, x):
     """g2(x)/h(x), finite on all of [2x0, 0]."""
     out = np.asarray(g2(dom, x)) / np.asarray(dom.h(x))
     return float(out) if out.ndim == 0 else out
+
+
+def _positive(eps: float) -> float:
+    if eps <= 0:
+        raise ValueError("eps must be positive")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -101,55 +109,31 @@ class ConstantLedger:
     _K12: float = field(repr=False)  # common factor of C1, C2
 
     def C1(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return self._K12 * (1.0 + eps)
+        return self._K12 * (1.0 + _positive(eps))
 
     def C2(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        return self._K12 * (1.0 + 1.0 / eps)
+        return self._K12 * (1.0 + 1.0 / _positive(eps))
 
     def C14(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         upper = self.C6 if self.x0 >= X0_CRITICAL else self.C8
-        return upper + 0.5 * eps * self.C13
+        return upper + 0.5 * _positive(eps) * self.C13
 
     def C15(self, eps: float) -> float:
-        if eps <= 0:
-            raise ValueError("eps must be positive")
         lower = self.C5 if self.x0 >= X0_CRITICAL else self.C7
-        return -lower + self.C13 / (2.0 * eps)
+        return -lower + self.C13 / (2.0 * _positive(eps))
 
     def to_dict(self) -> dict:
-        """Every constant by name; the epsilon-dependent ones at eps = 1."""
-        return {
-            "x0": self.x0,
-            "regime": self.regime,
-            "y_C": self.y_C,
-            "x_plus": self.x_plus,
-            "x_minus": self.x_minus,
-            "x1": self.x1,
-            "x2": self.x2,
-            "x3": self.x3,
-            "x4": self.x4,
-            "C1_eps1": self.C1(1.0),
-            "C2_eps1": self.C2(1.0),
-            "C3": self.C3,
-            "C4": self.C4,
-            "C5": self.C5,
-            "C6": self.C6,
-            "C7": self.C7,
-            "C8": self.C8,
-            "C9": self.C9,
-            "C10": self.C10,
-            "C11": self.C11,
-            "C12": self.C12,
-            "C13": self.C13,
-            "C14_eps1": self.C14(1.0),
-            "C15_eps1": self.C15(1.0),
-        }
+        """Every public field by name, in declaration order, with the
+        epsilon-dependent constants at eps = 1: C1 and C2 just before C3,
+        C14 and C15 last."""
+        out = {}
+        for f in fields(self):
+            if f.name == "C3":
+                out.update(C1_eps1=self.C1(1.0), C2_eps1=self.C2(1.0))
+            if not f.name.startswith("_"):
+                out[f.name] = getattr(self, f.name)
+        out.update(C14_eps1=self.C14(1.0), C15_eps1=self.C15(1.0))
+        return out
 
 
 def _regime(x0: float) -> str:
@@ -164,8 +148,6 @@ def _regime(x0: float) -> str:
 
 def ledger(x0: float) -> ConstantLedger:
     """Evaluate every constant by its closed form with the regime-correct branch."""
-    if not (x0 < 0.0) or not math.isfinite(x0):
-        raise ValueError(f"x0 must be a finite negative real, got {x0!r}")
     dom = TricomiDomain(x0)
     ax = abs(x0)
 

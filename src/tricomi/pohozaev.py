@@ -147,21 +147,24 @@ def omega2(point, value, grad, normal, F_of_u):
     return qx * nx + qy * ny
 
 
-def omega1_BC_simplified(y, ux, uy):
-    """On BC: 4(-y)^(3/2)(1-y)^(-1/2)[(-y)^(1/2) u_x + u_y]^2, a perfect square."""
+def _bc_depth(y):
+    """y as a float array, required to be <= 0 up to 1e-12, and -y with a
+    positive residue clamped to 0."""
     y = np.asarray(y, dtype=float)
     if np.any(y > 1e-12):
         raise ValueError("BC form needs y <= 0")
-    my = np.abs(np.minimum(y, 0.0))
+    return y, np.abs(np.minimum(y, 0.0))
+
+
+def omega1_BC_simplified(y, ux, uy):
+    """On BC: 4(-y)^(3/2)(1-y)^(-1/2)[(-y)^(1/2) u_x + u_y]^2, a perfect square."""
+    y, my = _bc_depth(y)
     return 4.0 * my**1.5 / np.sqrt(1.0 - y) * (np.sqrt(my) * ux + uy) ** 2
 
 
 def omega2_BC_simplified(y, u, ux, uy):
     """On BC: -(-y)^(1/2)(1-y)^(-1/2) u [(-y)^(1/2) u_x + u_y]."""
-    y = np.asarray(y, dtype=float)
-    if np.any(y > 1e-12):
-        raise ValueError("BC form needs y <= 0")
-    my = np.abs(np.minimum(y, 0.0))
+    y, my = _bc_depth(y)
     return -np.sqrt(my) / np.sqrt(1.0 - y) * u * (np.sqrt(my) * ux + uy)
 
 
@@ -292,12 +295,11 @@ def pohozaev_residual(lam: float, traces: dict, dom: TricomiDomain) -> dict:
     w1_bc, w2_bc, rhs_sigma = _identity_integrals(traces["BC"], traces["Sigma"], dom)
     rhs_bc = w1_bc + w2_bc
     rhs = rhs_bc + rhs_sigma
-    rel = 0.0 if lhs == 0.0 and rhs == 0.0 else abs(lhs - rhs) / max(abs(lhs), 1e-300)
     return {
         "lhs": lhs,
         "rhs_BC": rhs_bc,
         "rhs_sigma": rhs_sigma,
-        "relative_residual": rel,
+        "relative_residual": abs(lhs - rhs) / max(lhs, 1e-300),
     }
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import X0_CRITICAL, ConstantLedger, g1, ledger
+from .constants import X0_CRITICAL, ConstantLedger, _g2_of, g1, ledger
 from .geometry import TricomiDomain
 from .report import VerificationReport
 
@@ -323,9 +323,7 @@ def _G1_bounds(sw: _Sweep) -> VerificationReport:
 def _G2_bounds(sw: _Sweep) -> VerificationReport:
     dom, led, xs = sw.dom, sw.led, sw.xs
     first = dom.x0 >= X0_CRITICAL
-    # g2/h in the operation order of constants.g2 and constants.G2.
-    return _G_bounds("G2_bounds", sw,
-                     lambda s: 4.0 * (2.0 * xs[s] - dom.x0) * sw.g[s]**1.5 / sw.h[s],
+    return _G_bounds("G2_bounds", sw, lambda s: _g2_of(dom.x0, xs[s], sw.g[s]) / sw.h[s],
                      led.C9 if first else led.C11, led.C10 if first else led.C12,
                      abs_bound=led.C13)
 
