@@ -165,8 +165,13 @@ def ledger(x0: float) -> ConstantLedger:
         x_plus = x_minus = None
         hmin = None
 
-    # Maximum of h over [2x0, 0]: |x0| down to x0 = -2/3, then h(x0).
-    C4 = ax if x0 >= -2.0 / 3.0 else (1.5 * x0**4) ** (1.0 / 3.0)
+    # Maximum of h over [2x0, 0]: |x0| down to x0 = -2/3, then h(x0).  x0**4
+    # overflows from |x0| ~ 1.2e77; the error names the quantity, not errno.
+    try:
+        C4 = ax if x0 >= -2.0 / 3.0 else (1.5 * x0**4) ** (1.0 / 3.0)
+    except OverflowError:
+        raise OverflowError(
+            f"C4 = (1.5*x0^4)^(1/3) overflows a float at x0={x0!r}") from None
 
     # First-family bounds on G1 = g1/h and G2 = g2/h.
     denom6 = math.sqrt(2.0 ** (4.0 / 3.0) + 9.0 * ax ** (2.0 / 3.0))

@@ -561,6 +561,20 @@ class TestEdgeInputs:
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"].startswith(error)
 
+    @pytest.mark.parametrize("x0", ["-1e80", "-1e300"])
+    @pytest.mark.parametrize("argv", [
+        ("verify", "all"), ("verify", "h-profile"), ("verify", "g1-bounds"),
+        ("verify", "g2-bounds"), ("verify", "inequalities"), ("constants",),
+        ("plot", "h"), ("plot", "domain"),
+    ], ids=" ".join)
+    def test_ledger_overflow_names_the_quantity(self, capsys, argv, x0):
+        # C4 = (1.5 x0^4)^(1/3) overflows from |x0| ~ 1.2e77: the error names
+        # C4, not CPython's errno text.
+        code, out, err = _run(capsys, *argv, "--x0", x0)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert "C4" in error and "Numerical result out of range" not in error
+
     def test_starshape_far_x0_passes(self, capsys):
         # The slack's powers stay finite at x0 = -1e120 (x0^2 = 1e240).
         code, out, err = _run(capsys, "verify", "starshape", "--x0", "-1e120")
