@@ -429,6 +429,51 @@ class TestEndToEnd64:
         assert out["satisfied"], out
 
 
+def _scaled_principal(x0: float, n: int):
+    """lambda |x0|^(4/3) of the principal pair at n^2, or None without one."""
+    dom = TricomiDomain(x0)
+    pairs, _ = solve_real_spectrum(assemble(dom, Grid.build(dom, n, n)), 4,
+                                   principal_only=True)
+    return pairs[0].lam * abs(x0) ** (4.0 / 3.0) if pairs else None
+
+
+def _broken(reason: str):
+    return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
+
+
+_TOL = "MEMBERSHIP_TOL admits nodes outside the domain (ROADMAP item 14(c)): "
+_SHIFT = "the fixed shift 1e-3 is far from lambda (ROADMAP item 14(a)): "
+
+
+class TestSelfSimilarity:
+    # Under (x, y) -> (|x0| x, |x0|^(2/3) y) the discrete problem is
+    # self-similar, so lambda |x0|^(4/3) is x0 = -1's on the same mesh.  Each
+    # broken cell is a strict xfail with its measured value: the fix that
+    # mends it must flip the marker.
+    @pytest.mark.parametrize("x0, n", [
+        pytest.param(-1e-8, 48, marks=_broken(_TOL + "2.2626, 1792 unknowns, not 1534")),
+        pytest.param(-1e-6, 48, marks=_broken(_TOL + "2.4889, 1616 unknowns, not 1534")),
+        (-1e-3, 48),
+        (-0.5, 48),
+        pytest.param(-1e3, 48, marks=_broken(_SHIFT + "6.8396, not 2.5804")),
+        pytest.param(-1e5, 48, marks=_broken(_SHIFT + "4567.1, not 2.5804")),
+        pytest.param(-1e15, 48, marks=_broken(_SHIFT + "16067.9, not 2.5804")),
+        pytest.param(-1e100, 48, marks=_broken(_SHIFT + "no positive real pair")),
+        pytest.param(-1e-8, 64, marks=_broken(_TOL + "2.2395, 3198 unknowns, not 2758")),
+        pytest.param(-1e-6, 64, marks=_broken(_TOL + "2.4218, 2896 unknowns, not 2758")),
+        (-1e-3, 64),
+        (-0.5, 64),
+        pytest.param(-1e3, 64, marks=_broken(_SHIFT + "no positive real pair")),
+        pytest.param(-1e5, 64, marks=_broken(_SHIFT + "4635.6, not 2.5301")),
+        pytest.param(-1e15, 64, marks=_broken(_SHIFT + "20860.0, not 2.5301")),
+        pytest.param(-1e100, 64, marks=_broken(_SHIFT + "no positive real pair")),
+    ])
+    def test_principal_lambda_scales_as_x0_to_the_minus_4_3(self, x0, n):
+        scaled = _scaled_principal(x0, n)
+        assert scaled is not None, "no positive real pair"
+        assert scaled == pytest.approx(_scaled_principal(-1.0, n), rel=1e-10, abs=0.0)
+
+
 # Every name the package exports: (defining module, names).  The package
 # loads each on first use.
 _PACKAGE_EXPORTS = (
