@@ -37,12 +37,15 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     numpy's float64 float_power loop calls C pow once per element, the same
     libm call a Python float power makes.  np.power is not used: its SIMD
     loop differs from libm in the last ulp on some inputs (about 5 % on an
-    AVX-512 CPU), which would move pinned margins and make them depend on
-    the CPU's vector unit.  The membership slack, the cut-cell crossings
-    and the BC sample points all take their powers here, so array and
-    scalar evaluations agree bit for bit on every CPU.  An overflow raises
-    FloatingPointError (an ArithmeticError), as a Python float power raises
-    OverflowError, whatever the caller's errstate."""
+    AVX-512 CPU), which would move pinned margins.  The membership slack,
+    the cut-cell crossings and the BC sample points take their powers here,
+    so their array and scalar evaluations agree bit for bit.  That does not
+    make the pinned margins independent of the CPU: g and h, and the cut
+    cells' crossings of sigma, use np.cbrt and np.hypot, whose SIMD loops
+    numpy picks by the CPU's vector unit and which differ from libm in the
+    last ulp on many inputs.  An overflow raises FloatingPointError (an
+    ArithmeticError), as a Python float power raises OverflowError,
+    whatever the caller's errstate."""
     with np.errstate(over="raise"):
         return np.float_power(base, exponent)
 
@@ -143,9 +146,12 @@ class TricomiDomain:
     def membership_slack_grid(self, X, Y):
         """Vectorized membership_slack over coordinate arrays, with numpy powers.
 
-        Grid.build sets the finite-difference mask from this; it keeps
-        numpy's powers so the mask, the matrix and the solve stay as they
-        are.  It can differ from membership_slack in the last ulp."""
+        Grid.build sets the finite-difference mask from this, and
+        area_l2_norm_sq its cut-cell fractions.  It can differ from
+        membership_slack in the last ulp, but its masks equal the libm
+        slack's on every grid node and cut-cell sub-sample measured (17 x0
+        from -1e-8 to -1e15, sizes 32 to 512); it stays because it is 3 to 6
+        times faster."""
         X = np.asarray(X, dtype=float)
         Y = np.asarray(Y, dtype=float)
         upper = 9.0 * self.x0**2 - (9.0 * (X - self.x0) ** 2 + 4.0 * Y**3)
