@@ -86,8 +86,8 @@ class TricomiDomain:
     def _g(self, x):
         """g at checked abscissae, [9x(2x0 - x)/4]^(1/3) computed in one
         buffer.  On [2x0, 0] both factors are non-positive, so the cube-root
-        argument is never below zero; the clamp turns its -0.0 at x = 0 into
-        0.0.  A 0-d x gives a 0-d array: the buffer comes from empty_like,
+        argument is never below zero; the clamp turns a -0.0 at either end
+        into 0.0.  A 0-d x gives a 0-d array: the buffer comes from empty_like,
         since a ufunc on 0-d operands returns a numpy scalar, which cannot
         be written in place."""
         v = np.multiply(9.0, x, out=np.empty_like(x))

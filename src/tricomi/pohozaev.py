@@ -148,8 +148,8 @@ def omega2(point, value, grad, normal, F_of_u):
 
 
 def _bc_depth(y):
-    """y as a float array, required to be <= 0 up to 1e-12, and -y with a
-    positive residue clamped to 0."""
+    """(y, -y) for the BC forms: y as a float array, which must be <= 0 up
+    to 1e-12, and -y with a positive residue of y clamped to 0."""
     y = np.asarray(y, dtype=float)
     if np.any(y > 1e-12):
         raise ValueError("BC form needs y <= 0")

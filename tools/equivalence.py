@@ -84,8 +84,7 @@ def commands() -> list:
     for target in ("h", "domain", "eigen"):
         cmds.append(["plot", target, "--x0", "-0.5"])
     cmds.append(["eigen", "--x0", "-0.5", "--format", "csv", "--out", OUT])
-    seen = set()
-    return [c for c in cmds if not (tuple(c) in seen or seen.add(tuple(c)))]
+    return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 
 def main() -> int:
