@@ -25,11 +25,3 @@ def test_digest_repeats_and_hashes_the_out_file_not_its_path():
     assert [line.split(" ", 1)[1] for line in first] == [" ".join(c) for c in cmds]
     assert len({line.split(" ", 1)[0] for line in first}) == 2
 
-
-def test_commands_cover_every_workload_without_repeats():
-    eq = _oracle()
-    cmds = [tuple(c) for c in eq.commands()]
-    assert len(cmds) == len(set(cmds))
-    assert {c[:2] for c in cmds} >= {("bound", "--x0"), ("verify", "all"),
-                                      ("constants", "--x0"), ("plot", "h"),
-                                      ("eigen", "--x0")}
