@@ -13,8 +13,15 @@ not move any output.  The commands run in process, through
   from perfbench/workloads.py (a repeated argv runs once);
 - `constants` as JSON and CSV at six x0, and over an x0 range;
 - `verify all` as JSON and CSV at five x0, up to the overflow at -1e80;
-- `plot h|domain|eigen` at x0 = -0.5;
+- `bound` on non-square meshes (65x47, 200x40, 34x32) at x0 = -0.5, and
+  at 48^2 for x0 = -1e-3 and -1e3.  At x0 = -0.5 these meshes, and 41x53,
+  have no positive real pair with the default count, so `eigen` on each
+  (which prints the pairs it found) and `bound --count 8` at 65x47 carry
+  their matrices and cut cells into the digests;
+- `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh;
 - `eigen --format csv --out`.
+
+`eigen` at x0 <= -1e80 stays out: its stdout changes from run to run.
 
 An --out path is written as OUT in the argv; each run replaces it with a
 fresh temporary file and hashes that file's bytes, not its path.
@@ -81,8 +88,16 @@ def commands() -> list:
     for fmt in ("json", "csv"):
         for x0 in ("-0.05", "-0.5", "-4", "-1e5", "-1e80"):
             cmds.append(["verify", "all", "--x0", x0, "--format", fmt])
+    for nx, ny in (("65", "47"), ("200", "40"), ("34", "32")):
+        cmds.append(["bound", "--x0", "-0.5", "--nx", nx, "--ny", ny])
+    for nx, ny in (("65", "47"), ("200", "40"), ("34", "32"), ("41", "53")):
+        cmds.append(["eigen", "--x0", "-0.5", "--nx", nx, "--ny", ny])
+    cmds.append(["bound", "--x0", "-0.5", "--nx", "65", "--ny", "47", "--count", "8"])
+    for x0 in ("-1e-3", "-1e3"):
+        cmds.append(["bound", "--x0", x0, "--nx", "48", "--ny", "48"])
     for target in ("h", "domain", "eigen"):
         cmds.append(["plot", target, "--x0", "-0.5"])
+    cmds.append(["plot", "eigen", "--x0", "-0.5", "--nx", "41", "--ny", "53"])
     cmds.append(["eigen", "--x0", "-0.5", "--format", "csv", "--out", OUT])
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
