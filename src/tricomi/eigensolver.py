@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import TricomiDomain, _libm_pow
+from .geometry import MEMBERSHIP_TOL, TricomiDomain, _libm_pow
 from .pohozaev import (
     BoundaryNormBundle,
     area_l2_norm_sq,
@@ -78,7 +78,7 @@ class Grid:
         pad_y = 0.01 * (y_top - dom.y_C)
         xs = np.linspace(2.0 * dom.x0 - pad_x, pad_x, nx)
         ys = np.linspace(dom.y_C - pad_y, y_top + pad_y, ny)
-        inside = dom.contains_grid(xs[:, None], ys[None, :])
+        inside = dom.membership_slack((xs[:, None], ys[None, :])) >= -MEMBERSHIP_TOL
         # Resolution check along the parabolic diameter.
         if int(np.count_nonzero(inside[:, np.argmin(np.abs(ys))])) < 32:
             raise ValueError("grid under-resolves the parabolic diameter")

@@ -126,12 +126,18 @@ class TricomiDomain:
         margin, in the natural units of each inequality.
 
         p = (x, y) may hold scalars, giving a Python float, or coordinate
-        arrays, giving an array of their shape.  The powers take one libm
-        call per element in numpy's C loop (`_libm_pow`), so each array
-        entry equals the scalar call bit for bit, and an overflowing power
-        raises ArithmeticError.
+        arrays, giving an array of their broadcast shape.  The powers take
+        one libm call per element in numpy's C loop (`_libm_pow`), so each
+        array entry equals the scalar call bit for bit, and an overflowing
+        power raises ArithmeticError.
+
+        This is the domain's one membership predicate, compared against
+        -MEMBERSHIP_TOL: `Grid.build` takes the finite-difference mask from
+        it, `area_l2_norm_sq` its cut-cell fractions, and
+        `verify_star_shaped` its flow samples.
         """
-        x, y = np.asarray(p[0], dtype=float), np.asarray(p[1], dtype=float)
+        x, y = np.broadcast_arrays(np.asarray(p[0], dtype=float),
+                                   np.asarray(p[1], dtype=float))
         up = y >= 0.0
         out = np.empty(x.shape)
         xu, yu = x[up], y[up]
@@ -142,27 +148,6 @@ class TricomiDomain:
         out[~up] = np.minimum(np.minimum(xl - (2.0 * self.x0 + c), -c - xl),
                               yl - self.y_C)
         return float(out) if out.ndim == 0 else out
-
-    def membership_slack_grid(self, X, Y):
-        """Vectorized membership_slack over coordinate arrays, with numpy powers.
-
-        Grid.build sets the finite-difference mask from this, and
-        area_l2_norm_sq its cut-cell fractions.  It can differ from
-        membership_slack in the last ulp, but its masks equal the libm
-        slack's on every grid node and cut-cell sub-sample measured (17 x0
-        from -1e-8 to -1e15, sizes 32 to 512); it stays because it is 3 to 6
-        times faster."""
-        X = np.asarray(X, dtype=float)
-        Y = np.asarray(Y, dtype=float)
-        upper = 9.0 * self.x0**2 - (9.0 * (X - self.x0) ** 2 + 4.0 * Y**3)
-        c = (2.0 / 3.0) * np.abs(np.minimum(Y, 0.0)) ** 1.5
-        lower = np.minimum(X - (2.0 * self.x0 + c),
-                           np.minimum(-c - X, Y - self.y_C))
-        return np.where(Y >= 0.0, upper, lower)
-
-    def contains_grid(self, X, Y):
-        """Vectorized contains over coordinate arrays."""
-        return self.membership_slack_grid(X, Y) >= -MEMBERSHIP_TOL
 
     def boundary_curve(self, kind: str) -> "BoundaryCurve":
         """Boundary piece 'AC', 'BC' or 'Sigma', counterclockwise oriented."""

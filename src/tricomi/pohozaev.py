@@ -14,9 +14,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import G1, G2, ConstantLedger, ledger, optimize_epsilons
-from .geometry import BoundaryCurve, TricomiDomain
+from .geometry import MEMBERSHIP_TOL, BoundaryCurve, TricomiDomain
 from .report import VerificationReport
 
 __all__ = [
@@ -251,6 +252,13 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
     U is nodal on the tensor grid xs x ys (shape (len(xs), len(ys))); cell
     values are corner averages, cut cells are weighted by the fraction of a
     4 x 4 stencil of sub-cell midpoints lying inside the domain.
+
+    Membership is taken at the corners first.  Omega is convex (sigma
+    bounds the hypograph of the concave g, AC and BC bound convex sets,
+    and the curves join with C^1 tangents at A and B), so a cell whose
+    four corners are inside lies inside, fraction 1.  A cell none of whose
+    3 x 3 neighbours has an inside corner lies outside, fraction 0.  Only
+    the cells between are sub-sampled, in one `membership_slack` call.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -259,15 +267,15 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
     dy = np.diff(ys)
     cell_val = 0.25 * (U[:-1, :-1] + U[1:, :-1] + U[:-1, 1:] + U[1:, 1:])
 
-    # Fraction of each cell inside Omega, sampled on a sub-grid of midpoints.
+    corner = dom.membership_slack((xs[:, None], ys[None, :])) >= -MEMBERSHIP_TOL
+    frac = sliding_window_view(corner, (2, 2)).all(axis=(2, 3)).astype(float)
+    near = sliding_window_view(np.pad(corner, 1), (4, 4)).any(axis=(2, 3))
+    i, j = np.nonzero(near & (frac == 0.0))
     off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES
-    frac = np.zeros((len(xs) - 1, len(ys) - 1))
-    for ox in off:
-        sub_x = xs[:-1] + ox * dx
-        for oy in off:
-            sub_y = ys[:-1] + oy * dy
-            frac += dom.contains_grid(sub_x[:, None], sub_y[None, :])
-    frac /= _SUBSAMPLES * _SUBSAMPLES
+    sub_x = xs[i, None, None] + off[:, None] * dx[i, None, None]
+    sub_y = ys[j, None, None] + off * dy[j, None, None]
+    inside = dom.membership_slack((sub_x, sub_y)) >= -MEMBERSHIP_TOL
+    frac[i, j] = np.count_nonzero(inside, axis=(1, 2)) / (_SUBSAMPLES * _SUBSAMPLES)
     area = dx[:, None] * dy[None, :]
     return float(np.sum(cell_val**2 * frac * area))
 

@@ -91,24 +91,31 @@ def find_inflection(x0: float) -> float:
 
     Solves N(X) = 0 by bisection to 1e-12 or to adjacent doubles; N is
     negative at X = 0 and positive at X_plus, and increasing in between.
+    N's term x0^4 G, with G ~ |x0|^(2/3), overflows a float from
+    |x0| ~ 5.3e65 on; that raises OverflowError naming N and x0.
     """
     if x0 >= X0_CRITICAL:
         raise ValueError("inflection point exists only for x0 < -sqrt(3)/4")
     X_plus = math.sqrt(x0 * x0 - 3.0 / 16.0)
-    n_lo = float(N_of_X_alt(x0, 0.0))
-    n_hi = float(N_of_X_alt(x0, X_plus))
-    if not (n_lo < 0.0 < n_hi):
-        raise RuntimeError(
-            f"sign condition N(0) < 0 < N(X_plus) failed: {n_lo:g}, {n_hi:g}")
-    lo, hi = 0.0, X_plus
-    while hi - lo > 1e-12:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):   # past X = 8192 the doubles are 1.8e-12 apart
-            break
-        if float(N_of_X_alt(x0, mid)) < 0.0:
-            lo = mid
-        else:
-            hi = mid
+    try:
+        with np.errstate(over="raise"):
+            n_lo = float(N_of_X_alt(x0, 0.0))
+            n_hi = float(N_of_X_alt(x0, X_plus))
+            if not (n_lo < 0.0 < n_hi):
+                raise RuntimeError(
+                    f"sign condition N(0) < 0 < N(X_plus) failed: {n_lo:g}, {n_hi:g}")
+            lo, hi = 0.0, X_plus
+            while hi - lo > 1e-12:
+                mid = 0.5 * (lo + hi)
+                if mid in (lo, hi):   # past X = 8192 the doubles are 1.8e-12 apart
+                    break
+                if float(N_of_X_alt(x0, mid)) < 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+    except FloatingPointError:
+        raise OverflowError(
+            f"the curvature numerator N(X) overflows a float at x0={x0!r}") from None
     return x0 + 0.5 * (lo + hi)
 
 

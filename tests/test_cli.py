@@ -575,6 +575,16 @@ class TestEdgeInputs:
         error = json.loads(err)["error"]
         assert "C4" in error and "Numerical result out of range" not in error
 
+    @pytest.mark.parametrize("check", ["h-profile", "all"])
+    def test_inflection_overflow_names_the_quantity(self, capsys, check):
+        # For |x0| from ~5.3e65 to C4's overflow at ~1.2e77, find_inflection's
+        # curvature numerator overflows first: the error names N and x0, not
+        # numpy's "overflow encountered in scalar multiply".
+        code, out, err = _run(capsys, "verify", check, "--x0", "-1e70")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert "N(X)" in error and "x0=-1e+70" in error and "scalar" not in error
+
     def test_starshape_far_x0_passes(self, capsys):
         # The slack's powers stay finite at x0 = -1e120 (x0^2 = 1e240).
         code, out, err = _run(capsys, "verify", "starshape", "--x0", "-1e120")

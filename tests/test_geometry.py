@@ -369,16 +369,6 @@ class TestStarShapedArrayPass:
         assert [(x.hex(), y.hex()) for x, y in boundary_points(dom, n)] == ref
 
 
-def test_membership_grid_matches_scalar():
-    dom = TricomiDomain(-0.7)
-    rng = np.random.default_rng(3)
-    X = rng.uniform(2.5 * dom.x0, 0.5, 200)
-    Y = rng.uniform(1.5 * dom.y_C, 1.5, 200)
-    grid = dom.membership_slack_grid(X, Y)
-    scalar = np.array([dom.membership_slack((x, y)) for x, y in zip(X, Y)])
-    assert np.allclose(grid, scalar, rtol=0, atol=1e-14)
-
-
 class TestLibmPow:
     # _libm_pow must equal a Python float power (C pow) bit for bit; it
     # fails here if numpy ever routes float_power through a SIMD loop.

@@ -23,7 +23,8 @@ from tricomi import (
     verify_trace_inequalities,
 )
 from tricomi.constants import ledger
-from tricomi.pohozaev import area_l2_norm_sq
+from tricomi.geometry import MEMBERSHIP_TOL
+from tricomi.pohozaev import _SUBSAMPLES, area_l2_norm_sq
 
 
 def ones(trace):
@@ -233,7 +234,49 @@ class TestNormBundle:
                 getattr(r, name).hex() for r in rows], name
 
 
+def _area_norm_reference(dom, xs, ys, U):
+    """area_l2_norm_sq with every cell sub-sampled: one pass of the slack
+    over all cells per sub-cell midpoint."""
+    dx, dy = np.diff(xs), np.diff(ys)
+    cell_val = 0.25 * (U[:-1, :-1] + U[1:, :-1] + U[:-1, 1:] + U[1:, 1:])
+    off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES
+    frac = np.zeros((len(xs) - 1, len(ys) - 1))
+    for ox in off:
+        sub_x = xs[:-1] + ox * dx
+        for oy in off:
+            sub_y = ys[:-1] + oy * dy
+            frac += dom.membership_slack((sub_x[:, None], sub_y[None, :])) >= -MEMBERSHIP_TOL
+    frac /= _SUBSAMPLES * _SUBSAMPLES
+    area = dx[:, None] * dy[None, :]
+    return float(np.sum(cell_val**2 * frac * area))
+
+
+def _padded_box(dom, nx, ny):
+    """The node coordinates of Grid.build's box, without its resolution check."""
+    y_top = dom.g(dom.x0)
+    pad_x, pad_y = 0.01 * abs(2.0 * dom.x0), 0.01 * (y_top - dom.y_C)
+    return (np.linspace(2.0 * dom.x0 - pad_x, pad_x, nx),
+            np.linspace(dom.y_C - pad_y, y_top + pad_y, ny))
+
+
+_AREA_MESHES = ([(n, n) for n in range(32, 161, 4)]
+                + [(255, 255), (320, 320), (511, 511), (200, 40), (34, 32)])
+
+
 class TestAreaNorm:
+    @pytest.mark.parametrize("x0", [-1e-3, -0.05, -0.5, -1.0 / math.sqrt(5.0),
+                                    -1.0, -4.0, -1e3])
+    def test_equals_sub_sampling_every_cell(self, x0):
+        # The corner rules (fraction 1 inside, 0 far outside) skip cells the
+        # reference samples; the result must not move by a bit.
+        dom = TricomiDomain(x0)
+        rng = np.random.default_rng(27)
+        for nx, ny in _AREA_MESHES:
+            xs, ys = _padded_box(dom, nx, ny)
+            U = rng.uniform(0.5, 1.5, (nx, ny))
+            got = area_l2_norm_sq(dom, xs, ys, U)
+            assert got.hex() == _area_norm_reference(dom, xs, ys, U).hex(), (nx, ny)
+
     def test_area_of_domain(self, dom):
         # U = 1: the weighted cell sum approximates |Omega|.
         xs = np.linspace(2.0 * dom.x0 - 0.01, 0.01, 257)
