@@ -131,10 +131,9 @@ class TricomiDomain:
         array entry equals the scalar call bit for bit, and an overflowing
         power raises ArithmeticError.
 
-        This is the domain's one membership predicate, compared against
-        -MEMBERSHIP_TOL: `Grid.build` takes the finite-difference mask from
-        it, `area_l2_norm_sq` its cut-cell fractions, and
-        `verify_star_shaped` its flow samples.
+        The domain's one membership predicate: `Grid.build` (the FD mask)
+        and `area_l2_norm_sq` (cut-cell fractions) compare it against
+        -MEMBERSHIP_TOL; `verify_star_shaped` takes it at the flow samples.
         """
         x, y = np.broadcast_arrays(np.asarray(p[0], dtype=float),
                                    np.asarray(p[1], dtype=float))

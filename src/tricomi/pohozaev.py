@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .constants import G1, G2, ConstantLedger, ledger, optimize_epsilons
 from .geometry import MEMBERSHIP_TOL, BoundaryCurve, TricomiDomain
@@ -253,12 +252,10 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
     values are corner averages, cut cells are weighted by the fraction of a
     4 x 4 stencil of sub-cell midpoints lying inside the domain.
 
-    Membership is taken at the corners first.  Omega is convex (sigma
-    bounds the hypograph of the concave g, AC and BC bound convex sets,
-    and the curves join with C^1 tangents at A and B), so a cell whose
-    four corners are inside lies inside, fraction 1.  A cell none of whose
-    3 x 3 neighbours has an inside corner lies outside, fraction 0.  Only
-    the cells between are sub-sampled, in one `membership_slack` call.
+    Omega is convex (sigma bounds the hypograph of the concave g, AC and BC
+    convex sets, joined with C^1 tangents at A and B): a cell with four
+    inside corners lies inside, and one with no inside corner in its 3 x 3
+    neighbourhood outside.  Only the cells between are sub-sampled.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -267,15 +264,18 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
     dy = np.diff(ys)
     cell_val = 0.25 * (U[:-1, :-1] + U[1:, :-1] + U[:-1, 1:] + U[1:, 1:])
 
-    corner = dom.membership_slack((xs[:, None], ys[None, :])) >= -MEMBERSHIP_TOL
-    frac = sliding_window_view(corner, (2, 2)).all(axis=(2, 3)).astype(float)
-    near = sliding_window_view(np.pad(corner, 1), (4, 4)).any(axis=(2, 3))
-    i, j = np.nonzero(near & (frac == 0.0))
+    c = dom.membership_slack((xs[:, None], ys[None, :])) >= -MEMBERSHIP_TOL
+    inside = c[:-1, :-1] & c[1:, :-1] & c[:-1, 1:] & c[1:, 1:]
+    p = np.pad(c, 1)    # near: an inside corner among the 4 x 4 around a cell
+    near = p[:-3] | p[1:-2] | p[2:-1] | p[3:]
+    near = near[:, :-3] | near[:, 1:-2] | near[:, 2:-1] | near[:, 3:]
+    frac = inside.astype(float)
+    i, j = np.nonzero(near & ~inside)
     off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES
     sub_x = xs[i, None, None] + off[:, None] * dx[i, None, None]
     sub_y = ys[j, None, None] + off * dy[j, None, None]
-    inside = dom.membership_slack((sub_x, sub_y)) >= -MEMBERSHIP_TOL
-    frac[i, j] = np.count_nonzero(inside, axis=(1, 2)) / (_SUBSAMPLES * _SUBSAMPLES)
+    sub = dom.membership_slack((sub_x, sub_y)) >= -MEMBERSHIP_TOL
+    frac[i, j] = np.count_nonzero(sub, axis=(1, 2)) / (_SUBSAMPLES * _SUBSAMPLES)
     area = dx[:, None] * dy[None, :]
     return float(np.sum(cell_val**2 * frac * area))
 

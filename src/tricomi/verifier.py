@@ -91,14 +91,14 @@ def find_inflection(x0: float) -> float:
 
     Solves N(X) = 0 by bisection to 1e-12 or to adjacent doubles; N is
     negative at X = 0 and positive at X_plus, and increasing in between.
-    N's term x0^4 G, with G ~ |x0|^(2/3), overflows a float from
-    |x0| ~ 5.3e65 on; that raises OverflowError naming N and x0.
+    From |x0| ~ 5.3e65 on N overflows, which raises OverflowError.
     """
     if x0 >= X0_CRITICAL:
         raise ValueError("inflection point exists only for x0 < -sqrt(3)/4")
     X_plus = math.sqrt(x0 * x0 - 3.0 / 16.0)
     try:
-        with np.errstate(over="raise"):
+        # An inf - inf from 9 x0^4 (a Python float) is the same overflow.
+        with np.errstate(over="raise", invalid="raise"):
             n_lo = float(N_of_X_alt(x0, 0.0))
             n_hi = float(N_of_X_alt(x0, X_plus))
             if not (n_lo < 0.0 < n_hi):

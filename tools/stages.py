@@ -1,0 +1,171 @@
+"""Per-stage times of the tricomi pipeline, written to BENCH_<label>.json.
+
+    PYTHONPATH=src python tools/stages.py LABEL [--sizes 64 128 256 512]
+                                                [--repeats 5] [--dir DIR]
+
+The script calls the library directly.  On each n x n mesh at x0 = -0.5 it
+times `Grid.build`, `assemble`, `area_l2_norm_sq`, `splu` alone (A - shift I
+factored as `solve_real_spectrum` factors it), the Arnoldi iteration (the
+principal solve, which factors again, minus the `splu` median),
+`trace_norms`, and identity + bound (`pohozaev_residual`, the ledger and
+`bound_check`).  Where the solve finds no positive real pair, as at 256^2,
+the record says so and the later stages are not run.  It also times each
+`verify` check, with its default sampling, at x0 = -0.5 and -2, and the cold
+start of a `python -m tricomi.cli constants` process.
+
+Each figure is the median over the repeats, in seconds scaled to the nominal
+machine speed of perfbench/speed.py, whose `Clock` is imported unchanged.
+As the benchmark does, the process pins itself (and the processes it
+starts) to one CPU with one BLAS thread, and the clock's sampler runs on
+that CPU.  The file records the machine; compare two files only when they
+come from the same machine.  BENCH_<label>.json goes to the repository
+root unless --dir names another directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+from time import perf_counter
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+X0 = -0.5
+VERIFY_X0S = (-0.5, -2.0)
+SHIFT = 1e-3    # solve_real_spectrum's default shift
+COUNT = 4       # the pairs `bound` asks for by default
+COLD_ARGV = ("constants", "--x0", "-0.5")
+
+
+def _timed(clock, call, repeats: int):
+    """The median scaled seconds of `repeats` calls of call(), and the last
+    call's result."""
+    times = []
+    for _ in range(repeats):
+        start = perf_counter()
+        result = call()
+        times.append(clock.scale(start, perf_counter()))
+    return statistics.median(times), result
+
+
+def eigen_stages(clock, n: int, repeats: int) -> dict:
+    """Stage medians of the principal solve and `bound` on the n x n mesh."""
+    import scipy.sparse.linalg as spla
+
+    from tricomi import eigensolver, pohozaev
+    from tricomi.constants import ledger
+    from tricomi.geometry import TricomiDomain
+
+    dom = TricomiDomain(X0)
+    row = {}
+    row["Grid.build"], grid = _timed(clock, lambda: eigensolver.Grid.build(dom, n, n), repeats)
+    row["assemble"], op = _timed(clock, lambda: eigensolver.assemble(dom, grid), repeats)
+    row["unknowns"] = op.n
+    U = grid.inside.astype(float)
+    row["area_l2_norm_sq"], _ = _timed(
+        clock, lambda: pohozaev.area_l2_norm_sq(dom, grid.xs, grid.ys, U), repeats)
+
+    def factor():
+        shifted = op.matrix.tocsc(copy=True)
+        shifted.setdiag(shifted.diagonal() - SHIFT)
+        return spla.splu(shifted)
+
+    row["splu"], _ = _timed(clock, factor, repeats)
+    solve_s, (pairs, _) = _timed(clock, lambda: eigensolver.solve_real_spectrum(
+        op, COUNT, principal_only=True), repeats)
+    row["arnoldi"] = solve_s - row["splu"]
+    if not pairs:
+        row["skipped"] = "no positive real eigenvalue: trace_norms and identity_bound not run"
+        return row
+    pair, = pairs
+    row["trace_norms"], (traces, norms) = _timed(
+        clock, lambda: eigensolver.trace_norms(op, pair), repeats)
+    row["identity_bound"], _ = _timed(clock, lambda: (
+        pohozaev.pohozaev_residual(pair.lam, traces, dom),
+        pohozaev.bound_check(pair.lam, norms, ledger(X0))), repeats)
+    return row
+
+
+def verify_stages(clock, x0: float, repeats: int) -> dict:
+    """Medians of each `verify` check at x0, as the CLI calls it."""
+    import tricomi
+
+    checks = {
+        "h-profile": tricomi.verify_h_profile,
+        "g1-bounds": tricomi.verify_G1_bounds,
+        "g2-bounds": tricomi.verify_G2_bounds,
+        "starshape": lambda x: tricomi.verify_star_shaped(tricomi.TricomiDomain(x)),
+        "integrands": tricomi.verify_integrand_equivalence,
+        "inequalities": tricomi.verify_trace_inequalities,
+    }
+    return {name: _timed(clock, lambda: check(x0), repeats)[0]
+            for name, check in checks.items()}
+
+
+def cli_cold(clock, repeats: int) -> float:
+    """Median of one `python -m tricomi.cli constants` process, start to exit."""
+    env = dict(os.environ)
+    env.pop("TRICOMI_LOG", None)
+    return _timed(clock, lambda: subprocess.run(
+        [sys.executable, "-m", "tricomi.cli", *COLD_ARGV], env=env,
+        stdout=subprocess.DEVNULL, check=True), repeats)[0]
+
+
+def _cpu_model():
+    try:
+        with open("/proc/cpuinfo", encoding="utf-8") as fh:
+            for line in fh:
+                if line.startswith("model name"):
+                    return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return None
+
+
+def _label(text: str) -> str:
+    if not text or not all(c.isalnum() or c in "-_." for c in text):
+        raise argparse.ArgumentTypeError("a label takes letters, digits, '-', '_' and '.'")
+    return text
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("label", type=_label)
+    parser.add_argument("--sizes", type=int, nargs="+", default=[64, 128, 256, 512])
+    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--dir", default=ROOT)
+    args = parser.parse_args(argv)
+
+    # Before numpy loads: one BLAS thread, one CPU, as perfbench runs.
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
+    os.sched_setaffinity(0, {max(os.sched_getaffinity(0))})
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    from speed import Clock
+    from worker import machine
+
+    with Clock() as clock:
+        record = {
+            "label": args.label,
+            "unit": "s",
+            "repeats": args.repeats,
+            "x0": X0,
+            "eigen": {str(n): eigen_stages(clock, n, args.repeats) for n in args.sizes},
+            "verify": {repr(x0): verify_stages(clock, x0, args.repeats)
+                       for x0 in VERIFY_X0S},
+            "cli_cold": {" ".join(COLD_ARGV): cli_cold(clock, args.repeats)},
+            "machine": dict(machine(), cpu=_cpu_model(),
+                            pinned_cpus=sorted(os.sched_getaffinity(0))),
+        }
+    path = os.path.join(args.dir, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=2)
+        fh.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
