@@ -19,15 +19,20 @@ text for stdout or --out (None to write nothing) and the JSON failure record
 `bound`, `plot eigen` and `eigen --format csv` solve for the principal pair
 and render it with `render(op, pair)`, where `op` is the solved operator.
 
-Each command loads only the layers it runs, since start-up dominates a
-short command.  `constants`, `plot h|domain` and `verify starshape` load
+Start-up and exit dominate a short command.  Each command loads only the
+layers it runs: `constants`, `plot h|domain` and `verify starshape` load
 `constants`, `geometry` and `report`; the other `verify` checks add
 `verifier` and/or `pohozaev`; `eigen`, `bound` and `plot eigen` add
-`eigensolver` (with scipy.sparse) and `pohozaev`.  Each run logs as
-TRICOMI_LOG says at that run: `info` or `debug` writes log lines to stderr;
-anything else writes none and does not import logging.  A `verify` runs
-at most one job per x0; one job runs in the calling thread, and only more
-jobs start a thread pool.
+`eigensolver` (with scipy.sparse) and `pohozaev`.  `main`, the process
+entry point, freezes every live object into the collector's permanent
+generation once `run` returns, so the interpreter's exit-time collections
+skip them; `run` leaves the collector alone, so in-process callers keep
+the default GC.
+
+Each run logs as TRICOMI_LOG says at that run: `info` or `debug` writes log
+lines to stderr; anything else writes none and does not import logging.  A
+`verify` runs at most one job per x0; one job runs in the calling thread,
+and only more jobs start a thread pool.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import json
 import math
 import os
@@ -604,7 +610,15 @@ def run(argv=None) -> int:
 
 
 def main() -> int:
-    return run()
+    """The process entry point (`python -m tricomi.cli`, the `tricomi`
+    script): `run` on sys.argv, then freeze every live object, also after an
+    argument error.  The interpreter's exit-time collections then skip the
+    tens of thousands of numpy, scipy and tricomi objects that module
+    teardown leaves, and the OS reclaims their memory with the process."""
+    try:
+        return run()
+    finally:
+        gc.freeze()
 
 
 if __name__ == "__main__":

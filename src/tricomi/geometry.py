@@ -50,6 +50,20 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
         return np.float_power(base, exponent)
 
 
+def _at(a: np.ndarray, mask: np.ndarray, f: Callable) -> np.ndarray:
+    """f(a), with `a` broadcast to the shape of `mask`, at the points where
+    `mask` holds.  f is elementwise and runs once on each entry of `a` that
+    some such point meets, before `a` broadcasts."""
+    if a.shape == mask.shape:     # each entry meets one point: no index arrays
+        return f(a[mask])
+    idx = np.broadcast_to(np.arange(a.size).reshape(a.shape), mask.shape)[mask]
+    used = np.zeros(a.size, dtype=bool)
+    used[idx] = True
+    v = np.zeros(a.size)
+    v[used] = f(a.ravel()[used])
+    return v[idx]
+
+
 @dataclass(frozen=True)
 class TricomiDomain:
     """The normal Tricomi domain for a given abscissa parameter x0 < 0."""
@@ -129,23 +143,29 @@ class TricomiDomain:
         arrays, giving an array of their broadcast shape.  The powers take
         one libm call per element in numpy's C loop (`_libm_pow`), so each
         array entry equals the scalar call bit for bit, and an overflowing
-        power raises ArithmeticError.
+        power raises ArithmeticError.  They are taken on each operand before
+        it broadcasts, and only where the point uses them: (x - x0)^2 at an x
+        that meets some y >= 0, y^3 at y >= 0 and (-y)^(3/2) at y < 0.  So
+        the tensor grid (xs[:, None], ys[None, :]) costs about len(xs) +
+        len(ys) libm calls, not one or two per node.
 
         The domain's one membership predicate: `Grid.build` (the FD mask)
         and `area_l2_norm_sq` (cut-cell fractions) compare it against
         -MEMBERSHIP_TOL; `verify_star_shaped` takes it at the flow samples.
         """
-        x, y = np.broadcast_arrays(np.asarray(p[0], dtype=float),
-                                   np.asarray(p[1], dtype=float))
-        up = y >= 0.0
-        out = np.empty(x.shape)
-        xu, yu = x[up], y[up]
-        out[up] = 9.0 * self.x0**2 - (9.0 * _libm_pow(xu - self.x0, 2)
-                                      + 4.0 * _libm_pow(yu, 3))
-        xl, yl = x[~up], y[~up]
-        c = (2.0 / 3.0) * _libm_pow(-yl, 1.5)
-        out[~up] = np.minimum(np.minimum(xl - (2.0 * self.x0 + c), -c - xl),
-                              yl - self.y_C)
+        x = np.asarray(p[0], dtype=float)
+        y = np.asarray(p[1], dtype=float)
+        X, Y = np.broadcast_arrays(x, y)
+        up = Y >= 0.0
+        lo = ~up
+        out = np.empty(X.shape)
+        out[up] = 9.0 * self.x0**2 - (
+            _at(x, up, lambda v: 9.0 * _libm_pow(v - self.x0, 2))
+            + _at(y, up, lambda v: 4.0 * _libm_pow(v, 3)))
+        c = _at(y, lo, lambda v: (2.0 / 3.0) * _libm_pow(-v, 1.5))
+        xl = X[lo]
+        out[lo] = np.minimum(np.minimum(xl - (2.0 * self.x0 + c), -c - xl),
+                             Y[lo] - self.y_C)
         return float(out) if out.ndim == 0 else out
 
     def boundary_curve(self, kind: str) -> "BoundaryCurve":

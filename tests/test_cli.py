@@ -751,3 +751,39 @@ class TestLazyImport:
         package, bound = self._loaded(["bound", "--nx", "48", "--ny", "48", "--x0", "-0.5"])
         assert bound - {"logging", "concurrent.futures", "numpy.ma"} == base | {
             "tricomi.eigensolver", "tricomi.pohozaev", "scipy.sparse"}
+
+
+class TestEntryPointFreeze:
+    """main() freezes the collector's objects so that the interpreter's
+    exit-time collections skip them; run() leaves the collector alone."""
+
+    _MAIN = (
+        "import gc, sys\n"
+        "from tricomi.cli import main\n"
+        "sys.argv = ['tricomi', *sys.argv[1:]]\n"
+        "try:\n"
+        "    code = main()\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(code, gc.get_freeze_count(), file=sys.stderr)\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (("constants", "--x0", "-0.5"), 0),
+        (("verify", "starshape", "--x0", "-0.5", "--grid", "200", "--reflected"), 1),
+        (("constants", "--x0", "0.5"), 2),
+    ])
+    def test_main_freezes_on_every_exit_path(self, argv, code):
+        proc = subprocess.run([sys.executable, "-c", self._MAIN, *argv],
+                              capture_output=True, text=True, timeout=60)
+        got_code, frozen = proc.stderr.splitlines()[-1].split()
+        assert int(got_code) == code and int(frozen) > 0
+
+    def test_run_leaves_the_freeze_count(self, capsys):
+        import gc
+
+        before = gc.get_freeze_count()
+        assert run(["constants", "--x0", "-0.5"]) == 0
+        with pytest.raises(SystemExit):
+            run(["constants", "--x0", "0.5"])
+        capsys.readouterr()
+        assert gc.get_freeze_count() == before

@@ -25,3 +25,13 @@ def test_digest_repeats_and_hashes_the_out_file_not_its_path():
     assert [line.split(" ", 1)[1] for line in first] == [" ".join(c) for c in cmds]
     assert len({line.split(" ", 1)[0] for line in first}) == 2
 
+
+def test_cold_process_digests_as_the_in_process_run():
+    eq = _oracle()
+    assert len(eq.cold_commands()) == 6
+    # The starshape control exits 1 with JSON on stderr: every framed part
+    # of the process's result enters its digest.
+    for argv in (["constants", "--x0", "-0.5", "--format", "csv"],
+                 ["verify", "starshape", "--x0", "-0.5", "--grid", "200", "--reflected"]):
+        cold, warm = eq.cold_digest(argv).split(" ", 1), eq.digest(argv).split(" ", 1)
+        assert cold == [warm[0], "python -m tricomi.cli " + warm[1]]

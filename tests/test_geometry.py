@@ -11,6 +11,7 @@ from tricomi import (
     reflected_membership,
     verify_star_shaped,
 )
+from tricomi import geometry
 from tricomi.geometry import _boundary_arrays, _libm_pow
 
 
@@ -357,6 +358,49 @@ class TestStarShapedArrayPass:
         ref = [_slack_reference(dom, x, y).hex() for x, y in zip(X, Y)]
         assert [s.hex() for s in arr.ravel().tolist()] == ref
         assert [s.hex() for s in scalar] == ref
+
+    @pytest.mark.parametrize("x0", [-0.05, -0.7, -4.0, -1e8])
+    def test_membership_slack_broadcast_operands_match_scalar_calls(self, x0, monkeypatch):
+        # Grid.build's tensor grid and area_l2_norm_sq's (cells, 4, 1) x
+        # (cells, 1, 4) sub-samples: the powers are taken on each operand
+        # before it broadcasts, and must still equal the scalar call.
+        dom = TricomiDomain(x0)
+        powered = []
+        monkeypatch.setattr(geometry, "_libm_pow",
+                            lambda base, e: powered.append(base.size) or _libm_pow(base, e))
+        rng = np.random.default_rng(7)
+        xs = np.linspace(2.1 * x0, -0.1 * x0, 29)
+        ys = np.concatenate([np.linspace(1.1 * dom.y_C, 1.1 * dom.g(x0), 31), [0.0, -0.0]])
+        off = (np.arange(4) + 0.5) / 4
+        i, j = rng.integers(0, 28, 9), rng.integers(0, 30, 9)
+        sub_x = xs[i, None, None] + off[:, None] * (xs[1] - xs[0])
+        sub_y = ys[j, None, None] + off * (ys[1] - ys[0])
+        for p in ((xs[:, None], ys[None, :]), (sub_x, sub_y), (xs[3], ys), (xs, ys[5])):
+            powered.clear()
+            arr = dom.membership_slack(p)
+            assert sum(powered) <= np.size(p[0]) + np.size(p[1])
+            X, Y = np.broadcast_arrays(*p)
+            assert arr.shape == X.shape
+            ref = [_slack_reference(dom, x, y).hex() for x, y in zip(X.flat, Y.flat)]
+            assert [s.hex() for s in arr.ravel().tolist()] == ref
+            assert [dom.membership_slack((x, y)).hex() for x, y in zip(X.flat, Y.flat)] == ref
+
+    def test_membership_slack_broadcast_overflow_raises_as_scalar_calls(self):
+        dom = TricomiDomain(-0.5)
+        xs = np.array([[-0.3], [1e200]])
+        # (x - x0)^2 overflows at x = 1e200, and y^3 at y = 1e150: a point
+        # that takes either power raises, in a broadcast call as in a scalar one.
+        for p in ((xs, np.array([[-0.1, 0.2]])), (-0.3, np.array([0.1, 1e150]))):
+            with pytest.raises(ArithmeticError):
+                dom.membership_slack(p)
+            with pytest.raises(ArithmeticError):
+                [_slack_reference(dom, x, y) for x, y in zip(*map(np.ravel, np.broadcast_arrays(*p)))]
+        # Below the axis no point powers x, so x = 1e200 raises nowhere.
+        below = np.array([[-0.1, -0.2]])
+        arr = dom.membership_slack((xs, below))
+        X, Y = np.broadcast_arrays(xs, below)
+        assert [s.hex() for s in arr.ravel().tolist()] == [
+            _slack_reference(dom, x, y).hex() for x, y in zip(X.flat, Y.flat)]
 
     @pytest.mark.parametrize("n", [7, 60, 200])
     def test_boundary_points_match_per_point_positions(self, dom, n):

@@ -11,6 +11,13 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 _EIGEN_STAGES = {"Grid.build", "assemble", "area_l2_norm_sq", "splu", "arnoldi",
                  "trace_norms", "identity_bound"}
+# The commands of perfbench's cli-cold workload, each timed as a process.
+_CLI_COLD = ["constants --x0-range -2:-0.1:5 --format csv",
+             "verify g1-bounds --x0 -0.5 --grid 2000",
+             "eigen --x0 -0.5 --nx 64 --ny 64 --count 2",
+             "plot h --x0 -0.5",
+             "verify starshape --x0 -0.5 --grid 2000",
+             "verify starshape --x0 -0.5 --grid 2000 --reflected"]
 _VERIFY_CHECKS = {"h-profile", "g1-bounds", "g2-bounds", "starshape", "integrands",
                   "inequalities"}
 
@@ -34,7 +41,7 @@ def test_writes_every_stage_at_64(tmp_path):
     assert set(row) == _EIGEN_STAGES | {"unknowns"} and row["unknowns"] == 2758
     assert set(record["verify"]) == {"-0.5", "-2.0"}
     assert all(set(checks) == _VERIFY_CHECKS for checks in record["verify"].values())
-    assert list(record["cli_cold"]) == ["constants --x0 -0.5"]
+    assert list(record["cli_cold"]) == _CLI_COLD
     assert {"cpu", "nproc", "python", "numpy", "scipy", "blas",
             "pinned_cpus"} <= set(record["machine"])
     times = ([row[s] for s in _EIGEN_STAGES - {"arnoldi"}]

@@ -21,6 +21,12 @@ not move any output.  The commands run in process, through
 - `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh;
 - `eigen --format csv --out`.
 
+Then the six commands of the benchmark's `cli-cold` workload run as
+`python -m tricomi.cli` processes, through `tricomi.cli.main` and the
+interpreter's exit, importing the same sources as the in-process commands.
+Their lines, framed as the in-process ones, name the command with the
+`python -m tricomi.cli` prefix.
+
 `eigen` at x0 <= -1e80 stays out: its stdout changes from run to run.
 
 An --out path is written as OUT in the argv; each run replaces it with a
@@ -34,12 +40,21 @@ import contextlib
 import hashlib
 import io
 import os
+import subprocess
 import sys
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 OUT = "OUT"
 SEEDS = (0, 1, 2)
+
+
+def _line(label: str, code, out: bytes, err: bytes, written: bytes = b"") -> str:
+    h = hashlib.sha256()
+    for part in (str(code).encode(), out, err, written):
+        h.update(b"%d:" % len(part))
+        h.update(part)
+    return f"{h.hexdigest()} {label}"
 
 
 def digest(argv) -> str:
@@ -60,22 +75,41 @@ def digest(argv) -> str:
         if OUT in argv and os.path.exists(path):
             with open(path, "rb") as fh:
                 written = fh.read()
-    h = hashlib.sha256()
-    for part in (str(code).encode(), out.getvalue().encode(),
-                 err.getvalue().encode(), written):
-        h.update(b"%d:" % len(part))
-        h.update(part)
-    return f"{h.hexdigest()} {' '.join(argv)}"
+    return _line(" ".join(argv), code, out.getvalue().encode(),
+                 err.getvalue().encode(), written)
+
+
+def cold_digest(argv) -> str:
+    """The line for one `python -m tricomi.cli` process, framed as `digest`
+    frames an in-process command."""
+    import tricomi
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(tricomi.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run([sys.executable, "-m", "tricomi.cli", *argv],
+                          env=env, capture_output=True)
+    return _line(" ".join(["python", "-m", "tricomi.cli", *argv]),
+                 proc.returncode, proc.stdout, proc.stderr)
+
+
+def _workloads():
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    try:
+        import workloads
+    finally:
+        del sys.path[0]
+    return workloads
 
 
 def _workload_commands() -> list:
-    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-    try:
-        from workloads import WORKLOADS
-    finally:
-        del sys.path[0]
-    return [list(op.argv) for w in WORKLOADS.values()
+    return [list(op.argv) for w in _workloads().WORKLOADS.values()
             for seed in SEEDS for op in w.passes(seed)]
+
+
+def cold_commands() -> list:
+    """The `cli-cold` commands, in the benchmark's order."""
+    return [list(argv) for argv, _ in _workloads().CLI_COMMANDS]
 
 
 def commands() -> list:
@@ -106,6 +140,8 @@ def main() -> int:
     os.environ.pop("TRICOMI_LOG", None)
     for argv in commands():
         print(digest(argv), flush=True)
+    for argv in cold_commands():
+        print(cold_digest(argv), flush=True)
     return 0
 
 

@@ -10,8 +10,9 @@ principal solve, which factors again, minus the `splu` median),
 `trace_norms`, and identity + bound (`pohozaev_residual`, the ledger and
 `bound_check`).  Where the solve finds no positive real pair, as at 256^2,
 the record says so and the later stages are not run.  It also times each
-`verify` check, with its default sampling, at x0 = -0.5 and -2, and the cold
-start of a `python -m tricomi.cli constants` process.
+`verify` check, with its default sampling, at x0 = -0.5 and -2, and each of
+the six commands of the benchmark's `cli-cold` workload (perfbench/
+workloads.py) as a `python -m tricomi.cli` process, from start to exit.
 
 Each figure is the median over the repeats, in seconds scaled to the nominal
 machine speed of perfbench/speed.py, whose `Clock` is imported unchanged.
@@ -25,6 +26,7 @@ root unless --dir names another directory.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import statistics
@@ -35,9 +37,7 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 X0 = -0.5
 VERIFY_X0S = (-0.5, -2.0)
-SHIFT = 1e-3    # solve_real_spectrum's default shift
 COUNT = 4       # the pairs `bound` asks for by default
-COLD_ARGV = ("constants", "--x0", "-0.5")
 
 
 def _timed(clock, call, repeats: int):
@@ -59,6 +59,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
     from tricomi.constants import ledger
     from tricomi.geometry import TricomiDomain
 
+    shift = inspect.signature(eigensolver.solve_real_spectrum).parameters["shift"].default
     dom = TricomiDomain(X0)
     row = {}
     row["Grid.build"], grid = _timed(clock, lambda: eigensolver.Grid.build(dom, n, n), repeats)
@@ -70,7 +71,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
 
     def factor():
         shifted = op.matrix.tocsc(copy=True)
-        shifted.setdiag(shifted.diagonal() - SHIFT)
+        shifted.setdiag(shifted.diagonal() - shift)
         return spla.splu(shifted)
 
     row["splu"], _ = _timed(clock, factor, repeats)
@@ -105,13 +106,23 @@ def verify_stages(clock, x0: float, repeats: int) -> dict:
             for name, check in checks.items()}
 
 
-def cli_cold(clock, repeats: int) -> float:
-    """Median of one `python -m tricomi.cli constants` process, start to exit."""
+def cli_cold(clock, repeats: int) -> dict:
+    """Median of one `python -m tricomi.cli` process, start to exit, for each
+    `cli-cold` command; a process that exits with another code than the
+    workload expects raises."""
+    from workloads import CLI_COMMANDS
+
     env = dict(os.environ)
     env.pop("TRICOMI_LOG", None)
-    return _timed(clock, lambda: subprocess.run(
-        [sys.executable, "-m", "tricomi.cli", *COLD_ARGV], env=env,
-        stdout=subprocess.DEVNULL, check=True), repeats)[0]
+
+    def cold(argv, code):
+        proc = subprocess.run([sys.executable, "-m", "tricomi.cli", *argv], env=env,
+                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        if proc.returncode != code:
+            raise RuntimeError(f"{' '.join(argv)} exited {proc.returncode}, not {code}")
+
+    return {" ".join(argv): _timed(clock, lambda: cold(argv, code), repeats)[0]
+            for argv, code in CLI_COMMANDS}
 
 
 def _cpu_model():
@@ -155,7 +166,7 @@ def main(argv=None) -> int:
             "eigen": {str(n): eigen_stages(clock, n, args.repeats) for n in args.sizes},
             "verify": {repr(x0): verify_stages(clock, x0, args.repeats)
                        for x0 in VERIFY_X0S},
-            "cli_cold": {" ".join(COLD_ARGV): cli_cold(clock, args.repeats)},
+            "cli_cold": cli_cold(clock, args.repeats),
             "machine": dict(machine(), cpu=_cpu_model(),
                             pinned_cpus=sorted(os.sched_getaffinity(0))),
         }
