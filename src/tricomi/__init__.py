@@ -12,8 +12,8 @@ __version__ = "0.1.0"
 _EXPORTS = {name: module for module, names in (
     ("constants", ("G1", "G2", "SQRT3", "SQRT33", "X0_CRITICAL", "ConstantLedger",
                    "g1", "g2", "ledger", "optimize_epsilons")),
-    ("geometry", ("MEMBERSHIP_TOL", "BoundaryCurve", "TricomiDomain",
-                  "reflected_membership", "verify_star_shaped")),
+    ("geometry", ("BoundaryCurve", "TricomiDomain", "reflected_membership",
+                  "verify_star_shaped")),
     ("pohozaev", ("BoundaryNormBundle", "BoundaryTrace", "area_l2_norm_sq", "bc_trace",
                   "bound_check", "line_integral", "norm_bundle_from_traces", "omega1",
                   "omega1_BC_simplified", "omega1_sigma_simplified", "omega2",

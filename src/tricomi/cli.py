@@ -267,7 +267,7 @@ def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = Fa
 
     dom = TricomiDomain(x0)
     grid = _stage("Grid.build", lambda: eigensolver.Grid.build(dom, nx, ny))
-    op = _stage("assemble", lambda: eigensolver.assemble(dom, grid), size)
+    op = _stage("assemble", lambda: eigensolver.assemble(grid), size)
     pairs, complex_diag = _stage(
         "solve", lambda: eigensolver.solve_real_spectrum(op, count,
                                                          principal_only=principal_only),
@@ -327,7 +327,7 @@ def _bound(args, op, pair):
     from . import eigensolver, pohozaev
 
     traces, norms = _stage("traces", lambda: eigensolver.trace_norms(op, pair))
-    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces, op.dom),
+    identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces),
                       lambda r: f", relative residual {r['relative_residual']:.3e}")
     bound = _stage("bound", lambda: pohozaev.bound_check(pair.lam, norms, ledger(args.x0),
                                                          rel_tol=args.tol),
@@ -446,7 +446,7 @@ def _plot_domain(x0: float) -> str:
 
 
 def _plot_eigen(op, pair) -> str:
-    x0, grid, F = op.dom.x0, op.grid, pair.field
+    x0, grid, F = op.grid.dom.x0, op.grid, pair.field
     led = ledger(x0)
     vmax = float(np.max(np.abs(F))) or 1.0
 

@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .geometry import MEMBERSHIP_TOL, TricomiDomain, _libm_pow
+from .geometry import TricomiDomain, _libm_pow
 from .pohozaev import (
     BoundaryNormBundle,
     area_l2_norm_sq,
@@ -61,8 +61,9 @@ _TRACE_NODES = 400
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor node grid over a padded bounding box of the domain."""
+    """Tensor node grid over a padded bounding box of the domain `dom`."""
 
+    dom: TricomiDomain
     nx: int
     ny: int
     xs: np.ndarray
@@ -78,11 +79,11 @@ class Grid:
         pad_y = 0.01 * (y_top - dom.y_C)
         xs = np.linspace(2.0 * dom.x0 - pad_x, pad_x, nx)
         ys = np.linspace(dom.y_C - pad_y, y_top + pad_y, ny)
-        inside = dom.membership_slack((xs[:, None], ys[None, :])) >= -MEMBERSHIP_TOL
+        inside = dom.contains((xs[:, None], ys[None, :]))
         # Resolution check along the parabolic diameter.
         if int(np.count_nonzero(inside[:, np.argmin(np.abs(ys))])) < 32:
             raise ValueError("grid under-resolves the parabolic diameter")
-        return cls(nx=nx, ny=ny, xs=xs, ys=ys, inside=inside)
+        return cls(dom=dom, nx=nx, ny=ny, xs=xs, ys=ys, inside=inside)
 
     @property
     def hx(self) -> float:
@@ -97,7 +98,6 @@ class Grid:
 class TricomiOperator:
     """Assembled sparse operator restricted to the interior unknowns."""
 
-    dom: TricomiDomain
     grid: Grid
     matrix: sp.csr_matrix
     nodes: np.ndarray        # (n_unknowns, 2) node (i, j)
@@ -155,8 +155,8 @@ def _stencil_entries(pidx: np.ndarray, P: np.ndarray, stride: int, slots):
         yield r, pidx[P[r] + o * stride], np.broadcast_to(val, present.shape)[r]
 
 
-def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
-    """Second-order differences for -y u_xx - u_yy on the unknown nodes.
+def assemble(grid: Grid) -> TricomiOperator:
+    """Second-order differences for -y u_xx - u_yy on the grid's unknown nodes.
 
     Row r is -y u_xx - u_yy at its node (the x term is left out where
     |y| <= 1e-14).  Each axis takes one of these second differences:
@@ -179,7 +179,7 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
     with y < 0, along each axis whose five-point stencil is all unknowns,
     with weight 0.5.
     """
-    hx, hy = grid.hx, grid.hy
+    dom, hx, hy = grid.dom, grid.hx, grid.hy
     index = -np.ones((grid.nx, grid.ny), dtype=np.int64)
     nodes = np.argwhere(grid.inside)
     n = len(nodes)
@@ -245,7 +245,7 @@ def assemble(dom: TricomiDomain, grid: Grid) -> TricomiOperator:
 
     rows, cols, vals = (np.concatenate(part) for part in zip(*entries))
     A = sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    return TricomiOperator(dom=dom, grid=grid, matrix=A, nodes=nodes, full_stencil=full)
+    return TricomiOperator(grid=grid, matrix=A, nodes=nodes, full_stencil=full)
 
 
 @dataclass(frozen=True)
@@ -285,7 +285,7 @@ def _unit_pair(op: TricomiOperator, lam, v, res: float) -> EigenPair:
     nonnegative mean, carrying its algebraic residual res."""
     lam_r = float(lam.real)
     F = op.to_field(v)
-    nrm_sq = area_l2_norm_sq(op.dom, op.grid.xs, op.grid.ys, F)
+    nrm_sq = area_l2_norm_sq(op.grid, F)
     if nrm_sq > 0:
         F = F / math.sqrt(nrm_sq)
     if float(np.sum(F)) < 0.0:
@@ -423,12 +423,12 @@ def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNor
     trace of u is the imposed Dirichlet value 0, and the gradient is the
     normal derivative reconstructed from two interior samples.
     """
-    dom, grid, F = op.dom, op.grid, pair.field
+    grid, F = op.grid, pair.field
     Ux, Uy, valid = _gradient_grids(grid, F)
     d = 2.0 * max(grid.hx, grid.hy)
 
     # BC: free boundary, sample u and grad at pulled-back points.
-    bc = bc_trace(dom, _TRACE_NODES)
+    bc = bc_trace(grid.dom, _TRACE_NODES)
     y = bc.params
     x = -(2.0 / 3.0) * _libm_pow(-y, 1.5)   # BC: 3x = -2(-y)^(3/2), see _libm_pow
     nx_o, ny_o = bc.curve.normal(y)
@@ -437,7 +437,7 @@ def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNor
     bc = bc.filled(u=u, ux=ux, uy=uy)
 
     # sigma: Dirichlet side, u = 0, grad = (normal derivative) * n.
-    sg = sigma_trace(dom, _TRACE_NODES)
+    sg = sigma_trace(grid.dom, _TRACE_NODES)
     nx_o, ny_o = sg.curve.normal(sg.params)
     u1 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, d)
     u2 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)

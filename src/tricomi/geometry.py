@@ -20,12 +20,11 @@ __all__ = [
     "TricomiDomain",
     "BoundaryCurve",
     "verify_star_shaped",
-    "MEMBERSHIP_TOL",
 ]
 
-# Absolute tolerance on each membership inequality; boundary points count
-# as inside (flow trajectories ride exactly along BC).
-MEMBERSHIP_TOL = 1e-12
+# Absolute tolerance on each membership inequality (`TricomiDomain.contains`);
+# boundary points count as inside (flow trajectories ride exactly along BC).
+_MEMBERSHIP_TOL = 1e-12
 
 # Abscissae at most this far outside [2x0, 0] are clipped onto it; farther ones raise.
 _ENDPOINT_GUARD = 1e-12
@@ -149,9 +148,8 @@ class TricomiDomain:
         the tensor grid (xs[:, None], ys[None, :]) costs about len(xs) +
         len(ys) libm calls, not one or two per node.
 
-        The domain's one membership predicate: `Grid.build` (the FD mask)
-        and `area_l2_norm_sq` (cut-cell fractions) compare it against
-        -MEMBERSHIP_TOL; `verify_star_shaped` takes it at the flow samples.
+        The domain's one membership predicate: `contains` compares it with
+        the tolerance, `verify_star_shaped` takes it at the flow samples.
         """
         x = np.asarray(p[0], dtype=float)
         y = np.asarray(p[1], dtype=float)
@@ -168,6 +166,11 @@ class TricomiDomain:
                              Y[lo] - self.y_C)
         return float(out) if out.ndim == 0 else out
 
+    def contains(self, p):
+        """Whether p = (x, y) is in the closed domain, membership slack >= -1e-12:
+        a bool, or a bool array of the broadcast shape of p's arrays."""
+        return self.membership_slack(p) >= -_MEMBERSHIP_TOL
+
     def boundary_curve(self, kind: str) -> "BoundaryCurve":
         """Boundary piece 'AC', 'BC' or 'Sigma', counterclockwise oriented."""
         if kind == "AC":
@@ -181,9 +184,10 @@ class TricomiDomain:
 
 @dataclass(frozen=True)
 class BoundaryCurve:
-    """A parametrized boundary piece with arc element and unit outer
-    normal, oriented counterclockwise (interior on the left)."""
+    """A parametrized boundary piece of `dom` with arc element and unit
+    outer normal, oriented counterclockwise (interior on the left)."""
 
+    dom: TricomiDomain
     kind: str
     param_range: tuple[float, float]
     position: Callable
@@ -197,7 +201,6 @@ class BoundaryCurve:
 
 def _make_ac(dom: TricomiDomain) -> BoundaryCurve:
     # Parameter t = -y in [0, -y_C]; runs from A down to C.
-    t_max = -dom.y_C
 
     def position(t):
         return (2.0 * dom.x0 + (2.0 / 3.0) * t**1.5, -t)
@@ -209,7 +212,7 @@ def _make_ac(dom: TricomiDomain) -> BoundaryCurve:
     def arc_element(t):
         return np.sqrt(1.0 + t)
 
-    return BoundaryCurve("AC", (0.0, t_max), position, normal, arc_element)
+    return BoundaryCurve(dom, "AC", (0.0, -dom.y_C), position, normal, arc_element)
 
 
 def _make_bc(dom: TricomiDomain) -> BoundaryCurve:
@@ -225,7 +228,7 @@ def _make_bc(dom: TricomiDomain) -> BoundaryCurve:
     def arc_element(t):
         return np.sqrt(1.0 - t)
 
-    return BoundaryCurve("BC", (dom.y_C, 0.0), position, normal, arc_element)
+    return BoundaryCurve(dom, "BC", (dom.y_C, 0.0), position, normal, arc_element)
 
 
 def _make_sigma(dom: TricomiDomain) -> BoundaryCurve:
@@ -246,7 +249,7 @@ def _make_sigma(dom: TricomiDomain) -> BoundaryCurve:
         x = -np.asarray(t, dtype=float)
         return 1.5 * dom.h(x) / np.asarray(dom.g(x)) ** 2
 
-    return BoundaryCurve("Sigma", (0.0, -2.0 * dom.x0), position, normal, arc_element)
+    return BoundaryCurve(dom, "Sigma", (0.0, -2.0 * dom.x0), position, normal, arc_element)
 
 
 def _boundary_arrays(dom: TricomiDomain, n: int):

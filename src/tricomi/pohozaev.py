@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constants import G1, G2, ConstantLedger, ledger, optimize_epsilons
-from .geometry import MEMBERSHIP_TOL, BoundaryCurve, TricomiDomain
+from .geometry import BoundaryCurve, TricomiDomain
 from .report import VerificationReport
 
 __all__ = [
@@ -244,27 +244,24 @@ def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace) -> Boundary
                                  for name, v in norms.items()})
 
 
-def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
-                    U: np.ndarray) -> float:
+def area_l2_norm_sq(grid, U: np.ndarray) -> float:
     """||U||^2 over Omega by midpoint rule with sub-sampled cut-cell fractions.
 
-    U is nodal on the tensor grid xs x ys (shape (len(xs), len(ys))); cell
-    values are corner averages, cut cells are weighted by the fraction of a
-    4 x 4 stencil of sub-cell midpoints lying inside the domain.
+    U is nodal on the eigensolver `Grid` grid, shape (nx, ny); cell values
+    are corner averages, cut cells are weighted by the fraction of a 4 x 4
+    stencil of sub-cell midpoints lying inside grid.dom (`contains`).
 
     Omega is convex (sigma bounds the hypograph of the concave g, AC and BC
-    convex sets, joined with C^1 tangents at A and B): a cell with four
-    inside corners lies inside, and one with no inside corner in its 3 x 3
-    neighbourhood outside.  Only the cells between are sub-sampled.
+    convex sets, joined with C^1 tangents at A and B): a cell with four inside
+    corners (grid.inside) lies inside, and one with no inside corner in its
+    3 x 3 neighbourhood outside.  Only the cells between are sub-sampled.
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    xs, ys, c = grid.xs, grid.ys, grid.inside
     U = np.asarray(U, dtype=float)
     dx = np.diff(xs)
     dy = np.diff(ys)
     cell_val = 0.25 * (U[:-1, :-1] + U[1:, :-1] + U[:-1, 1:] + U[1:, 1:])
 
-    c = dom.membership_slack((xs[:, None], ys[None, :])) >= -MEMBERSHIP_TOL
     inside = c[:-1, :-1] & c[1:, :-1] & c[:-1, 1:] & c[1:, 1:]
     p = np.pad(c, 1)    # near: an inside corner among the 4 x 4 around a cell
     near = p[:-3] | p[1:-2] | p[2:-1] | p[3:]
@@ -274,7 +271,7 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
     off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES
     sub_x = xs[i, None, None] + off[:, None] * dx[i, None, None]
     sub_y = ys[j, None, None] + off * dy[j, None, None]
-    sub = dom.membership_slack((sub_x, sub_y)) >= -MEMBERSHIP_TOL
+    sub = grid.dom.contains((sub_x, sub_y))
     frac[i, j] = np.count_nonzero(sub, axis=(1, 2)) / (_SUBSAMPLES * _SUBSAMPLES)
     area = dx[:, None] * dy[None, :]
     return float(np.sum(cell_val**2 * frac * area))
@@ -282,16 +279,16 @@ def area_l2_norm_sq(dom: TricomiDomain, xs: np.ndarray, ys: np.ndarray,
 
 # -- identity and bound checks ---------------------------------------------
 
-def _identity_integrals(bc: BoundaryTrace, sg: BoundaryTrace, dom: TricomiDomain):
+def _identity_integrals(bc: BoundaryTrace, sg: BoundaryTrace):
     """int_BC omega1 ds, int_BC omega2 ds and int_sigma omega1 ds, each a
     float for single traces and an array over the batch axes for batched
-    ones; the sigma form takes the zero Dirichlet trace."""
+    ones; the sigma form takes the zero Dirichlet trace on sg's domain."""
     return (line_integral(bc, omega1_BC_simplified(bc.y, bc.ux, bc.uy)),
             line_integral(bc, omega2_BC_simplified(bc.y, bc.u, bc.ux, bc.uy)),
-            line_integral(sg, omega1_sigma_simplified(sg.x, sg.ux, sg.uy, dom)))
+            line_integral(sg, omega1_sigma_simplified(sg.x, sg.ux, sg.uy, sg.curve.dom)))
 
 
-def pohozaev_residual(lam: float, traces: dict, dom: TricomiDomain) -> dict:
+def pohozaev_residual(lam: float, traces: dict) -> dict:
     """Discrete residual of 4 lambda ||u||^2 = int_BC(w1+w2) ds + int_sigma w1 ds.
 
     lam is the eigenvalue of a unit-L2(Omega) pair, so the left side is
@@ -300,7 +297,7 @@ def pohozaev_residual(lam: float, traces: dict, dom: TricomiDomain) -> dict:
     if lam <= 0.0:
         raise ValueError("identity check needs a positive eigenvalue")
     lhs = 4.0 * lam
-    w1_bc, w2_bc, rhs_sigma = _identity_integrals(traces["BC"], traces["Sigma"], dom)
+    w1_bc, w2_bc, rhs_sigma = _identity_integrals(traces["BC"], traces["Sigma"])
     rhs_bc = w1_bc + w2_bc
     rhs = rhs_bc + rhs_sigma
     return {
@@ -355,7 +352,7 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000, seed: int = 0,
     bc = bc_trace(dom, n_nodes).filled(u=draws[:, 0, 0], ux=draws[:, 0, 1], uy=draws[:, 0, 2])
     sg = sigma_trace(dom, n_nodes).filled(ux=draws[:, 1, 1], uy=draws[:, 1, 2])
     nb = norm_bundle_from_traces(bc, sg)
-    w1_bc, w2_bc, w1_sg = _identity_integrals(bc, sg, dom)
+    w1_bc, w2_bc, w1_sg = _identity_integrals(bc, sg)
 
     names = ["bc_omega2"]
     margins = [led.C3 * nb.u_L2_BC * (nb.w_ux_L2_BC + nb.uy_L2_BC) - w2_bc]

@@ -244,12 +244,12 @@ def eigen_runs():
     for n in (64, 128):
         t0 = time.perf_counter()
         grid = Grid.build(dom, n, n)
-        op = assemble(dom, grid)
+        op = assemble(grid)
         pairs, _ = solve_real_spectrum(op, 4)
         pairs = [p for p in pairs if p.lam > 0]
         pair = pairs[0]
         traces, norms = trace_norms(op, pair)
-        identity = pohozaev_residual(pair.lam, traces, dom)
+        identity = pohozaev_residual(pair.lam, traces)
         bound = bound_check(pair.lam, norms, ledger(-0.5), rel_tol=1e-2)
         out[n] = {
             "pair": pair,
@@ -263,7 +263,7 @@ def eigen_runs():
 
 def _interior_truncation(dom, n):
     grid = Grid.build(dom, n, n)
-    op = assemble(dom, grid)
+    op = assemble(grid)
     X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
     U = np.sin(1.7 * X + 0.3) * np.sin(1.3 * Y - 0.2)
     TU = Y * 1.7**2 * U + 1.3**2 * U

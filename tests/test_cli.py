@@ -299,7 +299,7 @@ class TestEigenAndBound:
                           "--ny", "80", "--format", "csv", "--out", str(path))
         assert code == 0
         dom = TricomiDomain(-0.5)
-        op = assemble(dom, Grid.build(dom, 80, 80))
+        op = assemble(Grid.build(dom, 80, 80))
         pairs, _ = solve_real_spectrum(op, 4)
         assert pairs[0].lam < 0.0
         (pair,), _ = solve_real_spectrum(op, 4, principal_only=True)

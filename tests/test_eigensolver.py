@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from tricomi import (
-    MEMBERSHIP_TOL,
     EigenPair,
     Grid,
     TricomiDomain,
@@ -36,8 +35,8 @@ def grid64(dom):
 
 
 @pytest.fixture(scope="module")
-def op64(dom, grid64):
-    return assemble(dom, grid64)
+def op64(grid64):
+    return assemble(grid64)
 
 
 @pytest.fixture(scope="module")
@@ -59,12 +58,12 @@ class TestGrid:
     def test_inside_flags(self, dom, grid64):
         ii, jj = np.nonzero(grid64.inside)
         for i, j in zip(ii[::97], jj[::97]):
-            assert dom.membership_slack((grid64.xs[i], grid64.ys[j])) >= -MEMBERSHIP_TOL
+            assert dom.contains((grid64.xs[i], grid64.ys[j]))
 
     def test_labels_populated_by_assembly(self, dom):
         grid = Grid.build(dom, 64, 64)
         snapshot = [a.copy() for a in (grid.xs, grid.ys, grid.inside)]
-        assemble(dom, grid)
+        assemble(grid)
         # Assembly leaves the frozen grid as it was.
         for a, b in zip((grid.xs, grid.ys, grid.inside), snapshot):
             assert np.array_equal(a, b)
@@ -94,7 +93,7 @@ class TestConsistency:
         # Frozen regression anchor over every row, cut cells and one-sided
         # rows included (the checks above see only full-stencil rows).
         d = TricomiDomain(x0)
-        A = assemble(d, Grid.build(d, n, n)).matrix
+        A = assemble(Grid.build(d, n, n)).matrix
         k = np.arange(A.shape[0])
         v, w = np.cos(0.37 * k), np.sin(0.11 * k + 0.5)
         assert A.nnz == nnz
@@ -104,7 +103,7 @@ class TestConsistency:
     def test_interior_order_at_least_1_8(self, dom):
         def truncation(n):
             grid = Grid.build(dom, n, n)
-            op = assemble(dom, grid)
+            op = assemble(grid)
             X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
             U = np.sin(1.7 * X + 0.3) * np.sin(1.3 * Y - 0.2)
             TU = (Y * (-1.7**2) * U * -1.0) - (-(1.3**2) * U)
@@ -129,13 +128,13 @@ class TestSpectrum:
         # Frozen regression anchor for x0 = -1/2 on the 64x64 grid.
         assert lam0 == pytest.approx(6.37551, rel=1e-4)
 
-    def test_residuals_and_normalization(self, solved64, dom, grid64):
+    def test_residuals_and_normalization(self, solved64, grid64):
         from tricomi.pohozaev import area_l2_norm_sq
         pairs, _ = solved64
         for p in pairs:
             assert p.residual <= 1e-8
         F = pairs[0].field
-        assert area_l2_norm_sq(dom, grid64.xs, grid64.ys, F) == pytest.approx(
+        assert area_l2_norm_sq(grid64, F) == pytest.approx(
             1.0, rel=1e-10)
         assert float(np.sum(F)) >= 0.0
 
@@ -146,7 +145,7 @@ class TestSpectrum:
         scaled = []
         for x0 in (-0.05, -0.5, -4.0):
             d = TricomiDomain(x0)
-            pair = solve_real_spectrum(assemble(d, Grid.build(d, 64, 64)), 1)[0][0]
+            pair = solve_real_spectrum(assemble(Grid.build(d, 64, 64)), 1)[0][0]
             scaled.append((pair.lam * abs(x0) ** (4.0 / 3.0),
                            abs(x0) ** (5.0 / 6.0) * pair.field))
         lam, F = scaled[0]
@@ -161,7 +160,7 @@ class TestSpectrum:
         # epsilon (tol=0).  The 1e-12 Ritz tolerance moves it in the last
         # digits only, and keeps the spectrum's shape and every residual.
         pairs, complex_diag = solve_real_spectrum(
-            assemble(dom, Grid.build(dom, n, n)), 4)
+            assemble(Grid.build(dom, n, n)), 4)
         assert len(pairs) == 1 and len(complex_diag) == 3
         assert pairs[0].lam == pytest.approx(lam_eps, rel=1e-13)
         assert all(p.residual <= 1e-10 for p in pairs)
@@ -204,7 +203,7 @@ class TestPrincipalOnly:
     # once converged to rounding; else the full pass decides, on the same LU.
     @pytest.mark.parametrize("n, spurious_first", [(64, False), (80, True), (112, True)])
     def test_matches_default_principal(self, dom, n, spurious_first):
-        op = assemble(dom, Grid.build(dom, n, n))
+        op = assemble(Grid.build(dom, n, n))
         real, _ = solve_real_spectrum(op, 4)
         # At 80^2 and 112^2 a spurious negative mode lies nearer the shift.
         assert (real[0].lam < 0.0) == spurious_first
@@ -218,7 +217,7 @@ class TestPrincipalOnly:
 
     def test_no_principal_among_count_pairs(self, dom):
         # At 80^2 the one pair nearest the shift is the spurious negative mode.
-        op = assemble(dom, Grid.build(dom, 80, 80))
+        op = assemble(Grid.build(dom, 80, 80))
         real, _ = solve_real_spectrum(op, 1)
         assert real and all(p.lam < 0.0 for p in real)
         assert solve_real_spectrum(op, 1, principal_only=True)[0] == []
@@ -280,7 +279,7 @@ class TestPrincipalOnly:
         # Each pick here is left unconverged by the loose pass, so the full
         # pass decides: bit for bit the default path's principal pair.
         d = TricomiDomain(x0)
-        op = assemble(d, Grid.build(d, n, n))
+        op = assemble(Grid.build(d, n, n))
         real, _ = solve_real_spectrum(op, count)
         want = next(p for p in real if p.lam > 0.0)
         (got,), _ = solve_real_spectrum(op, count, principal_only=True)
@@ -293,7 +292,7 @@ class TestPrincipalOnly:
         # exactly those of (A - shift I).tocsc().
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
-        op = assemble(dom, Grid.build(dom, n, n))
+        op = assemble(Grid.build(dom, n, n))
         splu, factored = spla.splu, []
 
         def recording(M, *args, **kwargs):
@@ -325,7 +324,7 @@ class TestPrincipalOnly:
         # At 80^2 the full pass finds two real pairs, the spurious negative
         # mode first; only the principal one is built.
         import tricomi.eigensolver as eigensolver
-        op = assemble(dom, Grid.build(dom, 80, 80))
+        op = assemble(Grid.build(dom, 80, 80))
         real, _ = solve_real_spectrum(op, 4)
         assert [p.lam > 0.0 for p in real] == [False, True]
         monkeypatch.setattr(eigensolver, "_CONVERGED", 0.0)
@@ -361,6 +360,22 @@ class TestPrincipalOnly:
         w_ref, V_ref = spla.eigs(op64.matrix, k=4, sigma=1e-3, which="LM", v0=v0,
                                  tol=_RITZ_TOL)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+
+def test_bound_takes_one_mask_pass_per_mesh(monkeypatch, tmp_path):
+    # A 64^2 `bound` evaluates the slack twice: on Grid.build's tensor grid
+    # (the node mask) and on the area norm's cut-cell sub-samples.  The area
+    # norm reads its corners from grid.inside.
+    from tricomi.cli import run
+    slack, calls = TricomiDomain.membership_slack, []
+
+    def counted(self, p):
+        calls.append(np.broadcast_shapes(np.shape(p[0]), np.shape(p[1])))
+        return slack(self, p)
+
+    monkeypatch.setattr(TricomiDomain, "membership_slack", counted)
+    assert run(["bound", "--x0", "-0.5", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 2 and calls[0] == (64, 64)
 
 
 class TestTraces:
@@ -403,7 +418,7 @@ class TestTraces:
     ])
     def test_trace_gradients_pinned(self, n, x0, bc, sigma):
         d = TricomiDomain(x0)
-        op = assemble(d, Grid.build(d, n, n))
+        op = assemble(Grid.build(d, n, n))
         pairs, _ = solve_real_spectrum(op, 4)
         traces, _ = trace_norms(op, pairs[0])
         for kind, want in (("BC", bc), ("Sigma", sigma)):
@@ -417,7 +432,7 @@ class TestEndToEnd64:
         pairs, _ = solved64
         pair = pairs[0]
         traces, _ = trace_norms(op64, pair)
-        out = pohozaev_residual(pair.lam, traces, dom)
+        out = pohozaev_residual(pair.lam, traces)
         assert out["relative_residual"] < 0.2
         assert out["rhs_BC"] > 0.0 and out["rhs_sigma"] > 0.0
 
@@ -432,7 +447,7 @@ class TestEndToEnd64:
 def _scaled_principal(x0: float, n: int):
     """lambda |x0|^(4/3) of the principal pair at n^2, or None without one."""
     dom = TricomiDomain(x0)
-    pairs, _ = solve_real_spectrum(assemble(dom, Grid.build(dom, n, n)), 4,
+    pairs, _ = solve_real_spectrum(assemble(Grid.build(dom, n, n)), 4,
                                    principal_only=True)
     return pairs[0].lam * abs(x0) ** (4.0 / 3.0) if pairs else None
 
@@ -441,7 +456,7 @@ def _broken(reason: str):
     return pytest.mark.xfail(strict=True, raises=AssertionError, reason=reason)
 
 
-_TOL = "MEMBERSHIP_TOL admits nodes outside the domain (ROADMAP item 14(c)): "
+_TOL = "contains' tolerance admits nodes outside the domain (ROADMAP item 14(c)): "
 _SHIFT = "the fixed shift 1e-3 is far from lambda (ROADMAP item 14(a)): "
 
 
@@ -479,8 +494,8 @@ class TestSelfSimilarity:
 _PACKAGE_EXPORTS = (
     ("constants", ("G1", "G2", "SQRT3", "SQRT33", "X0_CRITICAL", "ConstantLedger",
                    "g1", "g2", "ledger", "optimize_epsilons")),
-    ("geometry", ("MEMBERSHIP_TOL", "BoundaryCurve", "TricomiDomain",
-                  "reflected_membership", "verify_star_shaped")),
+    ("geometry", ("BoundaryCurve", "TricomiDomain", "reflected_membership",
+                  "verify_star_shaped")),
     ("pohozaev", ("BoundaryNormBundle", "BoundaryTrace", "area_l2_norm_sq", "bc_trace",
                   "bound_check", "line_integral", "norm_bundle_from_traces", "omega1",
                   "omega1_BC_simplified", "omega1_sigma_simplified", "omega2",
@@ -499,7 +514,7 @@ class TestExport:
         import sys
 
         import tricomi
-        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 46
+        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 45
         for module, names in _PACKAGE_EXPORTS + (("cli", ()),):
             mod = getattr(tricomi, module)
             assert mod is sys.modules[f"tricomi.{module}"]

@@ -5,12 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tricomi import (
-    MEMBERSHIP_TOL,
-    TricomiDomain,
-    reflected_membership,
-    verify_star_shaped,
-)
+from tricomi import TricomiDomain, reflected_membership, verify_star_shaped
 from tricomi import geometry
 from tricomi.geometry import _boundary_arrays, _libm_pow
 
@@ -23,10 +18,6 @@ def dom(request):
 def _corners(dom):
     """The vertices A, B, C of the domain."""
     return (2.0 * dom.x0, 0.0), (0.0, 0.0), (dom.x0, dom.y_C)
-
-
-def _contains(dom, p):
-    return dom.membership_slack(p) >= -MEMBERSHIP_TOL
 
 
 def _g_prime(dom, x):
@@ -259,7 +250,7 @@ class TestStarShaped:
 
     def test_boundary_points_inside(self, dom):
         for p in boundary_points(dom, 60):
-            assert _contains(dom, p)
+            assert dom.contains(p)
 
     def test_input_validation(self, dom):
         with pytest.raises(ValueError):

@@ -23,7 +23,7 @@ from tricomi import (
     verify_trace_inequalities,
 )
 from tricomi.constants import ledger
-from tricomi.geometry import MEMBERSHIP_TOL
+from tricomi.eigensolver import Grid
 from tricomi.pohozaev import _SUBSAMPLES, area_l2_norm_sq
 
 
@@ -234,9 +234,10 @@ class TestNormBundle:
                 getattr(r, name).hex() for r in rows], name
 
 
-def _area_norm_reference(dom, xs, ys, U):
+def _area_norm_reference(grid, U):
     """area_l2_norm_sq with every cell sub-sampled: one pass of the slack
     over all cells per sub-cell midpoint."""
+    dom, xs, ys = grid.dom, grid.xs, grid.ys
     dx, dy = np.diff(xs), np.diff(ys)
     cell_val = 0.25 * (U[:-1, :-1] + U[1:, :-1] + U[:-1, 1:] + U[1:, 1:])
     off = (np.arange(_SUBSAMPLES) + 0.5) / _SUBSAMPLES
@@ -245,18 +246,23 @@ def _area_norm_reference(dom, xs, ys, U):
         sub_x = xs[:-1] + ox * dx
         for oy in off:
             sub_y = ys[:-1] + oy * dy
-            frac += dom.membership_slack((sub_x[:, None], sub_y[None, :])) >= -MEMBERSHIP_TOL
+            frac += dom.contains((sub_x[:, None], sub_y[None, :]))
     frac /= _SUBSAMPLES * _SUBSAMPLES
     area = dx[:, None] * dy[None, :]
     return float(np.sum(cell_val**2 * frac * area))
 
 
+def _box(dom, xs, ys):
+    """The Grid on nodes xs x ys, without Grid.build's resolution check."""
+    return Grid(dom, len(xs), len(ys), xs, ys, dom.contains((xs[:, None], ys[None, :])))
+
+
 def _padded_box(dom, nx, ny):
-    """The node coordinates of Grid.build's box, without its resolution check."""
+    """The Grid on Grid.build's box, without its resolution check."""
     y_top = dom.g(dom.x0)
     pad_x, pad_y = 0.01 * abs(2.0 * dom.x0), 0.01 * (y_top - dom.y_C)
-    return (np.linspace(2.0 * dom.x0 - pad_x, pad_x, nx),
-            np.linspace(dom.y_C - pad_y, y_top + pad_y, ny))
+    return _box(dom, np.linspace(2.0 * dom.x0 - pad_x, pad_x, nx),
+                np.linspace(dom.y_C - pad_y, y_top + pad_y, ny))
 
 
 _AREA_MESHES = ([(n, n) for n in range(32, 161, 4)]
@@ -272,28 +278,27 @@ class TestAreaNorm:
         dom = TricomiDomain(x0)
         rng = np.random.default_rng(27)
         for nx, ny in _AREA_MESHES:
-            xs, ys = _padded_box(dom, nx, ny)
+            grid = _padded_box(dom, nx, ny)
             U = rng.uniform(0.5, 1.5, (nx, ny))
-            got = area_l2_norm_sq(dom, xs, ys, U)
-            assert got.hex() == _area_norm_reference(dom, xs, ys, U).hex(), (nx, ny)
+            got = area_l2_norm_sq(grid, U)
+            assert got.hex() == _area_norm_reference(grid, U).hex(), (nx, ny)
 
     def test_area_of_domain(self, dom):
         # U = 1: the weighted cell sum approximates |Omega|.
-        xs = np.linspace(2.0 * dom.x0 - 0.01, 0.01, 257)
-        ys = np.linspace(dom.y_C - 0.01, float(dom.g(dom.x0)) + 0.01, 257)
-        U = np.ones((257, 257))
-        val = area_l2_norm_sq(dom, xs, ys, U)
+        grid = _box(dom, np.linspace(2.0 * dom.x0 - 0.01, 0.01, 257),
+                    np.linspace(dom.y_C - 0.01, float(dom.g(dom.x0)) + 0.01, 257))
+        val = area_l2_norm_sq(grid, np.ones((257, 257)))
         elliptic = quad(lambda x: float(dom.g(x)), 2.0 * dom.x0, 0.0)[0]
         hyper = quad(lambda y: -2.0 * dom.x0 - (4.0 / 3.0) * (-y) ** 1.5,
                      dom.y_C, 0.0)[0]
         assert val == pytest.approx(elliptic + hyper, rel=2e-3)
 
     def test_scaling(self, dom):
-        xs = np.linspace(2.0 * dom.x0 - 0.01, 0.01, 65)
-        ys = np.linspace(dom.y_C - 0.01, float(dom.g(dom.x0)) + 0.01, 65)
+        grid = _box(dom, np.linspace(2.0 * dom.x0 - 0.01, 0.01, 65),
+                    np.linspace(dom.y_C - 0.01, float(dom.g(dom.x0)) + 0.01, 65))
         U = np.ones((65, 65))
-        v1 = area_l2_norm_sq(dom, xs, ys, U)
-        v3 = area_l2_norm_sq(dom, xs, ys, 3.0 * U)
+        v1 = area_l2_norm_sq(grid, U)
+        v3 = area_l2_norm_sq(grid, 3.0 * U)
         assert v3 == pytest.approx(9.0 * v1, rel=1e-12)
 
 
@@ -301,13 +306,13 @@ class TestIdentityAndBound:
     def test_residual_requires_positive_eigenvalue(self, dom):
         traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
         with pytest.raises(ValueError):
-            pohozaev_residual(-1.0, traces, dom)
+            pohozaev_residual(-1.0, traces)
 
     def test_zero_trace_residual_is_one(self, dom):
         # Zero boundary data makes the right-hand side vanish; the relative
         # residual is then exactly 1.
         traces = {"BC": bc_trace(dom, 16), "Sigma": sigma_trace(dom, 16)}
-        out = pohozaev_residual(2.0, traces, dom)
+        out = pohozaev_residual(2.0, traces)
         assert out["relative_residual"] == pytest.approx(1.0, rel=1e-15)
         assert out["lhs"] == pytest.approx(8.0, rel=1e-15)
 

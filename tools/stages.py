@@ -63,11 +63,11 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
     dom = TricomiDomain(X0)
     row = {}
     row["Grid.build"], grid = _timed(clock, lambda: eigensolver.Grid.build(dom, n, n), repeats)
-    row["assemble"], op = _timed(clock, lambda: eigensolver.assemble(dom, grid), repeats)
+    row["assemble"], op = _timed(clock, lambda: eigensolver.assemble(grid), repeats)
     row["unknowns"] = op.n
     U = grid.inside.astype(float)
     row["area_l2_norm_sq"], _ = _timed(
-        clock, lambda: pohozaev.area_l2_norm_sq(dom, grid.xs, grid.ys, U), repeats)
+        clock, lambda: pohozaev.area_l2_norm_sq(grid, U), repeats)
 
     def factor():
         shifted = op.matrix.tocsc(copy=True)
@@ -85,7 +85,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
     row["trace_norms"], (traces, norms) = _timed(
         clock, lambda: eigensolver.trace_norms(op, pair), repeats)
     row["identity_bound"], _ = _timed(clock, lambda: (
-        pohozaev.pohozaev_residual(pair.lam, traces, dom),
+        pohozaev.pohozaev_residual(pair.lam, traces),
         pohozaev.bound_check(pair.lam, norms, ledger(X0))), repeats)
     return row
 
