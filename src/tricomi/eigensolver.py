@@ -429,10 +429,8 @@ def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNor
 
     # BC: free boundary, sample u and grad at pulled-back points.
     bc = bc_trace(grid.dom, _TRACE_NODES)
-    y = bc.params
-    x = -(2.0 / 3.0) * _libm_pow(-y, 1.5)   # BC: 3x = -2(-y)^(3/2), see _libm_pow
-    nx_o, ny_o = bc.curve.normal(y)
-    u, ux, uy = (_sample_inward(grid, G, ok, x, y, -nx_o, -ny_o, d)
+    nx_o, ny_o = bc.curve.normal(bc.params)
+    u, ux, uy = (_sample_inward(grid, G, ok, bc.x, bc.y, -nx_o, -ny_o, d)
                  for G, ok in ((F, grid.inside), (Ux, valid), (Uy, valid)))
     bc = bc.filled(u=u, ux=ux, uy=uy)
 

@@ -37,8 +37,8 @@ def _libm_pow(base: np.ndarray, exponent: float) -> np.ndarray:
     libm call a Python float power makes.  np.power is not used: its SIMD
     loop differs from libm in the last ulp on some inputs (about 5 % on an
     AVX-512 CPU), which would move pinned margins.  The membership slack,
-    the cut-cell crossings and the BC sample points take their powers here,
-    so their array and scalar evaluations agree bit for bit.  That does not
+    the cut-cell crossings and the AC and BC positions take their powers
+    here, so their array and scalar evaluations agree bit for bit.  That does not
     make the pinned margins independent of the CPU: g and h, and the cut
     cells' crossings of sigma, use np.cbrt and np.hypot, whose SIMD loops
     numpy picks by the CPU's vector unit and which differ from libm in the
@@ -203,7 +203,7 @@ def _make_ac(dom: TricomiDomain) -> BoundaryCurve:
     # Parameter t = -y in [0, -y_C]; runs from A down to C.
 
     def position(t):
-        return (2.0 * dom.x0 + (2.0 / 3.0) * t**1.5, -t)
+        return (2.0 * dom.x0 + (2.0 / 3.0) * _libm_pow(t, 1.5), -t)
 
     def normal(t):
         s = 1.0 / np.sqrt(1.0 + t)
@@ -219,7 +219,7 @@ def _make_bc(dom: TricomiDomain) -> BoundaryCurve:
     # Parameter t = y in [y_C, 0]; runs from C up to B.
 
     def position(t):
-        return (-(2.0 / 3.0) * (-t) ** 1.5, t)
+        return (-(2.0 / 3.0) * _libm_pow(-t, 1.5), t)
 
     def normal(t):
         s = 1.0 / np.sqrt(1.0 - t)
@@ -256,13 +256,8 @@ def _boundary_arrays(dom: TricomiDomain, n: int):
     """x and y arrays of max(2, n // 3) equispaced points on each boundary
     piece, corners included: sigma, then AC, then BC."""
     n_piece = max(2, n // 3)
-    xs, ys = [], []
-    for kind in ("Sigma", "AC", "BC"):
-        curve = dom.boundary_curve(kind)
-        # Python-float parameters keep t**1.5 on AC and BC in libm pow.
-        x, y = curve.position(curve.params(n_piece).astype(object))
-        xs.append(np.asarray(x, dtype=float))
-        ys.append(np.asarray(y, dtype=float))
+    xs, ys = zip(*(curve.position(curve.params(n_piece))
+                   for curve in map(dom.boundary_curve, ("Sigma", "AC", "BC"))))
     return np.concatenate(xs), np.concatenate(ys)
 
 
