@@ -4,15 +4,17 @@
                                                 [--repeats 5] [--dir DIR]
 
 The script calls the library directly.  On each n x n mesh at x0 = -0.5 it
-times `Grid.build`, `assemble`, `area_l2_norm_sq`, `splu` alone (A - shift I
-factored as `solve_real_spectrum` factors it), the Arnoldi iteration (the
-principal solve, which factors again, minus the `splu` median),
-`trace_norms`, and identity + bound (`pohozaev_residual`, the ledger and
-`bound_check`).  Where the solve finds no positive real pair, as at 256^2,
-the record says so and the later stages are not run.  It also times each
-`verify` check, with its default sampling, at x0 = -0.5 and -2, and each of
-the six commands of the benchmark's `cli-cold` workload (perfbench/
-workloads.py) as a `python -m tricomi.cli` process, from start to exit.
+times `Grid.build`, `assemble`, `area_l2_norm_sq`, the principal solve split
+in two (`splu`, its own factorization of A - shift I, timed by a wrapper on
+scipy.sparse.linalg.splu for the duration of the call, and `arnoldi`, the
+rest of the same call), `trace_norms`, and identity + bound
+(`pohozaev_residual`, the ledger and `bound_check`).  Where the solve finds
+no positive real pair, as at 256^2, the record says so and the later stages
+are not run.  It also times each `verify` check but `all`, through the
+CLI's own table of checks and with its default sampling, at x0 = -0.5 and
+-2, and each of the six commands of the benchmark's `cli-cold` workload
+(perfbench/workloads.py) as a `python -m tricomi.cli` process, from start
+to exit.
 
 Each figure is the median over the repeats, in seconds scaled to the nominal
 machine speed of perfbench/speed.py, whose `Clock` is imported unchanged.
@@ -26,7 +28,6 @@ root unless --dir names another directory.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import statistics
@@ -51,15 +52,43 @@ def _timed(clock, call, repeats: int):
     return statistics.median(times), result
 
 
-def eigen_stages(clock, n: int, repeats: int) -> dict:
-    """Stage medians of the principal solve and `bound` on the n x n mesh."""
+def _principal_solve(clock, op, repeats: int):
+    """The medians of the principal solve's `splu` call and of the rest of
+    the same call, and the last call's result.  Each call's scaled time is
+    split in the ratio of its raw `splu` time to the rest."""
     import scipy.sparse.linalg as spla
 
+    from tricomi import eigensolver
+
+    splu, spans, parts = spla.splu, [], []
+
+    def timed_splu(*args, **kwargs):
+        start = perf_counter()
+        lu = splu(*args, **kwargs)
+        spans.append(perf_counter() - start)
+        return lu
+
+    spla.splu = timed_splu
+    try:
+        for _ in range(repeats):
+            spans.clear()
+            start = perf_counter()
+            result = eigensolver.solve_real_spectrum(op, COUNT, principal_only=True)
+            end = perf_counter()
+            total, share = clock.scale(start, end), sum(spans) / (end - start)
+            parts.append((total * share, total * (1.0 - share)))
+    finally:
+        spla.splu = splu
+    lu_s, rest_s = zip(*parts)
+    return statistics.median(lu_s), statistics.median(rest_s), result
+
+
+def eigen_stages(clock, n: int, repeats: int) -> dict:
+    """Stage medians of the principal solve and `bound` on the n x n mesh."""
     from tricomi import eigensolver, pohozaev
     from tricomi.constants import ledger
     from tricomi.geometry import TricomiDomain
 
-    shift = inspect.signature(eigensolver.solve_real_spectrum).parameters["shift"].default
     dom = TricomiDomain(X0)
     row = {}
     row["Grid.build"], grid = _timed(clock, lambda: eigensolver.Grid.build(dom, n, n), repeats)
@@ -68,16 +97,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
     U = grid.inside.astype(float)
     row["area_l2_norm_sq"], _ = _timed(
         clock, lambda: pohozaev.area_l2_norm_sq(grid, U), repeats)
-
-    def factor():
-        shifted = op.matrix.tocsc(copy=True)
-        shifted.setdiag(shifted.diagonal() - shift)
-        return spla.splu(shifted)
-
-    row["splu"], _ = _timed(clock, factor, repeats)
-    solve_s, (pairs, _) = _timed(clock, lambda: eigensolver.solve_real_spectrum(
-        op, COUNT, principal_only=True), repeats)
-    row["arnoldi"] = solve_s - row["splu"]
+    row["splu"], row["arnoldi"], (pairs, _) = _principal_solve(clock, op, repeats)
     if not pairs:
         row["skipped"] = "no positive real eigenvalue: trace_norms and identity_bound not run"
         return row
@@ -91,19 +111,12 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
 
 
 def verify_stages(clock, x0: float, repeats: int) -> dict:
-    """Medians of each `verify` check at x0, as the CLI calls it."""
-    import tricomi
+    """Medians of each `verify` check but `all` at x0, each run through the
+    parts of its entry in the CLI's table `_VERIFY_CHECKS`."""
+    from tricomi.cli import _VERIFY_CHECKS
 
-    checks = {
-        "h-profile": tricomi.verify_h_profile,
-        "g1-bounds": tricomi.verify_G1_bounds,
-        "g2-bounds": tricomi.verify_G2_bounds,
-        "starshape": lambda x: tricomi.verify_star_shaped(tricomi.TricomiDomain(x)),
-        "integrands": tricomi.verify_integrand_equivalence,
-        "inequalities": tricomi.verify_trace_inequalities,
-    }
-    return {name: _timed(clock, lambda: check(x0), repeats)[0]
-            for name, check in checks.items()}
+    return {name: _timed(clock, lambda: [part(x0, (), False) for part in parts], repeats)[0]
+            for name, parts in _VERIFY_CHECKS.items() if name != "all"}
 
 
 def cli_cold(clock, repeats: int) -> dict:
