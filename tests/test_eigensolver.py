@@ -134,8 +134,7 @@ class TestSpectrum:
         for p in pairs:
             assert p.residual <= 1e-8
         F = pairs[0].field
-        assert area_l2_norm_sq(grid64, F) == pytest.approx(
-            1.0, rel=1e-10)
+        assert area_l2_norm_sq(grid64, F) == pytest.approx(1.0, rel=1e-10)
         assert float(np.sum(F)) >= 0.0
 
     def test_dilation_self_similarity(self):
@@ -428,7 +427,7 @@ class TestTraces:
 
 
 class TestEndToEnd64:
-    def test_identity_residual_small(self, solved64, dom, op64):
+    def test_identity_residual_small(self, solved64, op64):
         pairs, _ = solved64
         pair = pairs[0]
         traces, _ = trace_norms(op64, pair)
