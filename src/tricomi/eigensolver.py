@@ -263,14 +263,11 @@ def _is_real(lam) -> bool:
     return not abs(lam.imag) > _REAL_EIG_RTOL * abs(lam)
 
 
-def _by_magnitude(w, V):
-    order = np.argsort(np.abs(w))
-    return w[order], V[:, order]
-
-
-def _first_positive(w):
-    """Index of the first real eigenvalue > 0 in w (sorted by |w|), or None."""
-    return next((i for i, lam in enumerate(w) if _is_real(lam) and lam.real > 0), None)
+def _kept(w, principal_only: bool) -> list:
+    """Indices of the real eigenvalues in w (sorted by |w|), or with
+    `principal_only` of the first positive one alone, if any."""
+    real = [i for i, lam in enumerate(w) if _is_real(lam)]
+    return [i for i in real if w[i].real > 0][:1] if principal_only else real
 
 
 def _real_vector(op: TricomiOperator, lam, v):
@@ -280,22 +277,24 @@ def _real_vector(op: TricomiOperator, lam, v):
     return v, float(np.linalg.norm(op.matrix @ v - lam.real * v) / np.linalg.norm(v))
 
 
-def _unit_pair(op: TricomiOperator, lam, v, res: float) -> EigenPair:
-    """The pair (lam, v) of real v, normalized to unit L2(Omega) norm with
-    nonnegative mean, carrying its algebraic residual res."""
-    lam_r = float(lam.real)
+def _converged(op: TricomiOperator, lam, v) -> bool:
+    """Whether the pair's backward error |Av - lambda v| / (|A|_1 |v|) is at
+    most `_CONVERGED`."""
+    norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()  # |A|_1
+    return _real_vector(op, lam, v)[1] <= _CONVERGED * norm1
+
+
+def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
+    """The pair (lam, v) with v turned real, normalized to unit L2(Omega)
+    norm with nonnegative mean, carrying its algebraic residual."""
+    v, res = _real_vector(op, lam, v)
     F = op.to_field(v)
     nrm_sq = area_l2_norm_sq(op.grid, F)
     if nrm_sq > 0:
         F = F / math.sqrt(nrm_sq)
     if float(np.sum(F)) < 0.0:
         F = -F
-    return EigenPair(lam=lam_r, field=F, residual=res, imag=float(lam.imag))
-
-
-def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
-    """The real pair (lam, v), normalized, with its algebraic residual."""
-    return _unit_pair(op, lam, *_real_vector(op, lam, v))
+    return EigenPair(lam=float(lam.real), field=F, residual=res, imag=float(lam.imag))
 
 
 def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
@@ -309,21 +308,24 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     algebraic residual.
 
     A - shift I is factored once, as `eigs(A, sigma=shift)` would factor it,
-    so the default path returns exactly the eigenpairs of that call.  ARPACK
-    stops at the Ritz tolerance 1e-12, not at machine epsilon: past it the
+    and every Arnoldi pass runs on that LU from the same start vector.  By
+    default one pass over `count` pairs, at the Ritz tolerance 1e-12,
+    decides, so the default path returns exactly the eigenpairs of that
+    `eigs` call.  ARPACK stops at 1e-12, not at machine epsilon: past it the
     LU solves' own relative residual bounds what the iteration can gain, and
     neither lambda nor the residual improves.  The callers certify
     residuals to 1e-8.
 
     With `principal_only`, real_pairs holds at most the principal pair (the
-    real pair of smallest magnitude with lambda > 0), picked by a loose pass
-    (Ritz tolerance 1e-4) over `count` pairs.  The pick is kept, with the
-    loose pass's diagnostics, when it has converged to rounding: its
-    backward error |Av - lambda v| / (|A|_1 |v|) is at most 64 machine
-    epsilons.  At 64^2, x0 = -1/2, that is 21 LU solves instead of 58.
-    Otherwise (at 40^2, x0 = -1/2, say, where the principal pair is the 4th
-    Ritz value) the full `count`-pair pass on the same LU decides, as on the
-    default path.  Only the returned pair is normalized.
+    real pair of smallest magnitude with lambda > 0), and the first pass runs
+    at the loose Ritz tolerance 1e-4.  If that pass has no positive real
+    pair, none is returned.  Its pick is kept, with its diagnostics, when it
+    has converged to rounding: its backward error |Av - lambda v| /
+    (|A|_1 |v|) is at most 64 machine epsilons.  At 64^2, x0 = -1/2, that is
+    21 LU solves instead of 58.  Otherwise (at 40^2, x0 = -1/2, say, where
+    the principal pair is the 4th Ritz value) the default pass runs on the
+    same LU, and the same rule picks from it.  Only the returned pairs are
+    normalized.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -338,27 +340,18 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
         OPinv = spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float)
 
         def arnoldi(tol):
-            return _by_magnitude(*spla.eigs(op.matrix, k=k, sigma=shift, which="LM",
-                                            v0=v0, tol=tol, OPinv=OPinv))
+            w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
+                             tol=tol, OPinv=OPinv)
+            order = np.argsort(np.abs(w))
+            return w[order], V[:, order]
 
-        if principal_only:
-            w, V = arnoldi(_PICK_TOL)
-            p = _first_positive(w)
-            complex_diag = [complex(lam) for lam in w if not _is_real(lam)]
-            if p is None:
-                return [], complex_diag
-            v, res = _real_vector(op, w[p], V[:, p])
-            norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()  # |A|_1
-            if res <= _CONVERGED * norm1:
-                return [_unit_pair(op, w[p], v, res)], complex_diag
-        w, V = arnoldi(_RITZ_TOL)
+        w, V = arnoldi(_PICK_TOL if principal_only else _RITZ_TOL)
+        keep = _kept(w, principal_only)
+        if principal_only and keep and not _converged(op, w[keep[0]], V[:, keep[0]]):
+            w, V = arnoldi(_RITZ_TOL)
+            keep = _kept(w, principal_only)
     except RuntimeError as exc:
         raise RuntimeError(f"shift-invert factorization failed ({exc})") from exc
-    if principal_only:
-        p = _first_positive(w)
-        keep = [] if p is None else [p]
-    else:
-        keep = [i for i, lam in enumerate(w) if _is_real(lam)]
     return ([_real_pair(op, w[i], V[:, i]) for i in keep],
             [complex(lam) for lam in w if not _is_real(lam)])
 
