@@ -62,6 +62,10 @@ __all__ = ["main", "run"]
 # domain's dilation, so the gate reads the same at every x0.
 _RESIDUAL_TOL = 1e-8
 
+# The pairs nearest the shift that `eigen`, `bound` and `plot eigen` solve
+# for: `--count`'s default, and `plot eigen`'s fixed count.
+_PAIR_COUNT = 4
+
 # numpy's error state for every command: a floating-point fault raises.
 _RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
@@ -473,8 +477,7 @@ def _plot_eigen(op, pair) -> str:
 
 def _cmd_plot(args):
     if args.target == "eigen":
-        # No --count here: the four pairs nearest the shift, bound's default.
-        return _principal(args, 4, lambda op, pair: (_plot_eigen(op, pair), None))
+        return _principal(args, _PAIR_COUNT, lambda op, pair: (_plot_eigen(op, pair), None))
     return (_plot_h if args.target == "h" else _plot_domain)(args.x0), None
 
 
@@ -532,12 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = subs.add_parser("eigen", help="solve the discrete eigenproblem")
     _add_common(se, mesh=64)
-    se.add_argument("--count", type=_pos_int, default=4)
+    se.add_argument("--count", type=_pos_int, default=_PAIR_COUNT)
     se.set_defaults(handler=_cmd_eigen, failed="eigensolve failed", detail=("x0",))
 
     sb = subs.add_parser("bound", help="end-to-end identity and bound check")
     _add_common(sb, mesh=64)
-    sb.add_argument("--count", type=_pos_int, default=4)
+    sb.add_argument("--count", type=_pos_int, default=_PAIR_COUNT)
     sb.add_argument("--tol", type=_tol_float, default=1e-2,
                     help="relative tolerance for bound satisfaction (default 1e-2)")
     sb.set_defaults(handler=_cmd_bound, failed="bound check failed", detail=("x0",))

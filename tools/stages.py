@@ -38,7 +38,6 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 X0 = -0.5
 VERIFY_X0S = (-0.5, -2.0)
-COUNT = 4       # the pairs `bound` asks for by default
 
 
 def _timed(clock, call, repeats: int):
@@ -59,6 +58,7 @@ def _principal_solve(clock, op, repeats: int):
     import scipy.sparse.linalg as spla
 
     from tricomi import eigensolver
+    from tricomi.cli import _PAIR_COUNT
 
     splu, spans, parts = spla.splu, [], []
 
@@ -73,7 +73,7 @@ def _principal_solve(clock, op, repeats: int):
         for _ in range(repeats):
             spans.clear()
             start = perf_counter()
-            result = eigensolver.solve_real_spectrum(op, COUNT, principal_only=True)
+            result = eigensolver.solve_real_spectrum(op, _PAIR_COUNT, principal_only=True)
             end = perf_counter()
             total, share = clock.scale(start, end), sum(spans) / (end - start)
             parts.append((total * share, total * (1.0 - share)))
