@@ -214,12 +214,26 @@ class TestPrincipalOnly:
         assert np.max(np.abs(got.field - want.field)) <= 1e-10 * np.max(np.abs(want.field))
         assert got.residual <= 1e-10
 
-    def test_no_principal_among_count_pairs(self, dom):
+    def test_no_principal_among_count_pairs(self, dom, monkeypatch):
         # At 80^2 the one pair nearest the shift is the spurious negative mode.
         op = assemble(Grid.build(dom, 80, 80))
         real, _ = solve_real_spectrum(op, 1)
         assert real and all(p.lam < 0.0 for p in real)
+        # The loose pass has no positive pair to converge, so it decides:
+        # no second pass runs.
+        import scipy.sparse.linalg as spla
+
+        from tricomi.eigensolver import _PICK_TOL
+        calls = _count_lu(monkeypatch)
+        eigs, tols = spla.eigs, []
+
+        def recording(*args, **kwargs):
+            tols.append(kwargs["tol"])
+            return eigs(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "eigs", recording)
         assert solve_real_spectrum(op, 1, principal_only=True)[0] == []
+        assert tols == [_PICK_TOL] and calls["splu"] == 1
 
     @pytest.mark.parametrize("principal_only", [False, True])
     def test_one_factorization_per_call(self, op64, monkeypatch, principal_only):
