@@ -21,6 +21,17 @@ not move any output.  The commands run in process, through
 - `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh;
 - `eigen --format csv --out`.
 
+Between them they reach every path of `solve_real_spectrum`:
+
+- a loose-pass pick kept as converged: every `bound-small` op;
+- an unconverged pick, decided by the full pass on the same LU:
+  `bound --x0 -1e3 --nx 48 --ny 48`, whose loose pick reads a backward
+  error of 1.7e-12 (and `bound --count 8` at 65x47, 3.9e-9);
+- a loose pass with no positive real pair, and so no second pass:
+  `mesh-sweep` at 256^2 (and `bound` on the non-square meshes);
+- the default `count`-pair path: `eigen --count 2` and the non-square
+  `eigen` commands.
+
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
 interpreter's exit, importing the same sources as the in-process commands.
