@@ -11,6 +11,7 @@ Arnoldi around a small positive shift.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 
@@ -297,6 +298,47 @@ def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
     return EigenPair(lam=float(lam.real), field=F, residual=res, imag=float(lam.imag))
 
 
+# The column order of the last sparsity pattern factored, as
+# ((n, 128-bit blake2b of indptr and indices), order), or None: one entry.
+_last_order = None
+
+
+def _pattern_key(M: sp.csc_matrix) -> tuple:
+    h = hashlib.blake2b(M.indptr, digest_size=16)
+    h.update(M.indices)
+    return M.shape[0], h.digest()
+
+
+def _shift_invert_solve(shifted: sp.csc_matrix):
+    """The solve b -> shifted^-1 b of one `splu` of `shifted`.
+
+    A pattern not seen last is factored as `splu(shifted)` factors it, with
+    COLAMD's column order, and that order (the inverse of `perm_c`) is
+    recorded.  The pattern seen last is factored as shifted[:, order] with
+    the natural order, and each solve is scattered back through `order`:
+    COLAMD's order depends on the pattern alone, so this is the same LU
+    without recomputing it, and its solves are the same bit for bit.  A
+    digest collision would give the LU of another column order, still a
+    partial-pivoting LU of `shifted`.  A factorization that raises records
+    nothing.
+    """
+    global _last_order
+    key = _pattern_key(shifted)
+    if _last_order is not None and _last_order[0] == key:
+        order = _last_order[1]
+        lu = spla.splu(shifted[:, order], permc_spec="NATURAL")
+
+        def solve(b):
+            y = lu.solve(b)
+            x = np.empty_like(y)
+            x[order] = y
+            return x
+        return solve
+    lu = spla.splu(shifted)
+    _last_order = key, np.argsort(lu.perm_c)
+    return lu.solve
+
+
 def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
                         principal_only: bool = False):
     """Up to `count` smallest-magnitude eigenpairs via shift-invert Arnoldi.
@@ -307,8 +349,12 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     normalized to unit L2(Omega) norm with nonnegative mean and carries its
     algebraic residual.
 
-    A - shift I is factored once, as `eigs(A, sigma=shift)` would factor it,
-    and every Arnoldi pass runs on that LU from the same start vector.  By
+    A - shift I is factored once, to the LU that `eigs(A, sigma=shift)`
+    would build, and every Arnoldi pass runs on that LU from the same start
+    vector.  When the sparsity pattern is the one factored last (the same
+    mesh at any x0, say), the columns are permuted by the COLAMD order
+    recorded for it instead of ordering them again: the LU, and every
+    eigenpair, stay the same bit for bit (`_shift_invert_solve`).  By
     default one pass over `count` pairs, at the Ritz tolerance 1e-12,
     decides, so the default path returns exactly the eigenpairs of that
     `eigs` call.  ARPACK stops at 1e-12, not at machine epsilon: past it the
@@ -336,8 +382,8 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
         # row of `assemble` stores one): the arrays of (A - shift I).tocsc().
         shifted = op.matrix.tocsc(copy=True)
         shifted.setdiag(shifted.diagonal() - shift)
-        lu = spla.splu(shifted)
-        OPinv = spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float)
+        OPinv = spla.LinearOperator(op.matrix.shape, matvec=_shift_invert_solve(shifted),
+                                    dtype=float)
 
         def arnoldi(tol):
             w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,

@@ -184,6 +184,9 @@ def _count_lu(monkeypatch):
         def __init__(self, lu):
             self._lu = lu
 
+        def __getattr__(self, name):
+            return getattr(self._lu, name)
+
         def solve(self, b, *args):
             calls["solve"] += 1
             return self._lu.solve(b, *args)
@@ -195,6 +198,19 @@ def _count_lu(monkeypatch):
     for module in (spla, sys.modules[spla.eigs.__module__]):
         monkeypatch.setattr(module, "splu", counted)
     return calls
+
+
+def _record_splu(monkeypatch):
+    """Record each `splu` call's matrix and keyword arguments."""
+    import scipy.sparse.linalg as spla
+    splu, factored = spla.splu, []
+
+    def recording(M, **kwargs):
+        factored.append((M, kwargs))
+        return splu(M, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording)
+    return factored
 
 
 class TestPrincipalOnly:
@@ -301,24 +317,27 @@ class TestPrincipalOnly:
 
     @pytest.mark.parametrize("n", [64, 80])
     def test_factors_a_minus_shift_identity(self, dom, monkeypatch, n):
-        # The shift comes off the stored diagonal: the factored arrays are
-        # exactly those of (A - shift I).tocsc().
+        # The shift comes off the stored diagonal.  A pattern seen first is
+        # factored as exactly the arrays of (A - shift I).tocsc() in COLAMD's
+        # order; seen again, as exactly (A - shift I).tocsc()[:, order] in
+        # the natural order, with order the inverse of COLAMD's perm_c.
         import scipy.sparse as sp
         import scipy.sparse.linalg as spla
+
+        import tricomi.eigensolver as eigensolver
         op = assemble(Grid.build(dom, n, n))
-        splu, factored = spla.splu, []
-
-        def recording(M, *args, **kwargs):
-            factored.append(M)
-            return splu(M, *args, **kwargs)
-
-        monkeypatch.setattr(spla, "splu", recording)
-        solve_real_spectrum(op, 1)
-        (M,) = factored
         want = (op.matrix - 1e-3 * sp.eye(op.n)).tocsc()
-        assert M.format == "csc"
-        for name in ("indptr", "indices", "data"):
-            assert np.array_equal(getattr(M, name), getattr(want, name))
+        order = np.argsort(spla.splu(want).perm_c)
+        monkeypatch.setattr(eigensolver, "_last_order", None)
+        factored = _record_splu(monkeypatch)
+        solve_real_spectrum(op, 1)
+        solve_real_spectrum(op, 1)
+        (first, first_kw), (again, again_kw) = factored
+        assert first_kw == {} and again_kw == {"permc_spec": "NATURAL"}
+        for M, W in ((first, want), (again, want[:, order])):
+            assert M.format == "csc"
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(M, name), getattr(W, name))
 
     def test_fallback_is_the_full_solve(self, op64, solved64, monkeypatch):
         # When the pick has not converged, the full pass on the same LU
@@ -373,6 +392,90 @@ class TestPrincipalOnly:
         w_ref, V_ref = spla.eigs(op64.matrix, k=4, sigma=1e-3, which="LM", v0=v0,
                                  tol=_RITZ_TOL)
         assert np.array_equal(w, w_ref) and np.array_equal(V, V_ref)
+
+
+def _assert_same_solve(got, want):
+    """Two solves' (pairs, complex diagnostics) are the same bit for bit."""
+    (pairs, complex_diag), (want_pairs, want_complex) = got, want
+    assert len(pairs) == len(want_pairs) and complex_diag == want_complex
+    for p, q in zip(pairs, want_pairs):
+        assert (p.lam, p.residual, p.imag) == (q.lam, q.residual, q.imag)
+        assert np.array_equal(p.field, q.field)
+
+
+class TestOrderReuse:
+    # A pattern factored again reuses the COLAMD column order recorded for
+    # it, the last one factored alone: the same LU, so the same eigenpairs.
+    @pytest.fixture
+    def cold(self, monkeypatch):
+        """No order recorded; the `splu` calls' keyword arguments."""
+        import tricomi.eigensolver as eigensolver
+        monkeypatch.setattr(eigensolver, "_last_order", None)
+        return _record_splu(monkeypatch)
+
+    @pytest.mark.parametrize("x0, nx, ny, count, principal_only", [
+        (-0.5, 64, 64, 4, True), (-0.5, 80, 80, 4, True), (-0.5, 97, 61, 4, True),
+        (-0.5, 65, 47, 8, True), (-0.5, 200, 40, 4, True),
+        (-0.05, 64, 64, 4, True), (-4.0, 64, 64, 4, True),
+        (-1e3, 48, 48, 4, True),    # the loose pick is unconverged: full pass
+        (-0.5, 64, 64, 4, False),   # the default count-pair path
+    ])
+    def test_reused_order_gives_the_same_solve(self, cold, x0, nx, ny, count,
+                                               principal_only):
+        op = assemble(Grid.build(TricomiDomain(x0), nx, ny))
+        first = solve_real_spectrum(op, count, principal_only=principal_only)
+        again = solve_real_spectrum(op, count, principal_only=principal_only)
+        assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}]
+        _assert_same_solve(again, first)
+
+    def test_one_mesh_shares_its_order_across_x0(self, cold, monkeypatch):
+        # Under the dilation the 64^2 pattern is the same at every x0, so a
+        # sweep over x0 orders once.
+        import tricomi.eigensolver as eigensolver
+        ops = [assemble(Grid.build(TricomiDomain(x0), 64, 64)) for x0 in (-4.0, -0.5)]
+        solve_real_spectrum(ops[0], 4, principal_only=True)
+        again = solve_real_spectrum(ops[1], 4, principal_only=True)
+        monkeypatch.setattr(eigensolver, "_last_order", None)
+        first = solve_real_spectrum(ops[1], 4, principal_only=True)
+        assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}, {}]
+        _assert_same_solve(again, first)
+
+    def test_holds_one_pattern(self, dom, cold):
+        # After another mesh, the first one is ordered by COLAMD again, and
+        # only the last mesh's order is kept.
+        import tricomi.eigensolver as eigensolver
+        op64, op80 = (assemble(Grid.build(dom, n, n)) for n in (64, 80))
+        for op in (op64, op80, op64):
+            solve_real_spectrum(op, 1)
+        assert [kw for _, kw in cold] == [{}, {}, {}]
+        key, order = eigensolver._last_order
+        assert key == eigensolver._pattern_key(cold[-1][0])
+        assert np.array_equal(np.sort(order), np.arange(op64.n))
+
+    def test_singular_factorization_records_nothing(self, cold):
+        # At x0 = -1e-120 (48^2) A - shift I is singular in floating point.
+        # Both paths fail with the same message and leave the order as it
+        # was; the hit is set up by a nonsingular matrix of the same pattern.
+        import tricomi.eigensolver as eigensolver
+        op = assemble(Grid.build(TricomiDomain(-1e-120), 48, 48))
+
+        def failure():
+            with pytest.raises(RuntimeError) as exc:
+                solve_real_spectrum(op, 4, principal_only=True)
+            return str(exc.value)
+
+        first = failure()
+        assert eigensolver._last_order is None
+        dominant = op.matrix.tocsc(copy=True)
+        dominant.data[:] = 1.0
+        dominant.setdiag(100.0)
+        eigensolver._shift_invert_solve(dominant)
+        recorded = eigensolver._last_order
+        again = failure()
+        assert [kw for _, kw in cold] == [{}, {}, {"permc_spec": "NATURAL"}]
+        assert again == first
+        assert first.startswith("shift-invert factorization failed (")
+        assert eigensolver._last_order is recorded
 
 
 def test_bound_takes_one_mask_pass_per_mesh(monkeypatch, tmp_path):
