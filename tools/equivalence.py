@@ -17,7 +17,8 @@ not move any output.  The commands run in process, through
   at 48^2 for x0 = -1e-3 and -1e3.  At x0 = -0.5 these meshes, and 41x53,
   have no positive real pair with the default count, so `eigen` on each
   (which prints the pairs it found) and `bound --count 8` at 65x47 carry
-  their matrices and cut cells into the digests;
+  their matrices and cut cells into the digests.  `bound` at 65x47 and
+  x0 = -0.125, with `--count 8` and without, follows on the same pattern;
 - `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh;
 - `eigen --format csv --out`.
 
@@ -31,6 +32,20 @@ Between them they reach every path of `solve_real_spectrum`:
   `mesh-sweep` at 256^2 (and `bound` on the non-square meshes);
 - the default `count`-pair path: `eigen --count 2` and the non-square
   `eigen` commands.
+
+The commands run in one process, and each solve reuses the column order of
+the last sparsity pattern factored when its pattern is the same (one mesh
+at any x0), else orders it with COLAMD afresh.  The order reaches:
+
+- every path above with a reused order: `bound-small`'s 64^2 ops after
+  the first, `eigen --count 2` (64^2), `bound --x0 -1e3 --nx 48 --ny 48`
+  after `-1e-3` on the same mesh, `plot eigen --x0 -0.5` (48^2) after it,
+  and `bound --x0 -0.125` at 65x47 after `-0.5` there, whose `--count 8`
+  pick goes to the full pass and whose default-count pass has no positive
+  real pair;
+- COLAMD afresh: each `mesh-sweep` size, the first `bound-small` op after
+  `mesh-sweep`, `bound --x0 -0.5 --count 8` at 65x47 (after `eigen` at
+  41x53), and every other non-square command.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
@@ -138,6 +153,10 @@ def commands() -> list:
     for nx, ny in (("65", "47"), ("200", "40"), ("34", "32"), ("41", "53")):
         cmds.append(["eigen", "--x0", "-0.5", "--nx", nx, "--ny", ny])
     cmds.append(["bound", "--x0", "-0.5", "--nx", "65", "--ny", "47", "--count", "8"])
+    # 65x47 has the same pattern at x0 = -0.125 as at -0.5 (not at -2):
+    # reused orders.
+    cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47", "--count", "8"])
+    cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47"])
     for x0 in ("-1e-3", "-1e3"):
         cmds.append(["bound", "--x0", x0, "--nx", "48", "--ny", "48"])
     for target in ("h", "domain", "eigen"):
