@@ -323,9 +323,9 @@ def _shift_invert_solve(shifted: sp.csc_matrix):
     nothing.
     """
     global _last_order
-    key = _pattern_key(shifted)
-    if _last_order is not None and _last_order[0] == key:
-        order = _last_order[1]
+    key, last = _pattern_key(shifted), _last_order
+    if last is not None and last[0] == key:
+        order = last[1]
         lu = spla.splu(shifted[:, order], permc_spec="NATURAL")
 
         def solve(b):
