@@ -19,6 +19,9 @@ not move any output.  The commands run in process, through
   (which prints the pairs it found) and `bound --count 8` at 65x47 carry
   their matrices and cut cells into the digests.  `bound` at 65x47 and
   x0 = -0.125, with `--count 8` and without, follows on the same pattern;
+- `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), and at 182^2
+  for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79 and 6.22) that the
+  default count picks through the full pass;
 - `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh;
 - `eigen --format csv --out`.
 
@@ -27,7 +30,8 @@ Between them they reach every path of `solve_real_spectrum`:
 - a loose-pass pick kept as converged: every `bound-small` op;
 - an unconverged pick, decided by the full pass on the same LU:
   `bound --x0 -1e3 --nx 48 --ny 48`, whose loose pick reads a backward
-  error of 1.7e-12 (and `bound --count 8` at 65x47, 3.9e-9);
+  error of 1.7e-12, `bound` at 40^2 and 182^2 (and `bound --count 8` at
+  65x47, 3.9e-9);
 - a loose pass with no positive real pair, and so no second pass:
   `mesh-sweep` at 256^2 (and `bound` on the non-square meshes);
 - the default `count`-pair path: `eigen --count 2` and the non-square
@@ -40,12 +44,14 @@ at any x0), else orders it with COLAMD afresh.  The order reaches:
 - every path above with a reused order: `bound-small`'s 64^2 ops after
   the first, `eigen --count 2` (64^2), `bound --x0 -1e3 --nx 48 --ny 48`
   after `-1e-3` on the same mesh, `plot eigen --x0 -0.5` (48^2) after it,
-  and `bound --x0 -0.125` at 65x47 after `-0.5` there, whose `--count 8`
+  `bound --x0 -0.125` at 65x47 after `-0.5` there, whose `--count 8`
   pick goes to the full pass and whose default-count pass has no positive
-  real pair;
+  real pair, and `bound --x0 -2` at 40^2 after `-0.5` there, whose
+  default-count pick goes to the full pass;
 - COLAMD afresh: each `mesh-sweep` size, the first `bound-small` op after
   `mesh-sweep`, `bound --x0 -0.5 --count 8` at 65x47 (after `eigen` at
-  41x53), and every other non-square command.
+  41x53), `bound --x0 -0.5` at 40^2 and 182^2, and every other non-square
+  command.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
@@ -157,6 +163,10 @@ def commands() -> list:
     # reused orders.
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47", "--count", "8"])
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47"])
+    # The default count's full pass: afresh at 40^2, reused at -2, afresh
+    # at 182^2.
+    for x0, n in (("-0.5", "40"), ("-2", "40"), ("-0.5", "182")):
+        cmds.append(["bound", "--x0", x0, "--nx", n, "--ny", n])
     for x0 in ("-1e-3", "-1e3"):
         cmds.append(["bound", "--x0", x0, "--nx", "48", "--ny", "48"])
     for target in ("h", "domain", "eigen"):
