@@ -16,8 +16,9 @@ stderr.
 Each subcommand handler only computes.  It returns `(text, failure)`: the
 text for stdout or --out (None to write nothing) and the JSON failure record
 (None on success).  `run` alone writes both and picks the exit code.
-`bound`, `plot eigen` and `eigen --format csv` solve for the principal pair
-and render it with `render(op, pair)`, where `op` is the solved operator.
+`bound`, `plot eigen` and `eigen --format csv` pick the principal pair among
+the four pairs nearest the shift, a fixed count, and render it with
+`render(op, pair)`, where `op` is the solved operator.
 
 Start-up and exit dominate a short command.  Each command loads only the
 layers it runs: `constants`, `plot h|domain` and `verify starshape` load
@@ -62,8 +63,8 @@ __all__ = ["main", "run"]
 # domain's dilation, so the gate reads the same at every x0.
 _RESIDUAL_TOL = 1e-8
 
-# The pairs nearest the shift that `eigen`, `bound` and `plot eigen` solve
-# for: `--count`'s default, and `plot eigen`'s fixed count.
+# The pairs nearest the shift among which `bound`, `plot eigen` and `eigen
+# --format csv` pick the principal one; `eigen --count`'s default.
 _PAIR_COUNT = 4
 
 # numpy's error state for every command: a floating-point fault raises.
@@ -283,14 +284,14 @@ def _residual_ok(pair) -> bool:
     return pair.residual <= _RESIDUAL_TOL * abs(pair.lam)
 
 
-def _principal(args, count: int, render):
+def _principal(args, render):
     """render(op, pair) -> (text, failure) on the principal pair alone: the
-    real pair of smallest magnitude with lambda > 0 among the `count` nearest
-    the shift (a negative one is a spurious mode of the discretization), and
+    real pair of smallest magnitude with lambda > 0 among the `_PAIR_COUNT`
+    nearest the shift (a negative one is a spurious mode of the mesh), and
     the operator `op` that solved it, which holds its domain and grid.
     Above the residual tolerance the text is still written and the residual
     is the failure."""
-    op, pairs, _ = _solve(args.x0, args.nx, args.ny, count, principal_only=True)
+    op, pairs, _ = _solve(args.x0, args.nx, args.ny, _PAIR_COUNT, principal_only=True)
     if not pairs:
         return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
     pair, = pairs
@@ -305,9 +306,8 @@ def _cmd_eigen(args):
     from . import eigensolver
 
     if args.format == "csv":
-        return _principal(args, args.count, lambda op, pair: (
-            eigensolver.field_csv(op, pair), None))
-    _, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count)
+        return _principal(args, lambda op, pair: (eigensolver.field_csv(op, pair), None))
+    _, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count or _PAIR_COUNT)
     if not pairs:
         return None, {"error": "no real eigenvalue found", "x0": args.x0,
                       "complex_pairs": [str(c) for c in complex_diag]}
@@ -359,7 +359,7 @@ def _bound(args, op, pair):
 
 
 def _cmd_bound(args):
-    return _principal(args, args.count, functools.partial(_bound, args))
+    return _principal(args, functools.partial(_bound, args))
 
 
 # -- SVG plotting ------------------------------------------------------------
@@ -477,7 +477,7 @@ def _plot_eigen(op, pair) -> str:
 
 def _cmd_plot(args):
     if args.target == "eigen":
-        return _principal(args, _PAIR_COUNT, lambda op, pair: (_plot_eigen(op, pair), None))
+        return _principal(args, lambda op, pair: (_plot_eigen(op, pair), None))
     return (_plot_h if args.target == "h" else _plot_domain)(args.x0), None
 
 
@@ -535,12 +535,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     se = subs.add_parser("eigen", help="solve the discrete eigenproblem")
     _add_common(se, mesh=64)
-    se.add_argument("--count", type=_pos_int, default=_PAIR_COUNT)
+    se.add_argument("--count", type=_pos_int, default=None,
+                    help=f"pairs listed by --format json (default {_PAIR_COUNT})")
     se.set_defaults(handler=_cmd_eigen, failed="eigensolve failed", detail=("x0",))
 
     sb = subs.add_parser("bound", help="end-to-end identity and bound check")
     _add_common(sb, mesh=64)
-    sb.add_argument("--count", type=_pos_int, default=_PAIR_COUNT)
     sb.add_argument("--tol", type=_tol_float, default=1e-2,
                     help="relative tolerance for bound satisfaction (default 1e-2)")
     sb.set_defaults(handler=_cmd_bound, failed="bound check failed", detail=("x0",))
@@ -581,8 +581,8 @@ def run(argv=None) -> int:
     parser = _parser()
     args = parser.parse_args(_merge_range_values(
         sys.argv[1:] if argv is None else list(argv)))
-    if args.command == "eigen" and args.format == "csv" and not args.out:
-        parser.error("eigen --format csv writes the principal field; give --out")
+    if args.command == "eigen" and args.format == "csv" and (not args.out or args.count):
+        parser.error("eigen --format csv writes the principal field: give --out, no --count")
     if (args.command == "verify" and args.reflected
             and args.check not in ("starshape", "all")):
         parser.error("--reflected is the starshape control; give it to starshape or all")

@@ -3,10 +3,10 @@ Tricomi domain, with homogeneous Dirichlet data on AC and sigma only.
 
 The characteristic BC carries no datum: nodes adjacent to BC satisfy the
 PDE itself through interior-biased one-sided second differences, so no
-boundary rows are written there.  Dirichlet values are imposed at the
-nearest node projection (first-order cut cells).  The resulting operator
-is real and nonsymmetric; the real spectrum is extracted by shift-invert
-Arnoldi around a small positive shift.
+boundary rows are written there.  Next to AC and sigma the Dirichlet zero
+sits at the closed-form crossing, theta in [1e-3, 1] of the arm away (an
+unequal-arm difference).  The real, nonsymmetric operator's real spectrum
+is extracted by shift-invert Arnoldi around a small positive shift.
 """
 
 from __future__ import annotations

@@ -52,7 +52,7 @@ class TestArgumentContract:
         ["bound", "--x0", "-0.5", "--tol", "-1"],
         # Counts and meshes below the solver's floors fail at parse time.
         ["eigen", "--x0", "-0.5", "--count", "0"],
-        ["bound", "--x0", "-0.5", "--count", "-1"],
+        ["bound", "--x0", "-0.5", "--count", "-1"],     # bound has no --count
         ["bound", "--x0", "-0.5", "--nx", "10"],
         ["eigen", "--x0", "-0.5", "--ny", "31"],
         ["plot", "eigen", "--x0", "-0.5", "--nx", "3"],
@@ -338,6 +338,43 @@ class TestEigenAndBound:
             run(["eigen", "--x0", "-0.5", "--format", "csv"])
         assert exc.value.code == 2 and calls == []
         assert "give --out" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("bound", "--x0", "-0.5", "--count", "4"), "unrecognized arguments: --count 4"),
+        (("eigen", "--x0", "-0.5", "--format", "csv", "--count", "2"), "no --count"),
+    ], ids=["bound", "eigen-csv"])
+    def test_pair_count_options_exit_before_solving(self, capsys, monkeypatch, tmp_path,
+                                                    argv, message):
+        # The principal pair is picked among a fixed count of pairs: bound
+        # takes no --count, and eigen takes it for its JSON listing only.
+        from tricomi import cli
+        calls = []
+        monkeypatch.setattr(cli, "_solve", lambda *a, **k: calls.append(a))
+        path = tmp_path / "field.csv"
+        with pytest.raises(SystemExit) as exc:
+            run([*argv, "--out", str(path)])
+        assert exc.value.code == 2 and calls == [] and not path.exists()
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n", [64, 80, 40])
+    def test_principal_commands_pick_the_same_pair(self, capsys, tmp_path, n):
+        # bound, plot eigen and eigen --format csv all certify, draw or
+        # write the principal pair among cli._PAIR_COUNT pairs.  At 80^2 the
+        # smallest real pair is negative; at 40^2 the loose pass's pick goes
+        # to the full pass.
+        from tricomi import TricomiDomain, cli
+        from tricomi.eigensolver import Grid, assemble, solve_real_spectrum
+        op = assemble(Grid.build(TricomiDomain(-0.5), n, n))
+        (pair,), _ = solve_real_spectrum(op, cli._PAIR_COUNT, principal_only=True)
+        mesh = ("--x0", "-0.5", "--nx", str(n), "--ny", str(n))
+        _, out, _ = _run(capsys, "bound", *mesh)
+        assert json.loads(out)["lambda"] == pair.lam
+        _, out, _ = _run(capsys, "plot", "eigen", *mesh)
+        assert f"lambda={pair.lam:.6g}<" in out
+        path = tmp_path / "field.csv"
+        _run(capsys, "eigen", *mesh, "--format", "csv", "--out", str(path))
+        u = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
+        assert np.array_equal(u, pair.field.ravel())
 
     def test_bound_json(self, capsys):
         code, out, _ = _run(capsys, "bound", "--x0", "-0.5")
@@ -627,7 +664,7 @@ class TestUnwritableOut:
         ("constants", "--x0", "-0.5"),
         ("verify", "g1-bounds", "--x0", "-0.5", "--grid", "1000"),
         ("eigen", "--x0", "-0.5", "--count", "2"),
-        ("eigen", "--x0", "-0.5", "--count", "2", "--format", "csv"),
+        ("eigen", "--x0", "-0.5", "--format", "csv"),
         ("bound", "--x0", "-0.5"),
         ("plot", "h", "--x0", "-0.5"),
         ("bound", "--x0", "-0.5", "--format", "csv"),

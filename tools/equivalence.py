@@ -16,9 +16,10 @@ not move any output.  The commands run in process, through
 - `bound` on non-square meshes (65x47, 200x40, 34x32) at x0 = -0.5, and
   at 48^2 for x0 = -1e-3 and -1e3.  At x0 = -0.5 these meshes, and 41x53,
   have no positive real pair with the default count, so `eigen` on each
-  (which prints the pairs it found) and `bound --count 8` at 65x47 carry
-  their matrices and cut cells into the digests.  `bound` at 65x47 and
-  x0 = -0.125, with `--count 8` and without, follows on the same pattern;
+  (which prints the pairs it found) carries their matrices and cut cells
+  into the digests.  `bound` at 65x47 and x0 = -0.125 follows.  `bound
+  --count 8` there, at x0 = -0.5 and -0.125, records the usage error
+  (exit 2) that `bound` gives any `--count`;
 - `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), and at 182^2
   for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79 and 6.22) that the
   default count picks through the full pass;
@@ -30,8 +31,7 @@ Between them they reach every path of `solve_real_spectrum`:
 - a loose-pass pick kept as converged: every `bound-small` op;
 - an unconverged pick, decided by the full pass on the same LU:
   `bound --x0 -1e3 --nx 48 --ny 48`, whose loose pick reads a backward
-  error of 1.7e-12, `bound` at 40^2 and 182^2 (and `bound --count 8` at
-  65x47, 3.9e-9);
+  error of 1.7e-12, and `bound` at 40^2 and 182^2;
 - a loose pass with no positive real pair, and so no second pass:
   `mesh-sweep` at 256^2 (and `bound` on the non-square meshes);
 - the default `count`-pair path: `eigen --count 2` and the non-square
@@ -41,16 +41,13 @@ The commands run in one process, and each solve reuses the column order of
 the last sparsity pattern factored when its pattern is the same (one mesh
 at any x0), else orders it with COLAMD afresh.  The order reaches:
 
-- every path above with a reused order: `bound-small`'s 64^2 ops after
-  the first, `eigen --count 2` (64^2), `bound --x0 -1e3 --nx 48 --ny 48`
-  after `-1e-3` on the same mesh, `plot eigen --x0 -0.5` (48^2) after it,
-  `bound --x0 -0.125` at 65x47 after `-0.5` there, whose `--count 8`
-  pick goes to the full pass and whose default-count pass has no positive
-  real pair, and `bound --x0 -2` at 40^2 after `-0.5` there, whose
-  default-count pick goes to the full pass;
+- every path above but the one with no positive real pair, with a reused
+  order: `bound-small`'s 64^2 ops after the first, `eigen --count 2`
+  (64^2), `bound --x0 -1e3 --nx 48 --ny 48` after `-1e-3` on the same
+  mesh, `plot eigen --x0 -0.5` (48^2) after it, and `bound --x0 -2` at
+  40^2 after `-0.5` there, whose pick goes to the full pass;
 - COLAMD afresh: each `mesh-sweep` size, the first `bound-small` op after
-  `mesh-sweep`, `bound --x0 -0.5 --count 8` at 65x47 (after `eigen` at
-  41x53), `bound --x0 -0.5` at 40^2 and 182^2, and every other non-square
+  `mesh-sweep`, `bound --x0 -0.5` at 40^2 and 182^2, and every non-square
   command.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
@@ -159,8 +156,7 @@ def commands() -> list:
     for nx, ny in (("65", "47"), ("200", "40"), ("34", "32"), ("41", "53")):
         cmds.append(["eigen", "--x0", "-0.5", "--nx", nx, "--ny", ny])
     cmds.append(["bound", "--x0", "-0.5", "--nx", "65", "--ny", "47", "--count", "8"])
-    # 65x47 has the same pattern at x0 = -0.125 as at -0.5 (not at -2):
-    # reused orders.
+    # bound takes no --count: both lines record its usage error.
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47", "--count", "8"])
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47"])
     # The default count's full pass: afresh at 40^2, reused at -2, afresh
