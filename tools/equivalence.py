@@ -17,9 +17,9 @@ not move any output.  The commands run in process, through
   at 48^2 for x0 = -1e-3 and -1e3.  At x0 = -0.5 these meshes, and 41x53,
   have no positive real pair with the default count, so `eigen` on each
   (which prints the pairs it found) carries their matrices and cut cells
-  into the digests.  `bound` at 65x47 and x0 = -0.125 follows.  `bound
-  --count 8` there, at x0 = -0.5 and -0.125, records the usage error
-  (exit 2) that `bound` gives any `--count`;
+  into the digests.  `bound` at 65x47 and x0 = -0.125 follows, then at
+  x0 = -2.  `bound --count 8` there, at x0 = -0.5 and -0.125, records the
+  usage error (exit 2) that `bound` gives any `--count`;
 - `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), and at 182^2
   for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79 and 6.22) that the
   default count picks through the full pass;
@@ -38,8 +38,10 @@ Between them they reach every path of `solve_real_spectrum`:
   `eigen` commands.
 
 The commands run in one process, and each solve reuses the column order of
-the last sparsity pattern factored when its pattern is the same (one mesh
-at any x0), else orders it with COLAMD afresh.  The order reaches:
+the last sparsity pattern factored when its pattern is the same, else
+orders it with COLAMD afresh.  One mesh need not have one pattern at
+every x0 when ny is odd: 65x47 stores 13 163 entries at x0 = -0.5 and
+-0.125 and 12 805 at -2.  The order reaches:
 
 - every path above but the one with no positive real pair, with a reused
   order: `bound-small`'s 64^2 ops after the first, `eigen --count 2`
@@ -48,7 +50,8 @@ at any x0), else orders it with COLAMD afresh.  The order reaches:
   40^2 after `-0.5` there, whose pick goes to the full pass;
 - COLAMD afresh: each `mesh-sweep` size, the first `bound-small` op after
   `mesh-sweep`, `bound --x0 -0.5` at 40^2 and 182^2, and every non-square
-  command.
+  command.  `bound --x0 -2 --nx 65 --ny 47` among them follows `-0.125`
+  on the same mesh, with as many unknowns but another pattern.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
@@ -159,6 +162,8 @@ def commands() -> list:
     # bound takes no --count: both lines record its usage error.
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47", "--count", "8"])
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47"])
+    # The same mesh with another pattern (12 805 entries): ordered afresh.
+    cmds.append(["bound", "--x0", "-2", "--nx", "65", "--ny", "47"])
     # The default count's full pass: afresh at 40^2, reused at -2, afresh
     # at 182^2.
     for x0, n in (("-0.5", "40"), ("-2", "40"), ("-0.5", "182")):
