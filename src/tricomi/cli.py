@@ -106,21 +106,6 @@ def _setup_logging():
     log.propagate = False
 
 
-def _parse_range(spec: str):
-    try:
-        a, b, n = spec.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"range must be a:b:n with floats a, b and count n, got {spec!r}")
-    if n < 1:
-        raise argparse.ArgumentTypeError("range count must be >= 1")
-    if not (a < 0.0 and b < 0.0) or not (math.isfinite(a) and math.isfinite(b)):
-        raise argparse.ArgumentTypeError(
-            f"range endpoints must be finite negative reals, got {a} and {b}")
-    return (a, b, n)
-
-
 def _checked(convert, valid, requirement: str):
     """An argparse type: `convert` the text, then require `valid(value)`."""
     noun = "a number" if convert is float else "an integer"
@@ -144,6 +129,14 @@ _tol_float = _checked(float, lambda v: v >= 0.0 and math.isfinite(v),
 _pos_int = _checked(int, lambda v: v >= 1, "must be at least 1")
 # Grid.build's floor on the nodes per direction.
 _mesh_int = _checked(int, lambda v: v >= 32, "must be at least 32")
+
+
+def _parse_range(spec: str):
+    """`a:b:n`: two x0 endpoints and a count, each checked as its own option."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise argparse.ArgumentTypeError(f"range must be a:b:n, got {spec!r}")
+    return _neg_float(parts[0]), _neg_float(parts[1]), _pos_int(parts[2])
 
 
 def _x0_list(args) -> list:

@@ -11,7 +11,6 @@ is extracted by shift-invert Arnoldi around a small positive shift.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -278,17 +277,9 @@ def _real_vector(op: TricomiOperator, lam, v):
     return v, float(np.linalg.norm(op.matrix @ v - lam.real * v) / np.linalg.norm(v))
 
 
-def _converged(op: TricomiOperator, lam, v) -> bool:
-    """Whether the pair's backward error |Av - lambda v| / (|A|_1 |v|) is at
-    most `_CONVERGED`."""
-    norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()  # |A|_1
-    return _real_vector(op, lam, v)[1] <= _CONVERGED * norm1
-
-
-def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
-    """The pair (lam, v) with v turned real, normalized to unit L2(Omega)
-    norm with nonnegative mean, carrying its algebraic residual."""
-    v, res = _real_vector(op, lam, v)
+def _real_pair(op: TricomiOperator, lam, v, res) -> EigenPair:
+    """The pair (lam, v), v real with algebraic residual res, normalized to
+    unit L2(Omega) norm with nonnegative mean."""
     F = op.to_field(v)
     nrm_sq = area_l2_norm_sq(op.grid, F)
     if nrm_sq > 0:
@@ -298,44 +289,34 @@ def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
     return EigenPair(lam=float(lam.real), field=F, residual=res, imag=float(lam.imag))
 
 
-# The column order of the last sparsity pattern factored, as
-# ((n, 128-bit blake2b of indptr and indices), order), or None: one entry.
+# The last sparsity pattern factored and its column order, as
+# (indptr, indices, order), or None: one entry.
 _last_order = None
-
-
-def _pattern_key(M: sp.csc_matrix) -> tuple:
-    h = hashlib.blake2b(M.indptr, digest_size=16)
-    h.update(M.indices)
-    return M.shape[0], h.digest()
 
 
 def _shift_invert_solve(shifted: sp.csc_matrix):
     """The solve b -> shifted^-1 b of one `splu` of `shifted`.
 
-    A pattern not seen last is factored as `splu(shifted)` factors it, with
-    COLAMD's column order, and that order (the inverse of `perm_c`) is
-    recorded.  The pattern seen last is factored as shifted[:, order] with
-    the natural order, and each solve is scattered back through `order`:
-    COLAMD's order depends on the pattern alone, so this is the same LU
-    without recomputing it, and its solves are the same bit for bit.  A
-    digest collision would give the LU of another column order, still a
-    partial-pivoting LU of `shifted`.  A factorization that raises records
+    A pattern other than the last one factored is factored as
+    `splu(shifted)` factors it, with COLAMD's column order, and its indptr
+    and indices are recorded with that order (the inverse of `perm_c`).
+    When both arrays equal the recorded ones, `shifted` is factored as
+    shifted[:, order] with the natural order, and each solve is permuted
+    back: COLAMD's order depends on the pattern alone, so this is the same
+    LU without recomputing it, and its solves are the same bit for bit.  A
+    pattern can change with x0 on one mesh when ny is odd (65x47, 63^2,
+    97x61; see `solve_real_spectrum`).  A factorization that raises records
     nothing.
     """
     global _last_order
-    key, last = _pattern_key(shifted), _last_order
-    if last is not None and last[0] == key:
-        order = last[1]
-        lu = spla.splu(shifted[:, order], permc_spec="NATURAL")
-
-        def solve(b):
-            y = lu.solve(b)
-            x = np.empty_like(y)
-            x[order] = y
-            return x
-        return solve
+    last = _last_order
+    if (last is not None and np.array_equal(last[0], shifted.indptr)
+            and np.array_equal(last[1], shifted.indices)):
+        lu = spla.splu(shifted[:, last[2]], permc_spec="NATURAL")
+        perm_c = np.argsort(last[2])
+        return lambda b: lu.solve(b)[perm_c]
     lu = spla.splu(shifted)
-    _last_order = key, np.argsort(lu.perm_c)
+    _last_order = shifted.indptr, shifted.indices, np.argsort(lu.perm_c)
     return lu.solve
 
 
@@ -351,10 +332,13 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
 
     A - shift I is factored once, to the LU that `eigs(A, sigma=shift)`
     would build, and every Arnoldi pass runs on that LU from the same start
-    vector.  When the sparsity pattern is the one factored last (the same
-    mesh at any x0, say), the columns are permuted by the COLAMD order
+    vector.  When the sparsity pattern is the one factored last (the 64^2
+    mesh at another x0, say), the columns are permuted by the COLAMD order
     recorded for it instead of ordering them again: the LU, and every
-    eigenpair, stay the same bit for bit (`_shift_invert_solve`).  By
+    eigenpair, stay the same bit for bit (`_shift_invert_solve`).  An odd ny
+    can change the pattern with x0: 65x47 stores 13 163 entries at x0 =
+    -0.5 and -0.125 and 12 805 at -2, 63^2 17 169 at -0.125 and 16 823 at
+    -0.5 and -2, 97x61 25 921 at -0.125 and 25 371 at -0.5 and -2.  By
     default one pass over `count` pairs, at the Ritz tolerance 1e-12,
     decides, so the default path returns exactly the eigenpairs of that
     `eigs` call.  ARPACK stops at 1e-12, not at machine epsilon: past it the
@@ -371,34 +355,38 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     21 LU solves instead of 58.  Otherwise (at 40^2, x0 = -1/2, say, where
     the principal pair is the 4th Ritz value) the default pass runs on the
     same LU, and the same rule picks from it.  Only the returned pairs are
-    normalized.
+    normalized.  Only a failed `splu` is reported as a failed factorization.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     k = min(count, op.n - 2)
     v0 = np.full(op.n, 1.0 / math.sqrt(op.n))  # fixed start vector: reproducible runs
+    # A - shift I, with the shift taken off the stored diagonal (every row of
+    # `assemble` stores one): the arrays of (A - shift I).tocsc().
+    shifted = op.matrix.tocsc(copy=True)
+    shifted.setdiag(shifted.diagonal() - shift)
     try:
-        # A - shift I, with the shift taken off the stored diagonal (every
-        # row of `assemble` stores one): the arrays of (A - shift I).tocsc().
-        shifted = op.matrix.tocsc(copy=True)
-        shifted.setdiag(shifted.diagonal() - shift)
-        OPinv = spla.LinearOperator(op.matrix.shape, matvec=_shift_invert_solve(shifted),
-                                    dtype=float)
-
-        def arnoldi(tol):
-            w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
-                             tol=tol, OPinv=OPinv)
-            order = np.argsort(np.abs(w))
-            return w[order], V[:, order]
-
-        w, V = arnoldi(_PICK_TOL if principal_only else _RITZ_TOL)
-        keep = _kept(w, principal_only)
-        if principal_only and keep and not _converged(op, w[keep[0]], V[:, keep[0]]):
-            w, V = arnoldi(_RITZ_TOL)
-            keep = _kept(w, principal_only)
+        solve = _shift_invert_solve(shifted)
     except RuntimeError as exc:
         raise RuntimeError(f"shift-invert factorization failed ({exc})") from exc
-    return ([_real_pair(op, w[i], V[:, i]) for i in keep],
+    OPinv = spla.LinearOperator(op.matrix.shape, matvec=solve, dtype=float)
+
+    def arnoldi(tol):
+        """Ritz values by |lambda|, and kept pairs as (lambda, real v, residual)."""
+        w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
+                         tol=tol, OPinv=OPinv)
+        order = np.argsort(np.abs(w))
+        w, V = w[order], V[:, order]
+        return w, [(w[i], *_real_vector(op, w[i], V[:, i]))
+                   for i in _kept(w, principal_only)]
+
+    w, kept = arnoldi(_PICK_TOL if principal_only else _RITZ_TOL)
+    if principal_only and kept:
+        # Backward error |Av - lambda v| / (|A|_1 |v|) of the pick; NaN: unconverged.
+        norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()
+        if not kept[0][2] <= _CONVERGED * norm1:
+            w, kept = arnoldi(_RITZ_TOL)
+    return ([_real_pair(op, *pair) for pair in kept],
             [complex(lam) for lam in w if not _is_real(lam)])
 
 

@@ -639,6 +639,21 @@ class TestEdgeInputs:
         assert error.startswith("eigensolve failed: shift-invert factorization failed (")
         assert "different shift" not in error
 
+    def test_arpack_error_is_not_named_a_factorization_failure(self, capsys, monkeypatch):
+        # An Arnoldi pass that fails after the LU is built reports ARPACK's
+        # own error, not a failed factorization.
+        import scipy.sparse.linalg as spla
+
+        def failing(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("No convergence",
+                                           np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(spla, "eigs", failing)
+        code, out, err = _run(capsys, "eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error == "eigensolve failed: ARPACK error -1: No convergence"
+
     def test_residual_gate_is_relative_to_lambda(self, capsys):
         # x0 -> 0-: lambda grows as |x0|^(-4/3), and with it the algebraic
         # residual of a converged pair.  Here it is above 1e-8 but below

@@ -440,6 +440,19 @@ class TestOrderReuse:
         assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}, {}]
         _assert_same_solve(again, first)
 
+    def test_a_changed_pattern_on_one_mesh_is_ordered_afresh(self, cold, monkeypatch):
+        # 65x47 stores 13 163 entries at x0 = -0.5 and -0.125 but 12 805 at
+        # -2: as many unknowns, another pattern.  Only the second solve
+        # reuses an order, and each solve is the cold one bit for bit.
+        import tricomi.eigensolver as eigensolver
+        ops = [assemble(Grid.build(TricomiDomain(x0), 65, 47)) for x0 in (-0.5, -0.125, -2.0)]
+        assert [op.matrix.nnz for op in ops] == [13163, 13163, 12805]
+        warm = [solve_real_spectrum(op, 4, principal_only=True) for op in ops]
+        assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}, {}]
+        for op, got in zip(ops, warm):
+            monkeypatch.setattr(eigensolver, "_last_order", None)
+            _assert_same_solve(got, solve_real_spectrum(op, 4, principal_only=True))
+
     def test_holds_one_pattern(self, dom, cold):
         # After another mesh, the first one is ordered by COLAMD again, and
         # only the last mesh's order is kept.
@@ -450,9 +463,10 @@ class TestOrderReuse:
         for op in (op64, op80, op64):
             solve_real_spectrum(op, 1)
         assert [kw for _, kw in cold] == [{}, {}, {}]
-        key, order = eigensolver._last_order
-        assert key == eigensolver._pattern_key(cold[-1][0])
-        assert np.array_equal(order, np.argsort(spla.splu(cold[-1][0]).perm_c))
+        indptr, indices, order = eigensolver._last_order
+        last = cold[-1][0]
+        assert np.array_equal(indptr, last.indptr) and np.array_equal(indices, last.indices)
+        assert np.array_equal(order, np.argsort(spla.splu(last).perm_c))
 
     def test_singular_factorization_records_nothing(self, cold):
         # At x0 = -1e-120 (48^2) A - shift I is singular in floating point.
@@ -478,6 +492,23 @@ class TestOrderReuse:
         assert [kw for _, kw in cold] == [{}, {}, {}, {"permc_spec": "NATURAL"}]
         assert again == first
         assert first.startswith("shift-invert factorization failed (")
+
+
+def test_arpack_error_is_not_a_factorization_failure(monkeypatch):
+    # Only the factorization's RuntimeError is renamed; an ARPACK error
+    # leaves the solve as it was raised.
+    import scipy.sparse.linalg as spla
+    op = assemble(Grid.build(TricomiDomain(-0.5), 40, 40))
+    error = spla.ArpackNoConvergence("No convergence",
+                                     np.empty(0), np.empty((op.n, 0)))
+
+    def failing(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spla, "eigs", failing)
+    with pytest.raises(spla.ArpackNoConvergence) as exc:
+        solve_real_spectrum(op, 4, principal_only=True)
+    assert exc.value is error
 
 
 def test_bound_takes_one_mask_pass_per_mesh(monkeypatch, tmp_path):
