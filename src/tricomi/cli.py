@@ -18,7 +18,7 @@ text for stdout or --out (None to write nothing) and the JSON failure record
 (None on success).  `run` alone writes both and picks the exit code.
 `bound`, `plot eigen` and `eigen --format csv` pick the principal pair among
 the four pairs nearest the shift, a fixed count, and render it with
-`render(op, pair)`, where `op` is the solved operator.
+`render(pair)`; the pair holds the grid it was solved on.
 
 Start-up and exit dominate a short command.  Each command loads only the
 layers it runs: `constants`, `plot h|domain` and `verify starshape` load
@@ -266,11 +266,8 @@ def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = Fa
     dom = TricomiDomain(x0)
     grid = _stage("Grid.build", lambda: eigensolver.Grid.build(dom, nx, ny))
     op = _stage("assemble", lambda: eigensolver.assemble(grid), size)
-    pairs, complex_diag = _stage(
-        "solve", lambda: eigensolver.solve_real_spectrum(op, count,
-                                                         principal_only=principal_only),
-        lambda _: size(op))
-    return op, pairs, complex_diag
+    return _stage("solve", lambda: eigensolver.solve_real_spectrum(
+        op, count, principal_only=principal_only), lambda _: size(op))
 
 
 def _residual_ok(pair) -> bool:
@@ -278,17 +275,16 @@ def _residual_ok(pair) -> bool:
 
 
 def _principal(args, render):
-    """render(op, pair) -> (text, failure) on the principal pair alone: the
-    real pair of smallest magnitude with lambda > 0 among the `_PAIR_COUNT`
-    nearest the shift (a negative one is a spurious mode of the mesh), and
-    the operator `op` that solved it, which holds its domain and grid.
+    """render(pair) -> (text, failure) on the principal pair alone: the real
+    pair of smallest magnitude with lambda > 0 among the `_PAIR_COUNT`
+    nearest the shift (a negative one is a spurious mode of the mesh).
     Above the residual tolerance the text is still written and the residual
     is the failure."""
-    op, pairs, _ = _solve(args.x0, args.nx, args.ny, _PAIR_COUNT, principal_only=True)
+    pairs, _ = _solve(args.x0, args.nx, args.ny, _PAIR_COUNT, principal_only=True)
     if not pairs:
         return None, {"error": "no positive real eigenvalue found", "x0": args.x0}
     pair, = pairs
-    text, failure = render(op, pair)
+    text, failure = render(pair)
     if not _residual_ok(pair):
         return text, {"error": "eigen residual above tolerance",
                       "residual": pair.residual, "tol": _RESIDUAL_TOL}
@@ -299,8 +295,8 @@ def _cmd_eigen(args):
     from . import eigensolver
 
     if args.format == "csv":
-        return _principal(args, lambda op, pair: (eigensolver.field_csv(op, pair), None))
-    _, pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count or _PAIR_COUNT)
+        return _principal(args, lambda pair: (eigensolver.field_csv(pair), None))
+    pairs, complex_diag = _solve(args.x0, args.nx, args.ny, args.count or _PAIR_COUNT)
     if not pairs:
         return None, {"error": "no real eigenvalue found", "x0": args.x0,
                       "complex_pairs": [str(c) for c in complex_diag]}
@@ -320,10 +316,10 @@ def _cmd_eigen(args):
                   "residuals": [p.residual for p in pairs]}
 
 
-def _bound(args, op, pair):
+def _bound(args, pair):
     from . import eigensolver, pohozaev
 
-    traces, norms = _stage("traces", lambda: eigensolver.trace_norms(op, pair))
+    traces, norms = _stage("traces", lambda: eigensolver.trace_norms(pair))
     identity = _stage("identity", lambda: pohozaev.pohozaev_residual(pair.lam, traces),
                       lambda r: f", relative residual {r['relative_residual']:.3e}")
     bound = _stage("bound", lambda: pohozaev.bound_check(pair.lam, norms, ledger(args.x0),
@@ -442,8 +438,8 @@ def _plot_domain(x0: float) -> str:
                 draw)
 
 
-def _plot_eigen(op, pair) -> str:
-    x0, grid, F = op.grid.dom.x0, op.grid, pair.field
+def _plot_eigen(pair) -> str:
+    x0, grid, F = pair.grid.dom.x0, pair.grid, pair.field
     led = ledger(x0)
     vmax = float(np.max(np.abs(F))) or 1.0
 
@@ -470,7 +466,7 @@ def _plot_eigen(op, pair) -> str:
 
 def _cmd_plot(args):
     if args.target == "eigen":
-        return _principal(args, lambda op, pair: (_plot_eigen(op, pair), None))
+        return _principal(args, lambda pair: (_plot_eigen(pair), None))
     return (_plot_h if args.target == "h" else _plot_domain)(args.x0), None
 
 
@@ -513,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--jobs", type=_pos_int, default=None,
                     help="parallel workers for sweeps, at most one per x0 "
                          "(default: the CPUs this process may run on)")
-    sv.add_argument("--grid", type=int, default=None,
+    sv.add_argument("--grid", type=_pos_int, default=None,
                     help="sample count of the check, given to each part of "
                          "all (default: each check's own: 100000 sweep nodes, "
                          "198 boundary points for starshape, which takes "

@@ -250,9 +250,10 @@ def assemble(grid: Grid) -> TricomiOperator:
 
 @dataclass(frozen=True)
 class EigenPair:
-    """A discrete eigenvalue with its grid eigenfunction, normalized to unit
-    L2(Omega) norm."""
+    """A discrete eigenvalue with its eigenfunction on the grid it was solved
+    on, normalized to unit L2(Omega) norm."""
 
+    grid: Grid
     lam: float
     field: np.ndarray
     residual: float
@@ -286,7 +287,8 @@ def _real_pair(op: TricomiOperator, lam, v, res) -> EigenPair:
         F = F / math.sqrt(nrm_sq)
     if float(np.sum(F)) < 0.0:
         F = -F
-    return EigenPair(lam=float(lam.real), field=F, residual=res, imag=float(lam.imag))
+    return EigenPair(grid=op.grid, lam=float(lam.real), field=F, residual=res,
+                     imag=float(lam.imag))
 
 
 # The last sparsity pattern factored and its column order, as
@@ -392,27 +394,22 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
 
 # -- boundary trace extraction ---------------------------------------------
 
-def _bilinear(grid: Grid, F: np.ndarray, valid: np.ndarray, x: np.ndarray, y: np.ndarray):
-    """Bilinear values of F at points (x, y), and whether each point's cell
-    has all four corners valid."""
-    i = np.clip(np.searchsorted(grid.xs, x) - 1, 0, grid.nx - 2)
-    j = np.clip(np.searchsorted(grid.ys, y) - 1, 0, grid.ny - 2)
-    ok = valid[i, j] & valid[i + 1, j] & valid[i, j + 1] & valid[i + 1, j + 1]
-    tx = (x - grid.xs[i]) / grid.hx
-    ty = (y - grid.ys[j]) / grid.hy
-    v = ((1 - tx) * (1 - ty) * F[i, j] + tx * (1 - ty) * F[i + 1, j]
-         + (1 - tx) * ty * F[i, j + 1] + tx * ty * F[i + 1, j + 1])
-    return v, ok
-
-
 def _sample_inward(grid: Grid, F: np.ndarray, valid: np.ndarray, x, y,
                    nx_in, ny_in, d0: float) -> np.ndarray:
-    """Sample F at distance d0 along the inward normal from each point,
-    stepping further in while the cell is not fully valid; 0 if it never is."""
+    """Sample each field F[k] of F (k, nx, ny) at distance d0 along the inward
+    normal from each point, stepping further in while the cell is not fully
+    valid[k]; 0 if it never is.  Cells and weights are found once for all k."""
     step = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 6.0])[:, None] * d0
-    v, ok = _bilinear(grid, F, valid, x + step * nx_in, y + step * ny_in)
-    first, cols = np.argmax(ok, axis=0), np.arange(len(x))
-    return np.where(ok[first, cols], v[first, cols], 0.0)
+    px, py = x + step * nx_in, y + step * ny_in
+    i = np.clip(np.searchsorted(grid.xs, px) - 1, 0, grid.nx - 2)
+    j = np.clip(np.searchsorted(grid.ys, py) - 1, 0, grid.ny - 2)
+    ok = valid[:, i, j] & valid[:, i + 1, j] & valid[:, i, j + 1] & valid[:, i + 1, j + 1]
+    tx = (px - grid.xs[i]) / grid.hx
+    ty = (py - grid.ys[j]) / grid.hy
+    v = ((1 - tx) * (1 - ty) * F[:, i, j] + tx * (1 - ty) * F[:, i + 1, j]
+         + (1 - tx) * ty * F[:, i, j + 1] + tx * ty * F[:, i + 1, j + 1])
+    k, first, cols = np.arange(len(F))[:, None], np.argmax(ok, axis=1), np.arange(len(x))
+    return np.where(ok[k, first, cols], v[k, first, cols], 0.0)
 
 
 def _gradient_grids(grid: Grid, F: np.ndarray):
@@ -441,7 +438,7 @@ def _gradient_grids(grid: Grid, F: np.ndarray):
     return Ux, Uy, valid
 
 
-def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
+def trace_norms(pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
     """The eigenpair's boundary traces {'BC', 'Sigma'}, of the eigenfunction
     and its gradient at 400 nodes per curve, and their norm bundle.
 
@@ -450,22 +447,23 @@ def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNor
     trace of u is the imposed Dirichlet value 0, and the gradient is the
     normal derivative reconstructed from two interior samples.
     """
-    grid, F = op.grid, pair.field
+    grid, F = pair.grid, pair.field
     Ux, Uy, valid = _gradient_grids(grid, F)
     d = 2.0 * max(grid.hx, grid.hy)
 
     # BC: free boundary, sample u and grad at pulled-back points.
     bc = bc_trace(grid.dom, _TRACE_NODES)
     nx_o, ny_o = bc.curve.normal(bc.params)
-    u, ux, uy = (_sample_inward(grid, G, ok, bc.x, bc.y, -nx_o, -ny_o, d)
-                 for G, ok in ((F, grid.inside), (Ux, valid), (Uy, valid)))
+    u, ux, uy = _sample_inward(grid, np.stack((F, Ux, Uy)),
+                               np.stack((grid.inside, valid, valid)),
+                               bc.x, bc.y, -nx_o, -ny_o, d)
     bc = bc.filled(u=u, ux=ux, uy=uy)
 
     # sigma: Dirichlet side, u = 0, grad = (normal derivative) * n.
     sg = sigma_trace(grid.dom, _TRACE_NODES)
     nx_o, ny_o = sg.curve.normal(sg.params)
-    u1 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, d)
-    u2 = _sample_inward(grid, F, grid.inside, sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)
+    u1, = _sample_inward(grid, F[None], grid.inside[None], sg.x, sg.y, -nx_o, -ny_o, d)
+    u2, = _sample_inward(grid, F[None], grid.inside[None], sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)
     un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
     sg = sg.filled(ux=un * nx_o, uy=un * ny_o)
     return {"BC": bc, "Sigma": sg}, norm_bundle_from_traces(bc, sg)
@@ -473,8 +471,8 @@ def trace_norms(op: TricomiOperator, pair: EigenPair) -> tuple[dict, BoundaryNor
 
 # -- field export -----------------------------------------------------------
 
-def field_csv(op: TricomiOperator, pair: EigenPair) -> str:
+def field_csv(pair: EigenPair) -> str:
     """The pair's field as CSV text: one `x,y,u` row per node, x-major."""
-    X, Y = np.meshgrid(op.grid.xs, op.grid.ys, indexing="ij")
+    X, Y = np.meshgrid(pair.grid.xs, pair.grid.ys, indexing="ij")
     return csv_table(("x", "y", "u"), zip(X.ravel().tolist(), Y.ravel().tolist(),
                                            pair.field.ravel().tolist()))

@@ -248,7 +248,7 @@ def eigen_runs():
         pairs, _ = solve_real_spectrum(op, 4)
         pairs = [p for p in pairs if p.lam > 0]
         pair = pairs[0]
-        traces, norms = trace_norms(op, pair)
+        traces, norms = trace_norms(pair)
         identity = pohozaev_residual(pair.lam, traces)
         bound = bound_check(pair.lam, norms, ledger(-0.5), rel_tol=1e-2)
         out[n] = {

@@ -70,6 +70,10 @@ class TestArgumentContract:
         # --nx and --ny set plot eigen's mesh; the other plots reject them.
         ["plot", "h", "--x0", "-0.5", "--nx", "33"],
         ["plot", "domain", "--x0", "-0.5", "--ny", "48"],
+        # A sample count below 1; from 1 up to a check's own floor, the
+        # check itself fails (exit 1).
+        ["verify", "all", "--x0", "-0.5", "--grid", "0"],
+        ["verify", "starshape", "--x0", "-0.5", "--grid", "-3"],
     ])
     def test_bad_arguments_exit_2(self, argv):
         with pytest.raises(SystemExit) as exc:
@@ -158,12 +162,20 @@ class TestVerify:
 
     @pytest.mark.parametrize("check", ["inequalities", "integrands"])
     @pytest.mark.parametrize("grid", ["0", "-320"])
-    def test_nonpositive_sample_count_exits_1(self, capsys, check, grid):
-        # An empty sample must not pass vacuously with an infinite margin.
-        code, out, err = _run(capsys, "verify", check, "--x0", "-0.5",
-                              "--grid", grid)
-        assert code == 1 and out == ""
-        assert "at least 1" in json.loads(err)["error"]
+    def test_nonpositive_sample_count_is_rejected(self, capsys, check, grid):
+        # An empty sample must not pass vacuously with an infinite margin:
+        # the CLI rejects the count as an argument error before any check
+        # runs, and the check itself raises on it.
+        import tricomi
+        with pytest.raises(SystemExit) as exc:
+            run(["verify", check, "--x0", "-0.5", "--grid", grid])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert f"--grid: must be at least 1, got {grid}" in captured.err
+        verify = {"inequalities": tricomi.verify_trace_inequalities,
+                  "integrands": tricomi.verify_integrand_equivalence}[check]
+        with pytest.raises(ValueError, match="at least 1"):
+            verify(-0.5, int(grid))
 
     def test_tol_override_flips_outcome(self, capsys):
         code, _, _ = _run(capsys, "verify", "starshape",
@@ -319,8 +331,8 @@ class TestEigenAndBound:
         solve = cli._solve
 
         def negative_only(*args, **kwargs):
-            op, pairs, complex_diag = solve(*args, **kwargs)
-            return op, [p for p in pairs if p.lam < 0], complex_diag
+            pairs, complex_diag = solve(*args, **kwargs)
+            return [p for p in pairs if p.lam < 0], complex_diag
 
         monkeypatch.setattr(cli, "_solve", negative_only)
         path = tmp_path / "out"
@@ -397,9 +409,9 @@ class TestEigenAndBound:
         solve = cli._solve
 
         def sloppy(*args, **kwargs):
-            op, pairs, complex_diag = solve(*args, **kwargs)
+            pairs, complex_diag = solve(*args, **kwargs)
             pairs = [dataclasses.replace(p, residual=1e-6) for p in pairs]
-            return op, pairs, complex_diag
+            return pairs, complex_diag
 
         monkeypatch.setattr(cli, "_solve", sloppy)
         path = tmp_path / "out"

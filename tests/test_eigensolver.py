@@ -1,5 +1,6 @@
 """Discretized operator: grids, stencils, manufactured solutions, eigenpairs."""
 
+import copy
 import dataclasses
 import math
 
@@ -12,6 +13,7 @@ from tricomi import (
     TricomiDomain,
     VerificationReport,
     assemble,
+    bc_trace,
     bound_check,
     field_csv,
     norm_bundle_from_traces,
@@ -528,67 +530,111 @@ def test_bound_takes_one_mask_pass_per_mesh(monkeypatch, tmp_path):
 
 
 class TestTraces:
-    def test_sigma_trace_is_dirichlet_zero(self, solved64, op64):
+    def test_sigma_trace_is_dirichlet_zero(self, solved64):
         pairs, _ = solved64
-        traces, _ = trace_norms(op64, pairs[0])
+        traces, _ = trace_norms(pairs[0])
         assert np.all(traces["Sigma"].u == 0.0)
         assert np.all(np.isfinite(traces["BC"].u))
 
-    def test_trace_norms_returns_traces_and_bundle(self, solved64, op64):
+    def test_trace_norms_returns_traces_and_bundle(self, solved64):
         pairs, _ = solved64
         pair = pairs[0]
-        before = dataclasses.asdict(pair)     # a deep copy: the field too
-        traces, bundle = trace_norms(op64, pair)
+        before = copy.deepcopy(vars(pair))    # the field and the grid too
+        traces, bundle = trace_norms(pair)
         assert set(traces) == {"BC", "Sigma"}
         assert bundle == norm_bundle_from_traces(traces["BC"], traces["Sigma"])
         assert bundle.w_ux_L2_sigma > 0.0
-        # The pair is left as it was solved.
+        # The pair, and the grid it holds, are left as they were solved.
         after = vars(pair)
         assert after.keys() == before.keys()
+        grid = before.pop("grid")
         assert all(np.array_equal(after[k], v) for k, v in before.items())
+        assert after["grid"].dom == grid.dom
+        assert (after["grid"].nx, after["grid"].ny) == (grid.nx, grid.ny)
+        for name in ("xs", "ys", "inside"):
+            assert np.array_equal(getattr(after["grid"], name), getattr(grid, name)), name
 
-    def test_synthetic_linear_field(self, dom, grid64, op64):
+    def test_synthetic_linear_field(self, dom, grid64):
         # u = y: u_y = 1, u_x = 0, so the BC norm of u_y approaches the
         # square root of the BC arc length.
         Y = np.broadcast_to(grid64.ys[None, :], (grid64.nx, grid64.ny)).copy()
-        pair = EigenPair(lam=1.0, field=Y, residual=0.0)
-        _, bundle = trace_norms(op64, pair)
+        pair = EigenPair(grid=grid64, lam=1.0, field=Y, residual=0.0)
+        _, bundle = trace_norms(pair)
         arclen = (2.0 / 3.0) * ((1.0 - dom.y_C) ** 1.5 - 1.0)
         assert bundle.uy_L2_BC == pytest.approx(math.sqrt(arclen), rel=0.05)
         assert bundle.w_ux_L2_BC == pytest.approx(0.0, abs=1e-10)
 
     # float.hex of sum(ux**2), sum(uy**2) on BC and sigma of the principal
     # mode: the gradient stencils and the trace sampling are pinned bit for bit.
+    # The BC samples resolve at the pull-back rungs 1 and 2 (64^2, x0 = -0.5),
+    # 1, 2 and 4 (96^2, x0 = -1) and 1, 2, 5 and 6 (64^2, x0 = -0.819...).
     @pytest.mark.parametrize("n,x0,bc,sigma", [
         (64, -0.5, ("0x1.fc2113a4d8146p+12", "0x1.a7d2ad46e6faap+11"),
          ("0x1.36c325452183ap+15", "0x1.20b32b3fb3991p+9")),
         (96, -1.0, ("0x1.8d30ee8d74ed7p+9", "0x1.335a5e5a0e16dp+9"),
          ("0x1.4575f574e80bfp+12", "0x1.14bb6f40cc4cbp+6")),
+        (64, -0.8191404571111102, ("0x1.8e8fb51ca525cp+10", "0x1.b431fbe9bc3d8p+9"),
+         ("0x1.c37256847a21fp+12", "0x1.04de11594e4bap+7")),
     ])
     def test_trace_gradients_pinned(self, n, x0, bc, sigma):
         d = TricomiDomain(x0)
         op = assemble(Grid.build(d, n, n))
         pairs, _ = solve_real_spectrum(op, 4)
-        traces, _ = trace_norms(op, pairs[0])
+        traces, _ = trace_norms(pairs[0])
         for kind, want in (("BC", bc), ("Sigma", sigma)):
             t = traces[kind]
             got = tuple(float(np.sum(v**2)).hex() for v in (t.ux, t.uy))
             assert got == want, kind
 
+    def test_stacked_fields_sample_as_each_alone(self, solved64):
+        # Each field of a stack takes its first valid rung under its own
+        # mask, bit for bit as if it were sampled on its own.  The last mask
+        # drops a random 30 % of the nodes, so its rungs differ.
+        from tricomi.eigensolver import _gradient_grids, _sample_inward
+        pair = solved64[0][0]
+        grid = pair.grid
+        Ux, Uy, valid = _gradient_grids(grid, pair.field)
+        thinned = valid & (np.random.default_rng(0).random(valid.shape) < 0.7)
+        fields, masks = np.stack((pair.field, Ux, Uy)), np.stack((grid.inside, valid, thinned))
+        bc = bc_trace(grid.dom, 400)
+        nx_o, ny_o = bc.curve.normal(bc.params)
+        args = (bc.x, bc.y, -nx_o, -ny_o, 2.0 * max(grid.hx, grid.hy))
+        stacked = _sample_inward(grid, fields, masks, *args)
+        for k in range(3):
+            alone, = _sample_inward(grid, fields[k:k + 1], masks[k:k + 1], *args)
+            assert np.array_equal(stacked[k], alone), k
+
+    # A sample that no rung of the pull-back resolves must raise.  The grid
+    # keeps only the nodes more than 8d left of x0, beyond the reach of the
+    # last rung (6d) from BC, so no BC sample of u, u_x or u_y is resolved.
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "an unresolved sample reads 0 and u_L2_BC == 0.0, with no error (ROADMAP "
+        "item 14(b); the CHANGES.md FOUND: on _sample_inward's silent zeros)"))
+    @pytest.mark.parametrize("n, x0", [(64, -0.5), (48, -2.0)])
+    def test_unresolved_samples_raise(self, n, x0):
+        op = assemble(Grid.build(TricomiDomain(x0), n, n))
+        (pair,), _ = solve_real_spectrum(op, 4, principal_only=True)
+        grid = pair.grid
+        d = 2.0 * max(grid.hx, grid.hy)
+        inside = grid.inside & (grid.xs < x0 - 8.0 * d)[:, None]
+        pair = dataclasses.replace(pair, grid=dataclasses.replace(grid, inside=inside))
+        with pytest.raises(ValueError):
+            trace_norms(pair)
+
 
 class TestEndToEnd64:
-    def test_identity_residual_small(self, solved64, op64):
+    def test_identity_residual_small(self, solved64):
         pairs, _ = solved64
         pair = pairs[0]
-        traces, _ = trace_norms(op64, pair)
+        traces, _ = trace_norms(pair)
         out = pohozaev_residual(pair.lam, traces)
         assert out["relative_residual"] < 0.2
         assert out["rhs_BC"] > 0.0 and out["rhs_sigma"] > 0.0
 
-    def test_bound_satisfied(self, solved64, op64):
+    def test_bound_satisfied(self, solved64):
         pairs, _ = solved64
         pair = pairs[0]
-        _, norms = trace_norms(op64, pair)
+        _, norms = trace_norms(pair)
         out = bound_check(pair.lam, norms, ledger(X0))
         assert out["satisfied"], out
 
@@ -676,9 +722,9 @@ class TestExport:
         with pytest.raises(AttributeError):
             tricomi.no_such_name
 
-    def test_csv_shape(self, grid64, op64, solved64):
+    def test_csv_shape(self, grid64, solved64):
         pairs, _ = solved64
-        text = field_csv(op64, pairs[0])
+        text = field_csv(pairs[0])
         lines = text.splitlines()
         assert text.endswith("\n")
         assert lines[0] == "x,y,u"
@@ -692,7 +738,8 @@ class TestExport:
 class TestRecords:
     # Records are values: each is complete when built and never set after.
     @pytest.mark.parametrize("make, name", [
-        (lambda op: EigenPair(lam=1.0, field=np.zeros((2, 2)), residual=0.0), "lam"),
+        (lambda op: EigenPair(grid=op.grid, lam=1.0, field=np.zeros((2, 2)), residual=0.0),
+         "lam"),
         (lambda op: op, "matrix"),
         (lambda op: VerificationReport(claim_id="c", x0=-0.5, grid_size=1,
                                        worst_margin=0.0, worst_location=-0.5,

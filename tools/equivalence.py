@@ -37,6 +37,10 @@ Between them they reach every path of `solve_real_spectrum`:
 - the default `count`-pair path: `eigen --count 2` and the non-square
   `eigen` commands.
 
+The traces reach every rung of `trace_norms`' pull-back ladder (d, 1.5d,
+2d, 3d, 4d and 6d): the 64^2 `bound-small` ops at x0 ~ -0.819, -0.863 and
+-0.941 take BC samples from rungs 2-6 between them.
+
 The commands run in one process, and each solve reuses the column order of
 the last sparsity pattern factored when its pattern is the same, else
 orders it with COLAMD afresh.  One mesh need not have one pattern at

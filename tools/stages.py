@@ -108,7 +108,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
         return row
     pair, = pairs
     row["trace_norms"], (traces, norms) = _timed(
-        clock, lambda: eigensolver.trace_norms(op, pair), repeats)
+        clock, lambda: eigensolver.trace_norms(pair), repeats)
     row["identity_bound"], _ = _timed(clock, lambda: (
         pohozaev.pohozaev_residual(pair.lam, traces),
         pohozaev.bound_check(pair.lam, norms, ledger(X0))), repeats)
