@@ -107,6 +107,13 @@ class ConstantLedger:
     C12: Optional[float]
     C13: float
     _K12: float = field(repr=False)  # common factor of C1, C2
+    _bounds: dict = field(repr=False, compare=False)  # quantity -> (lower, upper)
+
+    def bounds(self, quantity: str) -> tuple:
+        """(lower, upper) of 'h', 'G1' or 'G2' over [2x0, 0]: h lies in
+        [h_min, C4], G1 in [C5, C6] for x0 >= -sqrt(3)/4, else [C7, C8],
+        and G2 in [C9, C10], else [C11, C12]."""
+        return self._bounds[quantity]
 
     def C1(self, eps: float) -> float:
         return self._K12 * (1.0 + _positive(eps))
@@ -115,12 +122,10 @@ class ConstantLedger:
         return self._K12 * (1.0 + 1.0 / _positive(eps))
 
     def C14(self, eps: float) -> float:
-        upper = self.C6 if self.x0 >= X0_CRITICAL else self.C8
-        return upper + 0.5 * _positive(eps) * self.C13
+        return self.bounds("G1")[1] + 0.5 * _positive(eps) * self.C13
 
     def C15(self, eps: float) -> float:
-        lower = self.C5 if self.x0 >= X0_CRITICAL else self.C7
-        return -lower + self.C13 / (2.0 * _positive(eps))
+        return -self.bounds("G1")[0] + self.C13 / (2.0 * _positive(eps))
 
     def to_dict(self) -> dict:
         """Every public field by name, in declaration order, with the
@@ -156,22 +161,15 @@ def ledger(x0: float) -> ConstantLedger:
     K12 = 6.0 * ax / root
     C3 = (3.0 * ax / 2.0) ** (1.0 / 3.0) / root
 
-    second_family = x0 < X0_CRITICAL
-    if second_family:
-        disc = math.sqrt(x0 * x0 - 3.0 / 16.0)
-        x_plus, x_minus = x0 + disc, x0 - disc
-        hmin = math.sqrt(x0 * x0 - 3.0 / 64.0)
-    else:
-        x_plus = x_minus = None
-        hmin = None
-
-    # Maximum of h over [2x0, 0]: |x0| down to x0 = -2/3, then h(x0).  x0**4
-    # overflows from |x0| ~ 1.2e77; the error names the quantity, not errno.
+    # h at the apex x0.  It is the minimum of h while x0 >= -sqrt(3)/4 and the
+    # maximum C4 from x0 = -2/3 on; C4 is |x0| in between.  x0**4 overflows
+    # from |x0| ~ 1.2e77; the error names the quantity, not errno.
     try:
-        C4 = ax if x0 >= -2.0 / 3.0 else (1.5 * x0**4) ** (1.0 / 3.0)
+        h_apex = (1.5 * x0**4) ** (1.0 / 3.0)
     except OverflowError:
         raise OverflowError(
             f"C4 = (1.5*x0^4)^(1/3) overflows a float at x0={x0!r}") from None
+    C4 = ax if x0 >= -2.0 / 3.0 else h_apex
 
     # First-family bounds on G1 = g1/h and G2 = g2/h.
     denom6 = math.sqrt(2.0 ** (4.0 / 3.0) + 9.0 * ax ** (2.0 / 3.0))
@@ -182,16 +180,21 @@ def ledger(x0: float) -> ConstantLedger:
     C10 = 2.0 ** (-11.0 / 6.0) * 3.0 * (SQRT33 - 3.0) \
         * math.sqrt(15.0 - SQRT33) * ax / denom6
 
-    if second_family:
+    if x0 < X0_CRITICAL:
+        disc = math.sqrt(x0 * x0 - 3.0 / 16.0)
+        x_plus, x_minus = x0 + disc, x0 - disc
+        hmin = math.sqrt(x0 * x0 - 3.0 / 64.0)
         C7 = -(1.5**3) * x0 * x0 / hmin
         C8 = C6 if x0 > -0.5 else 6.0 * x0 * x0 / hmin
         C11 = -(2.0**-3.5) * 3.0 * (SQRT33 + 3.0) * math.sqrt(15.0 + SQRT33) * x0 * x0 / hmin
         C12 = C10 if x0 > -0.5 else \
             2.0**-3.5 * 3.0 * (SQRT33 - 3.0) * math.sqrt(15.0 - SQRT33) * x0 * x0 / hmin
-        C13 = abs(C11)
+        G1_pair, G2_pair = (C7, C8), (C11, C12)
     else:
-        C7 = C8 = C11 = C12 = None
-        C13 = abs(C9)
+        x_plus = x_minus = C7 = C8 = C11 = C12 = None
+        hmin = h_apex
+        G1_pair, G2_pair = (C5, C6), (C9, C10)
+    C13 = abs(G2_pair[0])
 
     return ConstantLedger(
         x0=x0,
@@ -215,6 +218,7 @@ def ledger(x0: float) -> ConstantLedger:
         C12=C12,
         C13=C13,
         _K12=K12,
+        _bounds={"h": (hmin, C4), "G1": G1_pair, "G2": G2_pair},
     )
 
 

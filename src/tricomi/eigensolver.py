@@ -136,7 +136,7 @@ def _cut_fraction(dom: TricomiDomain, x: np.ndarray, y: np.ndarray,
         x_b = np.empty_like(x)                     # else leftward into AC
         half = np.sqrt(np.maximum(x0 * x0 - (4.0 / 9.0) * _libm_pow(y[sigma], 3), 0.0))
         x_b[sigma] = x0 + half if step > 0.0 else x0 - half
-        x_b[~sigma] = 2.0 * x0 + (2.0 / 3.0) * _libm_pow(-y[~sigma], 1.5)
+        x_b[~sigma] = dom.boundary_curve("AC").position(-y[~sigma])[0]
         theta = (x_b - x) / step
     return np.clip(theta, _FRACTION_FLOOR, 1.0)
 

@@ -20,6 +20,7 @@ __all__ = [
     "TricomiDomain",
     "BoundaryCurve",
     "verify_star_shaped",
+    "reflected_membership",
 ]
 
 # Absolute tolerance on each membership inequality (`TricomiDomain.contains`);

@@ -251,23 +251,8 @@ def _curvature_ranges(nodes, xbar_m, xbar, guard):
 def _h_profile(sw: _Sweep) -> VerificationReport:
     dom, led, xs, hx = sw.dom, sw.led, sw.xs, sw.h
     x0 = dom.x0
-    scale = float(np.max(hx))
-    tol = _MARGIN_RTOL * max(1.0, scale)
-
-    checks = {}
-    if x0 >= X0_CRITICAL:
-        lower = (1.5 * x0**4) ** (1.0 / 3.0)
-        upper = abs(x0)
-    else:
-        lower = math.sqrt(x0 * x0 - 3.0 / 64.0)
-        upper = led.C4
-    bounds, uneven = [], []
-    for s in _slices(len(xs)):
-        h = hx[s]
-        bounds.append(_argmin(np.minimum(h - lower, upper - h), s.start))
-        uneven.append(np.max(np.abs(h - dom.h(2.0 * x0 - xs[s]))))
-    margin, i = _first_min(bounds)
-    checks["bounds"] = (margin, tol, float(xs[i]))
+    checks, _, scale = _range_check(sw, lambda s: hx[s], *led.bounds("h"))
+    uneven = [np.max(np.abs(hx[s] - dom.h(2.0 * x0 - xs[s]))) for s in _slices(len(xs))]
     checks["evenness"] = (-float(np.max(uneven)), 1e-12 * max(1.0, scale), x0)
 
     interior, d2, delta = _second_differences(sw)
@@ -291,12 +276,13 @@ def _h_profile(sw: _Sweep) -> VerificationReport:
     return _finish("h_profile", x0, xs, checks)
 
 
-def _G_bounds(claim_id, sw: _Sweep, G, lower, upper, abs_bound=None):
-    """lower <= G <= upper over the sweep, and |G| <= abs_bound if given,
-    where G(s) gives G on the sweep's slice s."""
+def _range_check(sw: _Sweep, values, lower, upper, abs_bound=None):
+    """lower <= v <= upper over the sweep, and |v| <= abs_bound if given,
+    where values(s) gives v on the sweep's slice s.  Returns the named
+    checks, notes on the gaps to each bound and max |v|."""
     peak, margins, lo_gaps, hi_gaps, abs_margins = [], [], [], [], []
     for s in _slices(len(sw.xs)):
-        vals = G(s)
+        vals = values(s)
         peak.append(np.max(np.abs(vals)))
         lo_gap = vals - lower
         hi_gap = upper - vals
@@ -305,34 +291,31 @@ def _G_bounds(claim_id, sw: _Sweep, G, lower, upper, abs_bound=None):
         hi_gaps.append(np.min(hi_gap))
         if abs_bound is not None:
             abs_margins.append(_argmin(abs_bound - np.abs(vals), s.start))
-    tol = _MARGIN_RTOL * max(1.0, float(np.max(peak)))
+    peak = float(np.max(peak))
+    tol = _MARGIN_RTOL * max(1.0, peak)
     margin, i = _first_min(margins)
     checks = {"bounds": (margin, tol, float(sw.xs[i]))}
     if abs_bound is not None:
         margin, j = _first_min(abs_margins)
         checks["abs_bound"] = (margin, tol, float(sw.xs[j]))
-    notes = _bound_notes(float(np.min(lo_gaps)), float(np.min(hi_gaps)))
-    return _finish(claim_id, sw.dom.x0, sw.xs, checks, notes)
-
-
-def _bound_notes(lo: float, hi: float) -> str:
-    return (f"lower_gap={lo:.3e}; upper_gap={hi:.3e}; "
-            f"sharp_lower={lo <= _SHARP_TOL}; sharp_upper={hi <= _SHARP_TOL}")
+    lo, hi = float(np.min(lo_gaps)), float(np.min(hi_gaps))
+    notes = (f"lower_gap={lo:.3e}; upper_gap={hi:.3e}; "
+             f"sharp_lower={lo <= _SHARP_TOL}; sharp_upper={hi <= _SHARP_TOL}")
+    return checks, notes, peak
 
 
 def _G1_bounds(sw: _Sweep) -> VerificationReport:
-    dom, led, xs = sw.dom, sw.led, sw.xs
-    first = dom.x0 >= X0_CRITICAL
-    return _G_bounds("G1_bounds", sw, lambda s: g1(dom, xs[s]) / sw.h[s],
-                     led.C5 if first else led.C7, led.C6 if first else led.C8)
+    dom, xs = sw.dom, sw.xs
+    checks, notes, _ = _range_check(sw, lambda s: g1(dom, xs[s]) / sw.h[s],
+                                    *sw.led.bounds("G1"))
+    return _finish("G1_bounds", dom.x0, xs, checks, notes)
 
 
 def _G2_bounds(sw: _Sweep) -> VerificationReport:
     dom, led, xs = sw.dom, sw.led, sw.xs
-    first = dom.x0 >= X0_CRITICAL
-    return _G_bounds("G2_bounds", sw, lambda s: _g2_of(dom.x0, xs[s], sw.g[s]) / sw.h[s],
-                     led.C9 if first else led.C11, led.C10 if first else led.C12,
-                     abs_bound=led.C13)
+    checks, notes, _ = _range_check(sw, lambda s: _g2_of(dom.x0, xs[s], sw.g[s]) / sw.h[s],
+                                    *led.bounds("G2"), abs_bound=led.C13)
+    return _finish("G2_bounds", dom.x0, xs, checks, notes)
 
 
 def verify_h_profile(x0: float, grid_size: int = 100_000) -> VerificationReport:

@@ -715,6 +715,9 @@ class TestExport:
             assert mod is sys.modules[f"tricomi.{module}"]
             for name in names:
                 assert getattr(tricomi, name) is getattr(mod, name), name
+        # Every package name is public in its own module.
+        for name, module in tricomi._EXPORTS.items():
+            assert name in getattr(tricomi, module).__all__, name
         # The eigensolver names are exactly eigensolver's public API.
         eigensolver_names, = (names for module, names in _PACKAGE_EXPORTS
                               if module == "eigensolver")

@@ -14,7 +14,8 @@ from tricomi import (
     verify_h_profile,
     verify_profiles,
 )
-from tricomi.constants import X0_CRITICAL, X3, X4, ledger
+from tricomi import verifier
+from tricomi.constants import X0_CRITICAL, X3, X4, _g2_of, g1, ledger
 from tricomi.verifier import (
     _BLOCK,
     N_of_X,
@@ -25,12 +26,18 @@ from tricomi.verifier import (
     _first_min,
     _G_of_X,
     _nodes,
+    _range_check,
     _second_differences,
     _slices,
     _sweep,
 )
 
 X0_SAMPLES = [-0.2, -0.4, -0.45, -0.55, -0.8, -1.5]
+# The regime switch -sqrt(3)/4 and the branch switches -1/2 and -2/3, the
+# next double on each side of each, and x0 = -4 deep in R2c.
+SWITCH_X0 = [x for switch in (X0_CRITICAL, -0.5, -2.0 / 3.0)
+             for x in (math.nextafter(switch, -math.inf), switch,
+                       math.nextafter(switch, 0.0))] + [-4.0]
 
 
 def sweep_grid(x0, n):
@@ -115,6 +122,22 @@ class TestHProfile:
     def test_small_grid_rejected(self):
         with pytest.raises(ValueError):
             verify_h_profile(-0.5, 100)
+
+    @pytest.mark.parametrize("x0", [
+        pytest.param(X0_CRITICAL, marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason=(
+                "convexity reads -3.7e-6 against tol 1.9e-9: the rounding noise of a "
+                "second difference at the default step, ~4 eps max(h) / delta^2, is "
+                "far above the dead band 1e-8 x0^2 where h'' -> 0 at the apex "
+                "(ROADMAP item 15; the CHANGES.md FOUND: on h-profile's dead band)"))),
+        pytest.param(math.nextafter(X0_CRITICAL, -math.inf), marks=pytest.mark.xfail(
+            strict=True, raises=RuntimeError, reason=(
+                "find_inflection's sign condition N(0) < 0 < N(X_plus) reads "
+                "-1.249e-16, 0 (ROADMAP item 15; the same FOUND:)"))),
+    ])
+    def test_passes_at_the_regime_switch(self, x0):
+        rep = verify_h_profile(x0)
+        assert rep.passed, rep.notes
 
 
 class TestG1G2Bounds:
@@ -225,6 +248,55 @@ class TestSharedSweep:
         for a in (sw.xs, sw.g, sw.h):
             with pytest.raises(ValueError):
                 a[0] = 1.0
+
+
+def _values(sw):
+    """h, G1 and G2 on the whole sweep, without slicing."""
+    return {"h": sw.h, "G1": g1(sw.dom, sw.xs) / sw.h,
+            "G2": _g2_of(sw.dom.x0, sw.xs, sw.g) / sw.h}
+
+
+class TestRangeCheck:
+    """One two-sided range check serves h, G1 and G2, against the pairs the
+    ledger states."""
+
+    @pytest.mark.parametrize("x0", SWITCH_X0)
+    def test_reports_check_the_ledger_pairs(self, x0, monkeypatch):
+        # find_inflection fails one double below -sqrt(3)/4 (the strict xfail
+        # in TestHProfile).  The bounds check of h reads no inflection, so a
+        # stand-in lets the report form at every x0.
+        monkeypatch.setattr(verifier, "find_inflection",
+                            lambda x: 0.5 * (x + ledger(x).x_plus))
+        sw = _sweep(x0, 1000)
+        reports = {"h": verifier._h_profile(sw), "G1": verifier._G1_bounds(sw),
+                   "G2": verifier._G2_bounds(sw)}
+        for quantity, v in _values(sw).items():
+            lower, upper = sw.led.bounds(quantity)
+            margins = np.minimum(v - lower, upper - v)
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(v))))
+            notes = reports[quantity].notes
+            assert f"bounds={np.min(margins):.3e}(tol={tol:.1e})" in notes, quantity
+            if quantity != "h":
+                gaps = f"lower_gap={np.min(v - lower):.3e}; upper_gap={np.min(upper - v):.3e}"
+                assert gaps in notes, quantity
+
+    @pytest.mark.parametrize("x0", [-0.3, -0.55, -4.0])
+    def test_equals_a_whole_array_check(self, x0):
+        # 20000 nodes span three slices.
+        sw = _sweep(x0, 20000)
+        for quantity, v in _values(sw).items():
+            lower, upper = sw.led.bounds(quantity)
+            checks, notes, peak = _range_check(sw, lambda s: v[s], lower, upper,
+                                               abs_bound=sw.led.C13)
+            margins = np.minimum(v - lower, upper - v)
+            i, j = int(np.argmin(margins)), int(np.argmin(sw.led.C13 - np.abs(v)))
+            tol = 1e-10 * max(1.0, float(np.max(np.abs(v))))
+            assert peak == float(np.max(np.abs(v)))
+            assert checks == {"bounds": (margins[i], tol, sw.xs[i]),
+                              "abs_bound": (sw.led.C13 - abs(v[j]), tol, sw.xs[j])}
+            lo, hi = float(np.min(v - lower)), float(np.min(upper - v))
+            assert notes == (f"lower_gap={lo:.3e}; upper_gap={hi:.3e}; "
+                             f"sharp_lower={lo <= 1e-6}; sharp_upper={hi <= 1e-6}")
 
 
 class TestSecondDifferences:

@@ -13,6 +13,10 @@ not move any output.  The commands run in process, through
   from perfbench/workloads.py (a repeated argv runs once);
 - `constants` as JSON and CSV at six x0, and over an x0 range;
 - `verify all` as JSON and CSV at five x0, up to the overflow at -1e80;
+- `verify all` and `constants` as JSON at the regime switches: at
+  x0 = -sqrt(3)/4 and the next double below it, at -0.45 inside R2a, at
+  the double above -1/2, and at -2/3 and the next double above it.  Some
+  of these exit 1 near -sqrt(3)/4, where the h-profile checks fail;
 - `bound` on non-square meshes (65x47, 200x40, 34x32) at x0 = -0.5, and
   at 48^2 for x0 = -1e-3 and -1e3.  At x0 = -0.5 these meshes, and 41x53,
   have no positive real pair with the default count, so `eigen` on each
@@ -158,6 +162,10 @@ def commands() -> list:
     for fmt in ("json", "csv"):
         for x0 in ("-0.05", "-0.5", "-4", "-1e5", "-1e80"):
             cmds.append(["verify", "all", "--x0", x0, "--format", fmt])
+    for x0 in ("-0.4330127018922193", "-0.43301270189221935", "-0.45",
+               "-0.49999999999999994", "-0.6666666666666666", "-0.6666666666666665"):
+        cmds.append(["verify", "all", "--x0", x0])
+        cmds.append(["constants", "--x0", x0])
     for nx, ny in (("65", "47"), ("200", "40"), ("34", "32")):
         cmds.append(["bound", "--x0", "-0.5", "--nx", nx, "--ny", ny])
     for nx, ny in (("65", "47"), ("200", "40"), ("34", "32"), ("41", "53")):
