@@ -24,11 +24,12 @@ not move any output.  The commands run in process, through
   into the digests.  `bound` at 65x47 and x0 = -0.125 follows, then at
   x0 = -2.  `bound --count 8` there, at x0 = -0.5 and -0.125, records the
   usage error (exit 2) that `bound` gives any `--count`;
-- `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), and at 182^2
-  for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79 and 6.22) that the
-  default count picks through the full pass;
-- `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh;
-- `eigen --format csv --out`.
+- `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), at 182^2 and
+  at 242x100 for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79, 6.22
+  and 5.89) that the default count picks through the full pass;
+- `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh
+  and at 40^2;
+- `eigen --format csv --out`, at the default mesh and at 40^2.
 
 Between them they reach every path of `solve_real_spectrum`:
 
@@ -177,15 +178,19 @@ def commands() -> list:
     # The same mesh with another pattern (12 805 entries): ordered afresh.
     cmds.append(["bound", "--x0", "-2", "--nx", "65", "--ny", "47"])
     # The default count's full pass: afresh at 40^2, reused at -2, afresh
-    # at 182^2.
-    for x0, n in (("-0.5", "40"), ("-2", "40"), ("-0.5", "182")):
-        cmds.append(["bound", "--x0", x0, "--nx", n, "--ny", n])
+    # at 182^2 and 242x100.
+    for x0, nx, ny in (("-0.5", "40", "40"), ("-2", "40", "40"),
+                       ("-0.5", "182", "182"), ("-0.5", "242", "100")):
+        cmds.append(["bound", "--x0", x0, "--nx", nx, "--ny", ny])
     for x0 in ("-1e-3", "-1e3"):
         cmds.append(["bound", "--x0", x0, "--nx", "48", "--ny", "48"])
     for target in ("h", "domain", "eigen"):
         cmds.append(["plot", target, "--x0", "-0.5"])
     cmds.append(["plot", "eigen", "--x0", "-0.5", "--nx", "41", "--ny", "53"])
+    cmds.append(["plot", "eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40"])
     cmds.append(["eigen", "--x0", "-0.5", "--format", "csv", "--out", OUT])
+    cmds.append(["eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40",
+                 "--format", "csv", "--out", OUT])
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 
