@@ -45,14 +45,13 @@ _REAL_EIG_RTOL = 1e-8
 # 64^2 to 320^2), so iterating below 1e-12 improves neither lambda nor the
 # residual; tol=0 (machine epsilon) spends about a fifth more solves on it.
 _RITZ_TOL = 1e-12
-# `solve_real_spectrum(principal_only=True)`: the Ritz tolerance of the pass
-# that picks the principal pair, and the backward error |Av - lambda v| /
-# (|A|_1 |v|) at or below which the pick is converged to rounding and kept;
-# any other pick goes to the full pass.  Converged picks read at most
-# 6.4e-17 (64^2 to 320^2, x0 in [-4, -0.05]); the unconverged ones found
-# read 1.7e-12 and 3.5e-9.
+# `solve_real_spectrum(principal_only=True)`: the Ritz tolerance of its one
+# pass.  A healthy principal pair is the Ritz value nearest the shift, and
+# this pass converges it to a backward error |Av - lambda v| / (|A|_1 |v|)
+# of at most 6.3e-17 (64^2 to 320^2, x0 in [-4, -0.05]).  A pick it leaves
+# unconverged is a wrong mode, and its algebraic residual fails the callers'
+# gate.
 _PICK_TOL = 1e-4
-_CONVERGED = 64 * np.finfo(float).eps
 # Weight of the fourth-difference damping in the hyperbolic half (`assemble`).
 _STABILIZATION = 0.5
 # Trace nodes per boundary curve, BC and sigma (`trace_norms`).
@@ -271,16 +270,12 @@ def _kept(w, principal_only: bool) -> list:
     return [i for i in real if w[i].real > 0][:1] if principal_only else real
 
 
-def _real_vector(op: TricomiOperator, lam, v):
-    """v turned real (its largest entry rotated onto the real axis), and its
-    algebraic residual |Av - Re(lam) v| / |v|."""
+def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
+    """The pair (lam, v) with v turned real (its largest entry rotated onto
+    the real axis), its algebraic residual |Av - Re(lam) v| / |v|, and v
+    normalized to unit L2(Omega) norm with nonnegative mean."""
     v = np.real(v * np.exp(-1j * np.angle(v[np.argmax(np.abs(v))])))
-    return v, float(np.linalg.norm(op.matrix @ v - lam.real * v) / np.linalg.norm(v))
-
-
-def _real_pair(op: TricomiOperator, lam, v, res) -> EigenPair:
-    """The pair (lam, v), v real with algebraic residual res, normalized to
-    unit L2(Omega) norm with nonnegative mean."""
+    res = float(np.linalg.norm(op.matrix @ v - lam.real * v) / np.linalg.norm(v))
     F = op.to_field(v)
     nrm_sq = area_l2_norm_sq(op.grid, F)
     if nrm_sq > 0:
@@ -333,31 +328,32 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     algebraic residual.
 
     A - shift I is factored once, to the LU that `eigs(A, sigma=shift)`
-    would build, and every Arnoldi pass runs on that LU from the same start
-    vector.  When the sparsity pattern is the one factored last (the 64^2
-    mesh at another x0, say), the columns are permuted by the COLAMD order
-    recorded for it instead of ordering them again: the LU, and every
-    eigenpair, stay the same bit for bit (`_shift_invert_solve`).  An odd ny
-    can change the pattern with x0: 65x47 stores 13 163 entries at x0 =
-    -0.5 and -0.125 and 12 805 at -2, 63^2 17 169 at -0.125 and 16 823 at
-    -0.5 and -2, 97x61 25 921 at -0.125 and 25 371 at -0.5 and -2.  By
-    default one pass over `count` pairs, at the Ritz tolerance 1e-12,
-    decides, so the default path returns exactly the eigenpairs of that
-    `eigs` call.  ARPACK stops at 1e-12, not at machine epsilon: past it the
-    LU solves' own relative residual bounds what the iteration can gain, and
-    neither lambda nor the residual improves.  The callers certify
-    residuals to 1e-8.
+    would build, and one Arnoldi pass over `count` pairs runs on that LU
+    from a fixed start vector.  When the sparsity pattern is the one
+    factored last (the 64^2 mesh at another x0, say), the columns are
+    permuted by the COLAMD order recorded for it instead of ordering them
+    again: the LU, and every eigenpair, stay the same bit for bit
+    (`_shift_invert_solve`).  An odd ny can change the pattern with x0:
+    65x47 stores 13 163 entries at x0 = -0.5 and -0.125 and 12 805 at -2,
+    63^2 17 169 at -0.125 and 16 823 at -0.5 and -2, 97x61 25 921 at
+    -0.125 and 25 371 at -0.5 and -2.  By default the pass runs at the Ritz
+    tolerance 1e-12 and returns exactly the eigenpairs of that `eigs` call.
+    ARPACK stops at 1e-12, not at machine epsilon: past it the LU solves'
+    own relative residual bounds what the iteration can gain, and neither
+    lambda nor the residual improves.  The callers certify residuals to
+    1e-8.
 
     With `principal_only`, real_pairs holds at most the principal pair (the
-    real pair of smallest magnitude with lambda > 0), and the first pass runs
-    at the loose Ritz tolerance 1e-4.  If that pass has no positive real
-    pair, none is returned.  Its pick is kept, with its diagnostics, when it
-    has converged to rounding: its backward error |Av - lambda v| /
-    (|A|_1 |v|) is at most 64 machine epsilons.  At 64^2, x0 = -1/2, that is
-    21 LU solves instead of 58.  Otherwise (at 40^2, x0 = -1/2, say, where
-    the principal pair is the 4th Ritz value) the default pass runs on the
-    same LU, and the same rule picks from it.  Only the returned pairs are
-    normalized.  Only a failed `splu` is reported as a failed factorization.
+    real pair of smallest magnitude with lambda > 0), from the pass at the
+    loose Ritz tolerance 1e-4, with its residual; if that pass has no
+    positive real pair, none is returned.  By LP3/LP4 a healthy principal
+    pair is the Ritz value nearest the shift, which this pass converges to
+    rounding: 21 LU solves at 64^2, x0 = -1/2, instead of the default
+    path's 58.  A pick it leaves unconverged is a wrong mode of the mesh
+    (at 40^2, x0 = -1/2, the 4th Ritz value, lambda |x0|^(4/3) = 5.79
+    against 2.50), and its residual, 9.5e-6 |lambda| there, fails the
+    callers' gate.  Only the returned pairs are normalized.  Only a failed
+    `splu` is reported as a failed factorization.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -372,23 +368,11 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     except RuntimeError as exc:
         raise RuntimeError(f"shift-invert factorization failed ({exc})") from exc
     OPinv = spla.LinearOperator(op.matrix.shape, matvec=solve, dtype=float)
-
-    def arnoldi(tol):
-        """Ritz values by |lambda|, and kept pairs as (lambda, real v, residual)."""
-        w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
-                         tol=tol, OPinv=OPinv)
-        order = np.argsort(np.abs(w))
-        w, V = w[order], V[:, order]
-        return w, [(w[i], *_real_vector(op, w[i], V[:, i]))
-                   for i in _kept(w, principal_only)]
-
-    w, kept = arnoldi(_PICK_TOL if principal_only else _RITZ_TOL)
-    if principal_only and kept:
-        # Backward error |Av - lambda v| / (|A|_1 |v|) of the pick; NaN: unconverged.
-        norm1 = np.bincount(op.matrix.indices, np.abs(op.matrix.data)).max()
-        if not kept[0][2] <= _CONVERGED * norm1:
-            w, kept = arnoldi(_RITZ_TOL)
-    return ([_real_pair(op, *pair) for pair in kept],
+    w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
+                     tol=_PICK_TOL if principal_only else _RITZ_TOL, OPinv=OPinv)
+    order = np.argsort(np.abs(w))
+    w, V = w[order], V[:, order]
+    return ([_real_pair(op, w[i], V[:, i]) for i in _kept(w, principal_only)],
             [complex(lam) for lam in w if not _is_real(lam)])
 
 

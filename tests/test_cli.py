@@ -372,19 +372,21 @@ class TestEigenAndBound:
     def test_principal_commands_pick_the_same_pair(self, capsys, tmp_path, n):
         # bound, plot eigen and eigen --format csv all certify, draw or
         # write the principal pair among cli._PAIR_COUNT pairs.  At 80^2 the
-        # smallest real pair is negative; at 40^2 the loose pass's pick goes
-        # to the full pass.
+        # smallest real pair is negative; at 40^2 the pick is a wrong mode
+        # that each command refuses (exit 1) after writing its text.
         from tricomi import TricomiDomain, cli
         from tricomi.eigensolver import Grid, assemble, solve_real_spectrum
         op = assemble(Grid.build(TricomiDomain(-0.5), n, n))
         (pair,), _ = solve_real_spectrum(op, cli._PAIR_COUNT, principal_only=True)
         mesh = ("--x0", "-0.5", "--nx", str(n), "--ny", str(n))
-        _, out, _ = _run(capsys, "bound", *mesh)
-        assert json.loads(out)["lambda"] == pair.lam
-        _, out, _ = _run(capsys, "plot", "eigen", *mesh)
-        assert f"lambda={pair.lam:.6g}<" in out
+        want = 1 if n == 40 else 0
+        code, out, _ = _run(capsys, "bound", *mesh)
+        assert code == want and json.loads(out)["lambda"] == pair.lam
+        code, out, _ = _run(capsys, "plot", "eigen", *mesh)
+        assert code == want and f"lambda={pair.lam:.6g}<" in out
         path = tmp_path / "field.csv"
-        _run(capsys, "eigen", *mesh, "--format", "csv", "--out", str(path))
+        code, _, _ = _run(capsys, "eigen", *mesh, "--format", "csv", "--out", str(path))
+        assert code == want
         u = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
         assert np.array_equal(u, pair.field.ravel())
 
@@ -395,6 +397,24 @@ class TestEigenAndBound:
         assert d["passed"] is True
         assert d["bound"]["lhs"] <= d["bound"]["rhs"] * 1.01
         assert 0.0 < d["identity"]["relative_residual"] < 0.2
+
+    @pytest.mark.parametrize("argv", [
+        ("bound", "--x0", "-0.5", "--nx", "40", "--ny", "40"),
+        ("bound", "--x0", "-2", "--nx", "40", "--ny", "40"),
+        ("bound", "--x0", "-0.5", "--nx", "182", "--ny", "182"),
+        ("bound", "--x0", "-1e3", "--nx", "48", "--ny", "48"),
+        ("eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40", "--format", "csv", "--out"),
+    ], ids=["bound-40-0.5", "bound-40-2", "bound-182", "bound-48-1e3", "eigen-csv-40"])
+    def test_refuses_wrong_modes(self, capsys, tmp_path, argv):
+        # On these meshes the principal pick is a wrong mode (lambda
+        # |x0|^(4/3) 5.79 to 6.84, against a healthy 2.50) that the loose
+        # pass leaves unconverged: its residual fails the gate.
+        if argv[-1] == "--out":
+            argv = (*argv, str(tmp_path / "field.csv"))
+        code, _, err = _run(capsys, *argv)
+        assert code == 1
+        line, = err.splitlines()
+        assert json.loads(line)["error"] == "eigen residual above tolerance"
 
     @pytest.mark.parametrize("argv, written", [
         (("bound",), '"passed": true'),
@@ -444,8 +464,7 @@ class TestPlot:
 
     def test_eigen_heatmap(self, capsys, tmp_path):
         path = tmp_path / "eigen.svg"
-        code, _, _ = _run(capsys, "plot", "eigen", "--x0", "-0.5",
-                          "--nx", "40", "--ny", "40", "--out", str(path))
+        code, _, _ = _run(capsys, "plot", "eigen", "--x0", "-0.5", "--out", str(path))
         assert code == 0
         text = path.read_text()
         assert "lambda=" in text and "<rect" in text
