@@ -403,16 +403,16 @@ class TestEigenAndBound:
         ("bound", "--x0", "-2", "--nx", "40", "--ny", "40"),
         ("bound", "--x0", "-0.5", "--nx", "182", "--ny", "182"),
         ("bound", "--x0", "-1e3", "--nx", "48", "--ny", "48"),
-        ("eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40", "--format", "csv", "--out"),
+        ("eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40", "--format", "csv"),
     ], ids=["bound-40-0.5", "bound-40-2", "bound-182", "bound-48-1e3", "eigen-csv-40"])
     def test_refuses_wrong_modes(self, capsys, tmp_path, argv):
         # On these meshes the principal pick is a wrong mode (lambda
         # |x0|^(4/3) 5.79 to 6.84, against a healthy 2.50) that the loose
-        # pass leaves unconverged: its residual fails the gate.
-        if argv[-1] == "--out":
-            argv = (*argv, str(tmp_path / "field.csv"))
-        code, _, err = _run(capsys, *argv)
-        assert code == 1
+        # pass leaves unconverged: its residual fails the gate, after the
+        # text is written.
+        path = tmp_path / "out"
+        code, _, err = _run(capsys, *argv, "--out", str(path))
+        assert code == 1 and path.read_text()
         line, = err.splitlines()
         assert json.loads(line)["error"] == "eigen residual above tolerance"
 

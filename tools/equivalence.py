@@ -26,19 +26,23 @@ not move any output.  The commands run in process, through
   usage error (exit 2) that `bound` gives any `--count`;
 - `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), at 182^2 and
   at 242x100 for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79, 6.22
-  and 5.89) that the default count picks through the full pass;
+  and 5.89) that the principal pass leaves unconverged, so that `bound`
+  exits 1 on the residual gate;
 - `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh
   and at 40^2;
 - `eigen --format csv --out`, at the default mesh and at 40^2.
 
 Between them they reach every path of `solve_real_spectrum`:
 
-- a loose-pass pick kept as converged: every `bound-small` op;
-- an unconverged pick, decided by the full pass on the same LU:
-  `bound --x0 -1e3 --nx 48 --ny 48`, whose loose pick reads a backward
-  error of 1.7e-12, and `bound` at 40^2 and 182^2;
-- a loose pass with no positive real pair, and so no second pass:
-  `mesh-sweep` at 256^2 (and `bound` on the non-square meshes);
+- the principal pass with a pick converged to rounding: every
+  `bound-small` op;
+- the principal pass with an unconverged pick, a wrong mode whose
+  residual fails the CLI's gate: `bound --x0 -1e3 --nx 48 --ny 48`,
+  `bound` at 40^2, 182^2 and 242x100, and `plot eigen` and `eigen
+  --format csv` at 40^2; and one that passes it, `bound --x0 -2` at 65x47
+  (a backward error of 94 machine epsilons);
+- the principal pass with no positive real pair: `mesh-sweep` at 256^2
+  (and `bound` on the non-square meshes);
 - the default `count`-pair path: `eigen --count 2` and the non-square
   `eigen` commands.
 
@@ -56,10 +60,10 @@ every x0 when ny is odd: 65x47 stores 13 163 entries at x0 = -0.5 and
   order: `bound-small`'s 64^2 ops after the first, `eigen --count 2`
   (64^2), `bound --x0 -1e3 --nx 48 --ny 48` after `-1e-3` on the same
   mesh, `plot eigen --x0 -0.5` (48^2) after it, and `bound --x0 -2` at
-  40^2 after `-0.5` there, whose pick goes to the full pass;
+  40^2 after `-0.5` there, whose pick is unconverged;
 - COLAMD afresh: each `mesh-sweep` size, the first `bound-small` op after
-  `mesh-sweep`, `bound --x0 -0.5` at 40^2 and 182^2, and every non-square
-  command.  `bound --x0 -2 --nx 65 --ny 47` among them follows `-0.125`
+  `mesh-sweep`, `bound --x0 -0.5` at 40^2 and 182^2, `plot eigen` and
+  `eigen --format csv` at 40^2, and every non-square command.  `bound --x0 -2 --nx 65 --ny 47` among them follows `-0.125`
   on the same mesh, with as many unknowns but another pattern.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
@@ -177,8 +181,8 @@ def commands() -> list:
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47"])
     # The same mesh with another pattern (12 805 entries): ordered afresh.
     cmds.append(["bound", "--x0", "-2", "--nx", "65", "--ny", "47"])
-    # The default count's full pass: afresh at 40^2, reused at -2, afresh
-    # at 182^2 and 242x100.
+    # Unconverged picks: afresh at 40^2, reused at -2, afresh at 182^2 and
+    # 242x100.
     for x0, nx, ny in (("-0.5", "40", "40"), ("-2", "40", "40"),
                        ("-0.5", "182", "182"), ("-0.5", "242", "100")):
         cmds.append(["bound", "--x0", x0, "--nx", nx, "--ny", ny])
