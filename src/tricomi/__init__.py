@@ -22,8 +22,9 @@ _EXPORTS = {name: module for module, names in (
     ("report", ("VerificationReport", "reports_to_csv", "reports_to_jsonl")),
     ("verifier", ("find_inflection", "verify_G1_bounds", "verify_G2_bounds",
                   "verify_h_profile", "verify_profiles")),
-    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "field_csv",
-                     "solve_real_spectrum", "trace_norms")),
+    ("eigensolver", ("Dilation", "EigenPair", "Grid", "TricomiOperator", "assemble",
+                     "boundary_traces", "field_csv", "solve_real_spectrum",
+                     "trace_norms")),
 ) for name in names}
 _SUBMODULES = ("cli", "constants", "eigensolver", "geometry", "pohozaev", "report",
                "verifier")

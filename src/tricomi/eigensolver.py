@@ -7,11 +7,15 @@ boundary rows are written there.  Next to AC and sigma the Dirichlet zero
 sits at the closed-form crossing, theta in [1e-3, 1] of the arm away (an
 unequal-arm difference).  The real, nonsymmetric operator's real spectrum
 is extracted by shift-invert Arnoldi around a small positive shift.
+
+`Dilation` maps a pair solved at x0 = -1, and its traces, to any x0.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +36,10 @@ __all__ = [
     "Grid",
     "TricomiOperator",
     "EigenPair",
+    "Dilation",
     "assemble",
     "solve_real_spectrum",
+    "boundary_traces",
     "trace_norms",
     "field_csv",
 ]
@@ -54,7 +60,7 @@ _RITZ_TOL = 1e-12
 _PICK_TOL = 1e-4
 # Weight of the fourth-difference damping in the hyperbolic half (`assemble`).
 _STABILIZATION = 0.5
-# Trace nodes per boundary curve, BC and sigma (`trace_norms`).
+# Trace nodes per boundary curve, BC and sigma (`boundary_traces`).
 _TRACE_NODES = 400
 
 
@@ -301,9 +307,7 @@ def _shift_invert_solve(shifted: sp.csc_matrix):
     shifted[:, order] with the natural order, and each solve is permuted
     back: COLAMD's order depends on the pattern alone, so this is the same
     LU without recomputing it, and its solves are the same bit for bit.  A
-    pattern can change with x0 on one mesh when ny is odd (65x47, 63^2,
-    97x61; see `solve_real_spectrum`).  A factorization that raises records
-    nothing.
+    factorization that raises records nothing.
     """
     global _last_order
     last = _last_order
@@ -333,10 +337,9 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     factored last (the 64^2 mesh at another x0, say), the columns are
     permuted by the COLAMD order recorded for it instead of ordering them
     again: the LU, and every eigenpair, stay the same bit for bit
-    (`_shift_invert_solve`).  An odd ny can change the pattern with x0:
-    65x47 stores 13 163 entries at x0 = -0.5 and -0.125 and 12 805 at -2,
-    63^2 17 169 at -0.125 and 16 823 at -0.5 and -2, 97x61 25 921 at
-    -0.125 and 25 371 at -0.5 and -2.  By default the pass runs at the Ritz
+    (`_shift_invert_solve`).  An odd ny can change the pattern with x0
+    (65x47 stores 13 163 entries at x0 = -0.5 and 12 805 at -1 and -2);
+    the CLI solves at x0 = -1 only.  By default the pass runs at the Ritz
     tolerance 1e-12 and returns exactly the eigenpairs of that `eigs` call.
     ARPACK stops at 1e-12, not at machine epsilon: past it the LU solves'
     own relative residual bounds what the iteration can gain, and neither
@@ -422,9 +425,9 @@ def _gradient_grids(grid: Grid, F: np.ndarray):
     return Ux, Uy, valid
 
 
-def trace_norms(pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
+def boundary_traces(pair: EigenPair) -> dict:
     """The eigenpair's boundary traces {'BC', 'Sigma'}, of the eigenfunction
-    and its gradient at 400 nodes per curve, and their norm bundle.
+    and its gradient at 400 nodes per curve.
 
     On BC (no data imposed) the values are pulled back a short distance
     along the inward normal and sampled bilinearly.  On sigma and AC the
@@ -449,8 +452,93 @@ def trace_norms(pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
     u1, = _sample_inward(grid, F[None], grid.inside[None], sg.x, sg.y, -nx_o, -ny_o, d)
     u2, = _sample_inward(grid, F[None], grid.inside[None], sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)
     un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
-    sg = sg.filled(ux=un * nx_o, uy=un * ny_o)
-    return {"BC": bc, "Sigma": sg}, norm_bundle_from_traces(bc, sg)
+    return {"BC": bc, "Sigma": sg.filled(ux=un * nx_o, uy=un * ny_o)}
+
+
+def trace_norms(pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
+    """The eigenpair's `boundary_traces` and their norm bundle."""
+    traces = boundary_traces(pair)
+    return traces, norm_bundle_from_traces(traces["BC"], traces["Sigma"])
+
+
+# -- the dilation -----------------------------------------------------------
+
+# Each quantity's power of s = |x0| under `Dilation`, and the power as printed.
+_POWERS = {
+    "lambda": (-4.0 / 3.0, "-4/3"),
+    "x": (1.0, "1"),
+    "y": (2.0 / 3.0, "2/3"),
+    "u": (-5.0 / 6.0, "-5/6"),
+    "u_x": (-11.0 / 6.0, "-11/6"),
+    "u_y": (-1.5, "-3/2"),
+}
+
+
+@dataclass(frozen=True)
+class Dilation:
+    """The dilation D(x, y) = (s x, s^(2/3) y), s = |x0|, which maps the
+    normal domain at x0 = -1 onto the one at x0, and what it makes of a
+    solution there.
+
+    T(u o D^-1) = s^(-4/3) (Tu) o D^-1, so a pair (lambda, u) at -1 gives
+    the pair at x0 once each quantity takes its power of s (`scale`):
+    lambda and the algebraic residual |Av - lambda v| / |v| s^(-4/3), the
+    points (s, s^(2/3)), u s^(-5/6), which keeps the unit L2(Omega) norm
+    (areas scale by s^(5/3)), u_x s^(-11/6) and u_y s^(-3/2).  A pair is
+    traced at -1, on the grid it was solved on, and `traces` maps its
+    traces; the mapped grid of `pair` is for drawing and export only.
+    """
+
+    x0: float
+
+    def __post_init__(self):
+        if not (self.x0 < 0.0 and math.isfinite(self.x0)):
+            raise ValueError(f"x0 must be a finite negative real, got {self.x0!r}")
+
+    def scale(self, quantity: str) -> float:
+        """s to the power of `quantity`: 'lambda', 'x', 'y', 'u', 'u_x' or
+        'u_y'.  A factor that is not a normal float raises OverflowError
+        naming the quantity: lambda's overflows for s below about 1e-231
+        and underflows above about 1e231."""
+        power, printed = _POWERS[quantity]
+        try:
+            factor = abs(self.x0) ** power
+        except OverflowError:
+            factor = math.inf
+        if not sys.float_info.min <= factor < math.inf:
+            fault = "overflows" if factor == math.inf else "underflows"
+            raise OverflowError(f"{quantity}'s scale |x0|^({printed}) {fault} a float "
+                                f"at x0={self.x0!r}")
+        return factor
+
+    def points(self, x, y):
+        """D(x, y) of the points (x, y) at x0 = -1."""
+        return x * self.scale("x"), y * self.scale("y")
+
+    def pair(self, pair: EigenPair) -> EigenPair:
+        """The pair at x0 of `pair`, solved at x0 = -1: its grid keeps the
+        node mask and takes the dilated nodes and x0's domain."""
+        grid = pair.grid
+        if grid.dom.x0 != -1.0:
+            raise ValueError("a dilation maps a pair solved at x0 = -1")
+        lam = self.scale("lambda")
+        xs, ys = self.points(grid.xs, grid.ys)
+        grid = dataclasses.replace(grid, dom=TricomiDomain(self.x0), xs=xs, ys=ys)
+        return EigenPair(grid=grid, lam=pair.lam * lam, field=pair.field * self.scale("u"),
+                         residual=pair.residual * lam, imag=pair.imag * lam)
+
+    def traces(self, traces: dict) -> dict:
+        """x0's {'BC', 'Sigma'} traces of the traces at x0 = -1 that
+        `boundary_traces` gives: `bc_trace` and `sigma_trace` of x0's domain,
+        on as many nodes, filled with the scaled values.  Their nodes are D
+        of the traced nodes up to rounding."""
+        if any(t.curve.dom.x0 != -1.0 for t in traces.values()):
+            raise ValueError("a dilation maps traces taken at x0 = -1")
+        dom = TricomiDomain(self.x0)
+        su, sux, suy = (self.scale(q) for q in ("u", "u_x", "u_y"))
+        return {kind: make(dom, len(t.params)).filled(u=t.u * su, ux=t.ux * sux, uy=t.uy * suy)
+                for kind, make, t in (("BC", bc_trace, traces["BC"]),
+                                      ("Sigma", sigma_trace, traces["Sigma"]))}
 
 
 # -- field export -----------------------------------------------------------

@@ -1,4 +1,7 @@
 import os
+import sys
+
+import pytest
 
 
 def pytest_configure(config):
@@ -21,3 +24,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in RESULTS:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture(autouse=True)
+def _without_the_canonical_solve():
+    """Each test starts without the CLI's memoized x0 = -1 solve, so a test
+    that patches the solver, `splu` or `cli._solve` runs what it patches,
+    whatever ran before it."""
+    cli = sys.modules.get("tricomi.cli")
+    if cli is not None:
+        cli._canonical = None

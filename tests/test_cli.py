@@ -303,18 +303,18 @@ class TestEigenAndBound:
     def test_eigen_csv_writes_principal_not_spurious_mode(self, capsys, tmp_path):
         # At 80^2 the smallest-magnitude real pair is a spurious negative
         # mode; the CSV holds the principal (smallest positive) pair's field,
-        # solved for alone.
-        from tricomi import TricomiDomain
+        # solved for alone at x0 = -1 and mapped to x0.
+        from tricomi import Dilation, TricomiDomain
         from tricomi.eigensolver import Grid, assemble, solve_real_spectrum
         path = tmp_path / "field.csv"
         code, _, _ = _run(capsys, "eigen", "--x0", "-0.5", "--nx", "80",
                           "--ny", "80", "--format", "csv", "--out", str(path))
         assert code == 0
-        dom = TricomiDomain(-0.5)
-        op = assemble(Grid.build(dom, 80, 80))
+        op = assemble(Grid.build(TricomiDomain(-1.0), 80, 80))
         pairs, _ = solve_real_spectrum(op, 4)
         assert pairs[0].lam < 0.0
         (pair,), _ = solve_real_spectrum(op, 4, principal_only=True)
+        pair = Dilation(-0.5).pair(pair)
         assert pair.lam == pytest.approx(6.315, rel=1e-3)
         u = np.loadtxt(path, delimiter=",", skiprows=1)[:, 2]
         assert np.array_equal(u, pair.field.ravel())
@@ -373,11 +373,13 @@ class TestEigenAndBound:
         # bound, plot eigen and eigen --format csv all certify, draw or
         # write the principal pair among cli._PAIR_COUNT pairs.  At 80^2 the
         # smallest real pair is negative; at 40^2 the pick is a wrong mode
-        # that each command refuses (exit 1) after writing its text.
-        from tricomi import TricomiDomain, cli
+        # that each command refuses (exit 1) after writing its text.  Each
+        # solves at x0 = -1 and maps the pair to x0.
+        from tricomi import Dilation, TricomiDomain, cli
         from tricomi.eigensolver import Grid, assemble, solve_real_spectrum
-        op = assemble(Grid.build(TricomiDomain(-0.5), n, n))
+        op = assemble(Grid.build(TricomiDomain(-1.0), n, n))
         (pair,), _ = solve_real_spectrum(op, cli._PAIR_COUNT, principal_only=True)
+        pair = Dilation(-0.5).pair(pair)
         mesh = ("--x0", "-0.5", "--nx", str(n), "--ny", str(n))
         want = 1 if n == 40 else 0
         code, out, _ = _run(capsys, "bound", *mesh)
@@ -402,14 +404,13 @@ class TestEigenAndBound:
         ("bound", "--x0", "-0.5", "--nx", "40", "--ny", "40"),
         ("bound", "--x0", "-2", "--nx", "40", "--ny", "40"),
         ("bound", "--x0", "-0.5", "--nx", "182", "--ny", "182"),
-        ("bound", "--x0", "-1e3", "--nx", "48", "--ny", "48"),
         ("eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40", "--format", "csv"),
-    ], ids=["bound-40-0.5", "bound-40-2", "bound-182", "bound-48-1e3", "eigen-csv-40"])
+    ], ids=["bound-40-0.5", "bound-40-2", "bound-182", "eigen-csv-40"])
     def test_refuses_wrong_modes(self, capsys, tmp_path, argv):
-        # On these meshes the principal pick is a wrong mode (lambda
-        # |x0|^(4/3) 5.79 to 6.84, against a healthy 2.50) that the loose
-        # pass leaves unconverged: its residual fails the gate, after the
-        # text is written.
+        # On these meshes the principal pick at x0 = -1 is a wrong mode
+        # (lambda |x0|^(4/3) 5.79 and 6.22, against a healthy 2.50) that the
+        # loose pass leaves unconverged: its residual fails the gate, after
+        # the text is written.
         path = tmp_path / "out"
         code, _, err = _run(capsys, *argv, "--out", str(path))
         assert code == 1 and path.read_text()
@@ -583,18 +584,19 @@ class TestLogLevelPerRun:
 
 class TestPinnedOutput:
     # sha256 of stdout (or of the --out file), pinned so that a change to
-    # any writer's bytes shows.
+    # any writer's bytes shows.  The eigen and bound pins are of the pair
+    # solved at x0 = -1 and mapped to x0 = -0.5.
     @pytest.mark.parametrize("argv, digest", [
         (("constants", "--x0", "-0.5"),
          "2d2c799e936f9177b4e3d6d0034f25644483706fe24d04c6d681221ebb2be69f"),
         (("constants", "--x0-range", "-2:-0.1:5", "--format", "csv"),
          "682e583d90fe74e1321beda88698ccf15feea52126fc7330fe2daa7f54880f78"),
         (("bound", "--x0", "-0.5"),
-         "0b20f27ca812b1a748ff39be57c32f27fd0041bcc45b96571f13179391fdef3b"),
+         "eb0a9ec00048f99e6df7dc34a5344bdd0d447147f97ae2c359546e785d04fa5b"),
         (("bound", "--x0", "-0.5", "--format", "csv"),
-         "ddcc35df96ec5840759b986f74aeb05f95dac93f74100a706608340b3576dd53"),
+         "de7bc407ef4e616e6ed9a024977ac2265e8cf49664b8e5ec3f9c9fa177bcf5c0"),
         (("eigen", "--x0", "-0.5", "--count", "2"),
-         "0cfcf8981cfe36970e1dde3054f64f0e0771c4e9b8fc4d1ad43eb8ea9196661f"),
+         "31f76d8a7045efdc195b5685610227fee0ca7d443f983f5210ea60fa617a200e"),
     ])
     def test_stdout_pinned(self, capsys, argv, digest):
         code, out, err = _run(capsys, *argv)
@@ -607,7 +609,7 @@ class TestPinnedOutput:
                               "--out", str(path))
         assert (code, out, err) == (0, "", "")
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "b9281b78f35bd85a049803eb239c007a6a79dc1fc66a95571436aef537b12875")
+            "00f1c5cacff9629860b93968800c94e01e50bb354422d1fc335db8e3050eae7d")
 
 
 class TestEdgeInputs:
@@ -659,10 +661,17 @@ class TestEdgeInputs:
         assert (code, err) == (0, "")
         assert json.loads(out)["passed"] is True
 
-    def test_singular_factorization_names_only_its_cause(self, capsys):
-        # At x0 = -1e-120 the shifted matrix is singular in floating point.
+    def test_singular_factorization_names_only_its_cause(self, capsys, monkeypatch):
+        # A singular A - shift I (as at x0 = -1e-120, 48^2, where the library
+        # solves at that x0; the CLI solves at x0 = -1, where it is not).
         # The error names the failed factorization and gives no advice: no
         # option sets the shift, and a finer grid does not help.
+        import scipy.sparse.linalg as spla
+
+        def singular(*args, **kwargs):
+            raise RuntimeError("Factor is exactly singular")
+
+        monkeypatch.setattr(spla, "splu", singular)
         code, out, err = _run(capsys, "eigen", "--x0", "-1e-120", "--nx", "48",
                               "--ny", "48")
         assert code == 1 and out == "" and len(err.splitlines()) == 1
@@ -685,6 +694,32 @@ class TestEdgeInputs:
         error = json.loads(err)["error"]
         assert error == "eigensolve failed: ARPACK error -1: No convergence"
 
+    def test_far_x0_eigen_is_deterministic(self):
+        # The solve runs at x0 = -1 whatever x0 is, so two processes print
+        # the same bytes at x0 = -1e80 (the shift once sat ~1e100 times
+        # above lambda there, and each run printed other digits).
+        cmd = [sys.executable, "-m", "tricomi.cli", "eigen", "--x0", "-1e80",
+               "--nx", "40", "--ny", "40"]
+        a, b = (subprocess.run(cmd, capture_output=True) for _ in range(2))
+        assert (a.returncode, a.stdout) == (b.returncode, b.stdout)
+        assert a.returncode == 0 and json.loads(a.stdout)["eigenvalues"]
+
+    @pytest.mark.parametrize("x0, fault", [("-1e-300", "overflows"),
+                                           ("-1e300", "underflows")])
+    @pytest.mark.parametrize("command", ["eigen", "bound"])
+    def test_lambda_scale_out_of_range_names_it(self, capsys, monkeypatch, command,
+                                                x0, fault):
+        # Past s ~ 1e-231 and 1e231 lambda's factor s^(-4/3) is no normal
+        # float: the command exits 1 before it solves, naming that scale,
+        # never with a NaN or a 0 in its output.
+        from tricomi import cli
+        monkeypatch.setattr(cli, "_solve_canonical", None)
+        code, out, err = _run(capsys, command, "--x0", x0)
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error.endswith(f"lambda's scale |x0|^(-4/3) {fault} a float "
+                              f"at x0={float(x0)!r}")
+
     def test_residual_gate_is_relative_to_lambda(self, capsys):
         # x0 -> 0-: lambda grows as |x0|^(-4/3), and with it the algebraic
         # residual of a converged pair.  Here it is above 1e-8 but below
@@ -701,6 +736,118 @@ class TestEdgeInputs:
         from tricomi import cli
         x0s = cli._x0_list(argparse.Namespace(x0=None, x0_range=(-2.0, -0.1, 5)))
         assert [type(v) for v in x0s] == [float] * 5
+
+
+class TestCanonicalFrame:
+    # Every solve runs at x0 = -1, and the pair maps to x0 by the dilation,
+    # so lambda |x0|^(4/3) and the identity residual are x0 = -1's at every
+    # x0 of TestSelfSimilarity.  At -1e100 the ledger overflows (C4), so
+    # `bound` is checked up to -1e15 and `eigen` at every x0.
+    @pytest.mark.parametrize("x0", [-1e-8, -1e-6, -1e-3, -0.5, -1e3, -1e5, -1e15])
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_bound_is_the_same_at_every_x0(self, capsys, n, x0):
+        mesh = ("--nx", str(n), "--ny", str(n))
+        records = []
+        for v in (-1.0, x0):
+            code, out, err = _run(capsys, "bound", "--x0", repr(v), *mesh)
+            assert (code, err) == (0, "")
+            records.append(json.loads(out))
+        at_1, got = records
+        assert got["x0"] == x0 and got["passed"] is True
+        assert got["lambda"] * abs(x0) ** (4.0 / 3.0) == pytest.approx(
+            at_1["lambda"], rel=1e-12, abs=0.0)
+        assert got["identity"]["relative_residual"] == pytest.approx(
+            at_1["identity"]["relative_residual"], rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("x0", [-1e-8, -1e-6, -1e-3, -0.5, -1e3, -1e5, -1e15, -1e100])
+    @pytest.mark.parametrize("n", [48, 64])
+    def test_eigen_is_the_same_at_every_x0(self, capsys, n, x0):
+        mesh = ("--nx", str(n), "--ny", str(n))
+        records = []
+        for v in (-1.0, x0):
+            code, out, err = _run(capsys, "eigen", "--x0", repr(v), *mesh)
+            assert (code, err) == (0, "")
+            records.append(json.loads(out))
+        at_1, got = records
+        scale = abs(x0) ** (4.0 / 3.0)
+        assert len(got["eigenvalues"]) == len(at_1["eigenvalues"])
+        for p, q in zip(got["eigenvalues"], at_1["eigenvalues"]):
+            for key in ("lambda", "residual"):
+                assert p[key] * scale == pytest.approx(q[key], rel=1e-12, abs=0.0)
+        assert [complex(c) * scale for c in got["complex_pairs"]] == pytest.approx(
+            [complex(c) for c in at_1["complex_pairs"]], rel=1e-12, abs=0.0)
+
+    def test_one_solve_per_mesh(self, capsys, monkeypatch):
+        # bound at other x0, plot eigen and eigen --format csv on one mesh
+        # share one x0 = -1 solve; another key (a mesh, a count or the
+        # default path) replaces the one entry.
+        import scipy.sparse.linalg as spla
+
+        from tricomi import cli
+        splu, factored = spla.splu, []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or splu(*a, **k))
+        mesh = ("--nx", "48", "--ny", "48")
+        for argv in (("bound", "--x0", "-0.5"), ("bound", "--x0", "-3"),
+                     ("plot", "eigen", "--x0", "-2"), ("bound", "--x0", "-1e-3")):
+            assert _run(capsys, *argv, *mesh)[0] == 0
+        assert len(factored) == 1 and cli._canonical[0] == (48, 48, 4, True)
+        assert _run(capsys, "eigen", "--x0", "-0.5", *mesh)[0] == 0
+        assert len(factored) == 2 and cli._canonical[0] == (48, 48, 4, False)
+        assert _run(capsys, "bound", "--x0", "-0.5")[0] == 0
+        assert len(factored) == 3 and cli._canonical[0] == (64, 64, 4, True)
+
+    def test_a_reused_solve_logs_one_line(self, capsys, monkeypatch):
+        mesh = ("--nx", "48", "--ny", "48")
+        assert _run(capsys, "bound", "--x0", "-0.5", *mesh)[0] == 0
+        monkeypatch.setenv("TRICOMI_LOG", "debug")
+        code, _, err = _run(capsys, "bound", "--x0", "-2", *mesh)
+        assert code == 0
+        assert [line.split()[2] for line in err.splitlines()] == [
+            "solve", "traces", "identity", "bound"]
+        assert err.splitlines()[0] == "DEBUG tricomi: solve reused at x0=-1, 48 x 48"
+
+    def test_commands_leave_the_memo_as_they_found_it(self, capsys, tmp_path):
+        from tricomi import cli
+        assert _run(capsys, "bound", "--x0", "-0.5", "--nx", "48", "--ny", "48")[0] == 0
+        key, (pairs, complex_diag), traces = cli._canonical
+        pair, = pairs
+        before = [a.copy() for a in (pair.field, pair.grid.xs, pair.grid.ys,
+                                     pair.grid.inside)]
+        before += [getattr(t, f).copy() for t in traces.values() for f in ("u", "ux", "uy")]
+        for argv in (("bound", "--x0", "-4"), ("plot", "eigen", "--x0", "-0.1"),
+                     ("eigen", "--x0", "-3", "--format", "csv", "--out",
+                      str(tmp_path / "u.csv"))):
+            assert _run(capsys, *argv, "--nx", "48", "--ny", "48")[0] == 0
+        assert cli._canonical[0] == key and cli._canonical[1][0][0] is pair
+        after = [pair.field, pair.grid.xs, pair.grid.ys, pair.grid.inside]
+        after += [getattr(t, f) for t in traces.values() for f in ("u", "ux", "uy")]
+        assert all(np.array_equal(a, b) for a, b in zip(after, before))
+        assert pair.grid.dom.x0 == -1.0 and pair.lam == pytest.approx(2.58045, rel=1e-5)
+
+    def test_a_failed_solve_leaves_the_memo(self, capsys, monkeypatch):
+        import scipy.sparse.linalg as spla
+
+        from tricomi import cli
+        assert _run(capsys, "bound", "--x0", "-0.5", "--nx", "48", "--ny", "48")[0] == 0
+        entry = cli._canonical
+
+        def failing(A, k, **kwargs):
+            raise spla.ArpackNoConvergence("No convergence",
+                                           np.empty(0), np.empty((A.shape[0], 0)))
+
+        monkeypatch.setattr(spla, "eigs", failing)
+        assert _run(capsys, "bound", "--x0", "-0.5", "--nx", "40", "--ny", "40")[0] == 1
+        assert cli._canonical is entry
+
+    @pytest.mark.parametrize("x0", ["-0.5", "-2"])
+    def test_200_squared_certifies_the_healthy_pair(self, capsys, x0):
+        # At x0 = -2 the direct solve picked an eigenvalue at rounding level
+        # (2.5e-12 |x0|^(-4/3)) and exited 1 on the residual gate; at x0 = -1
+        # the pick is the healthy 2.48077 at both x0.
+        code, out, _ = _run(capsys, "bound", "--x0", x0, "--nx", "200", "--ny", "200")
+        assert code == 0
+        assert json.loads(out)["lambda"] * abs(float(x0)) ** (4.0 / 3.0) == pytest.approx(
+            2.48077, rel=1e-5)
 
 
 class TestUnwritableOut:

@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 
 from tricomi import (
+    Dilation,
     EigenPair,
     Grid,
     TricomiDomain,
     VerificationReport,
+    area_l2_norm_sq,
     assemble,
     bc_trace,
     bound_check,
     field_csv,
     norm_bundle_from_traces,
     pohozaev_residual,
+    sigma_trace,
     solve_real_spectrum,
     trace_norms,
 )
@@ -684,6 +687,117 @@ class TestSelfSimilarity:
         assert scaled == pytest.approx(_scaled_principal(-1.0, n), rel=1e-10, abs=0.0)
 
 
+# The x0 of TestSelfSimilarity.
+_SELF_SIMILAR_X0 = (-1e-8, -1e-6, -1e-3, -0.5, -1e3, -1e5, -1e15, -1e100)
+
+
+def _manufactured(x, y):
+    """A smooth field at x0 = -1 and its gradient: (u, u_x, u_y)."""
+    return (np.sin(2.0 * x + 0.3) * np.cos(1.5 * y - 0.2) + x * y,
+            2.0 * np.cos(2.0 * x + 0.3) * np.cos(1.5 * y - 0.2) + y,
+            -1.5 * np.sin(2.0 * x + 0.3) * np.sin(1.5 * y - 0.2) + x)
+
+
+class TestDilation:
+    # D(x, y) = (s x, s^(2/3) y) maps x0 = -1 onto x0, s = |x0|.  The field
+    # v = s^(-5/6) u o D^-1 has v_x = s^(-11/6) u_x o D^-1 and v_y =
+    # s^(-3/2) u_y o D^-1, and T v = s^(-4/3) (T u) o D^-1.
+    @pytest.mark.parametrize("x0", _SELF_SIMILAR_X0)
+    def test_mapped_trace_nodes_lie_on_x0s_curves(self, x0):
+        dilation = Dilation(x0)
+        for make in (bc_trace, sigma_trace):
+            at_1, at_x0 = make(TricomiDomain(-1.0), 400), make(TricomiDomain(x0), 400)
+            x, y = dilation.points(at_1.x, at_1.y)
+            assert np.max(np.abs(x - at_x0.x)) <= 1e-11 * np.max(np.abs(at_x0.x))
+            assert np.max(np.abs(y - at_x0.y)) <= 1e-11 * np.max(np.abs(at_x0.y))
+
+    @pytest.mark.parametrize("x0", [-1e-6, -0.5, -1.0, -8.0, -1e3, -1e5])
+    def test_traces_of_a_manufactured_field(self, x0):
+        # Each of u, u_x and u_y is compared on its own, so a wrong exponent
+        # of any one fails by itself (at s = 1e3 a power of s off by 1/3
+        # is a factor of 10).
+        s = abs(x0)
+        at_1 = {kind: make(TricomiDomain(-1.0), 400) for kind, make in
+                (("BC", bc_trace), ("Sigma", sigma_trace))}
+        filled = {kind: t.filled(*_manufactured(t.x, t.y)) for kind, t in at_1.items()}
+        mapped = Dilation(x0).traces(filled)
+        for kind, t in mapped.items():
+            assert t.curve.dom == TricomiDomain(x0) and len(t.params) == 400
+            u, ux, uy = _manufactured(t.x / s, t.y / s ** (2.0 / 3.0))
+            for got, want, power in ((t.u, u, -5.0 / 6.0), (t.ux, ux, -11.0 / 6.0),
+                                     (t.uy, uy, -1.5)):
+                want = want * s ** power
+                assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (kind, power)
+
+    @pytest.mark.parametrize("x0", [-1e-3, -0.5, -8.0, -1e3])
+    def test_lambda_scales_as_the_operator(self, x0):
+        # The FD operator at x0 is s^(-4/3) times x0 = -1's on the same
+        # 64^2 mesh, up to the rounding of the cut-cell fractions, so lambda
+        # and the algebraic residual take that power.
+        grids = [Grid.build(TricomiDomain(v), 64, 64) for v in (-1.0, x0)]
+        A1, Ax = (assemble(g).matrix for g in grids)
+        assert np.array_equal(A1.indptr, Ax.indptr) and np.array_equal(A1.indices, Ax.indices)
+        lam = Dilation(x0).scale("lambda")
+        assert np.max(np.abs(Ax.data - lam * A1.data)) <= 1e-10 * np.max(np.abs(Ax.data))
+
+    @pytest.mark.parametrize("x0", [-1e-3, -0.5, -8.0])
+    def test_pair_keeps_the_unit_norm(self, x0):
+        grid = Grid.build(TricomiDomain(-1.0), 64, 64)
+        X, Y = np.meshgrid(grid.xs, grid.ys, indexing="ij")
+        U = np.where(grid.inside, _manufactured(X, Y)[0], 0.0)
+        U = U / math.sqrt(area_l2_norm_sq(grid, U))
+        pair = EigenPair(grid=grid, lam=2.5, field=U, residual=1e-12, imag=0.5)
+        got = Dilation(x0).pair(pair)
+        s = abs(x0)
+        assert got.grid.dom == TricomiDomain(x0)
+        assert (got.grid.nx, got.grid.ny) == (64, 64)
+        assert got.grid.inside is grid.inside
+        assert np.allclose(got.grid.xs, s * grid.xs, rtol=1e-15, atol=0.0)
+        assert np.allclose(got.grid.ys, s ** (2.0 / 3.0) * grid.ys, rtol=1e-15, atol=0.0)
+        assert area_l2_norm_sq(got.grid, got.field) == pytest.approx(1.0, rel=1e-12)
+        for name in ("lam", "residual", "imag"):
+            assert getattr(got, name) == pytest.approx(
+                getattr(pair, name) * s ** (-4.0 / 3.0), rel=1e-14), name
+
+    def test_identity_at_minus_1(self):
+        grid = Grid.build(TricomiDomain(-1.0), 48, 48)
+        pair = EigenPair(grid=grid, lam=2.5, field=np.ones((48, 48)), residual=1e-12)
+        got = Dilation(-1.0).pair(pair)
+        assert (got.lam, got.residual, got.imag) == (pair.lam, pair.residual, pair.imag)
+        for a, b in ((got.field, pair.field), (got.grid.xs, grid.xs), (got.grid.ys, grid.ys)):
+            assert np.array_equal(a, b)
+
+    def test_maps_only_from_minus_1(self):
+        grid = Grid.build(TricomiDomain(-0.5), 48, 48)
+        pair = EigenPair(grid=grid, lam=2.5, field=np.ones((48, 48)), residual=0.0)
+        with pytest.raises(ValueError, match="x0 = -1"):
+            Dilation(-2.0).pair(pair)
+        traces, _ = trace_norms(pair)
+        with pytest.raises(ValueError, match="x0 = -1"):
+            Dilation(-2.0).traces(traces)
+
+    @pytest.mark.parametrize("x0, quantity, fault", [
+        (-1e-300, "lambda", "overflows"), (-1e300, "lambda", "underflows"),
+        (-1e-200, "u_x", "overflows"), (-1e200, "u_x", "underflows"),
+        (-1e-320, "x", "underflows"),
+    ])
+    def test_scale_names_the_quantity_out_of_range(self, x0, quantity, fault):
+        # lambda's scale holds from about 1e-231 to 1e231, u_x's only from
+        # about 1e-168 to 1e168.
+        with pytest.raises(OverflowError) as exc:
+            Dilation(x0).scale(quantity)
+        assert str(exc.value) == (f"{quantity}'s scale |x0|^(" + {
+            "lambda": "-4/3", "u_x": "-11/6", "x": "1"}[quantity]
+            + f") {fault} a float at x0={x0!r}")
+        if quantity == "u_x":
+            assert math.isfinite(Dilation(x0).scale("lambda"))
+
+    @pytest.mark.parametrize("x0", [0.0, 0.5, math.inf, -math.inf, math.nan])
+    def test_rejects_an_x0_off_the_family(self, x0):
+        with pytest.raises(ValueError):
+            Dilation(x0)
+
+
 # Every name the package exports: (defining module, names).  The package
 # loads each on first use.
 _PACKAGE_EXPORTS = (
@@ -699,8 +813,9 @@ _PACKAGE_EXPORTS = (
     ("report", ("VerificationReport", "reports_to_csv", "reports_to_jsonl")),
     ("verifier", ("find_inflection", "verify_G1_bounds", "verify_G2_bounds",
                   "verify_h_profile", "verify_profiles")),
-    ("eigensolver", ("EigenPair", "Grid", "TricomiOperator", "assemble", "field_csv",
-                     "solve_real_spectrum", "trace_norms")),
+    ("eigensolver", ("Dilation", "EigenPair", "Grid", "TricomiOperator", "assemble",
+                     "boundary_traces", "field_csv", "solve_real_spectrum",
+                     "trace_norms")),
 )
 
 
@@ -709,7 +824,7 @@ class TestExport:
         import sys
 
         import tricomi
-        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 45
+        assert sum(len(names) for _, names in _PACKAGE_EXPORTS) == 47
         for module, names in _PACKAGE_EXPORTS + (("cli", ()),):
             mod = getattr(tricomi, module)
             assert mod is sys.modules[f"tricomi.{module}"]
@@ -747,7 +862,8 @@ class TestRecords:
         (lambda op: VerificationReport(claim_id="c", x0=-0.5, grid_size=1,
                                        worst_margin=0.0, worst_location=-0.5,
                                        passed=True), "passed"),
-    ], ids=["EigenPair", "TricomiOperator", "VerificationReport"])
+        (lambda op: Dilation(-0.5), "x0"),
+    ], ids=["EigenPair", "TricomiOperator", "VerificationReport", "Dilation"])
     def test_frozen(self, op64, make, name):
         record = make(op64)
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -18,61 +18,57 @@ not move any output.  The commands run in process, through
   the double above -1/2, and at -2/3 and the next double above it.  Some
   of these exit 1 near -sqrt(3)/4, where the h-profile checks fail;
 - `bound` on non-square meshes (65x47, 200x40, 34x32) at x0 = -0.5, and
-  at 48^2 for x0 = -1e-3 and -1e3.  At x0 = -0.5 these meshes, and 41x53,
-  have no positive real pair with the default count, so `eigen` on each
-  (which prints the pairs it found) carries their matrices and cut cells
-  into the digests.  `bound` at 65x47 and x0 = -0.125 follows, then at
+  at 48^2 for x0 = -1e-3 and -1e3.  200x40, 34x32 and 41x53 have no
+  positive real pair among the four nearest the shift, and 65x47 picks a
+  wrong mode (lambda |x0|^(4/3) = 3.11, +25 %), so `eigen` on each (which
+  prints the pairs it found) carries their matrices and cut cells into
+  the digests.  `bound` at 65x47 and x0 = -0.125 follows, then at
   x0 = -2.  `bound --count 8` there, at x0 = -0.5 and -0.125, records the
   usage error (exit 2) that `bound` gives any `--count`;
-- `bound` at 40^2 for x0 = -0.5 and then -2 (one pattern), at 182^2 and
-  at 242x100 for x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79, 6.22
-  and 5.89) that the principal pass leaves unconverged, so that `bound`
-  exits 1 on the residual gate;
+- `bound` at 40^2 for x0 = -0.5 and then -2, at 182^2 and at 242x100 for
+  x0 = -0.5: wrong modes (lambda |x0|^(4/3) of 5.79, 6.22 and 5.89) that
+  the principal pass leaves unconverged, so that `bound` exits 1 on the
+  residual gate;
 - `plot h|domain|eigen` at x0 = -0.5, and `plot eigen` on a 41x53 mesh
   and at 40^2;
-- `eigen --format csv --out`, at the default mesh and at 40^2.
+- `eigen --format csv --out`, at the default mesh and at 40^2;
+- `bound` at 200^2 and x0 = -2, `eigen` at 40^2 and x0 = -1e80, and
+  `eigen` at -1e-300 and `bound` at -1e300, which exit 1 naming lambda's
+  scale |x0|^(-4/3).
 
-Between them they reach every path of `solve_real_spectrum`:
+Every solve runs at x0 = -1 and is mapped to the command's x0.  Between
+them the commands reach every path of `solve_real_spectrum`:
 
-- the principal pass with a pick converged to rounding: every
+- the principal pass with a pick converged to rounding: the first
   `bound-small` op;
 - the principal pass with an unconverged pick, a wrong mode whose
-  residual fails the CLI's gate: `bound --x0 -1e3 --nx 48 --ny 48`,
-  `bound` at 40^2, 182^2 and 242x100, and `plot eigen` and `eigen
-  --format csv` at 40^2; and one that passes it, `bound --x0 -2` at 65x47
-  (a backward error of 94 machine epsilons);
+  residual fails the CLI's gate: `bound` at 40^2, 182^2 and 242x100, and
+  `plot eigen` and `eigen --format csv` at 40^2; and one that passes it,
+  `bound` at 65x47 (a backward error of 94 machine epsilons);
 - the principal pass with no positive real pair: `mesh-sweep` at 256^2
-  (and `bound` on the non-square meshes);
+  (and `bound` on 200x40 and 34x32);
 - the default `count`-pair path: `eigen --count 2` and the non-square
   `eigen` commands.
 
-The traces reach every rung of `trace_norms`' pull-back ladder (d, 1.5d,
-2d, 3d, 4d and 6d): the 64^2 `bound-small` ops at x0 ~ -0.819, -0.863 and
--0.941 take BC samples from rungs 2-6 between them.
+The traces are taken at x0 = -1 only, where the BC samples resolve at the
+first four rungs of `trace_norms`' pull-back ladder (d, 1.5d, 2d and 3d).
 
-The commands run in one process, and each solve reuses the column order of
-the last sparsity pattern factored when its pattern is the same, else
-orders it with COLAMD afresh.  One mesh need not have one pattern at
-every x0 when ny is odd: 65x47 stores 13 163 entries at x0 = -0.5 and
--0.125 and 12 805 at -2.  The order reaches:
-
-- every path above but the one with no positive real pair, with a reused
-  order: `bound-small`'s 64^2 ops after the first, `eigen --count 2`
-  (64^2), `bound --x0 -1e3 --nx 48 --ny 48` after `-1e-3` on the same
-  mesh, `plot eigen --x0 -0.5` (48^2) after it, and `bound --x0 -2` at
-  40^2 after `-0.5` there, whose pick is unconverged;
-- COLAMD afresh: each `mesh-sweep` size, the first `bound-small` op after
-  `mesh-sweep`, `bound --x0 -0.5` at 40^2 and 182^2, `plot eigen` and
-  `eigen --format csv` at 40^2, and every non-square command.  `bound --x0 -2 --nx 65 --ny 47` among them follows `-0.125`
-  on the same mesh, with as many unknowns but another pattern.
+The commands run in one process, and the CLI keeps the last x0 = -1 solve
+with its key (nx, ny, count, principal_only): a command with the key of
+the solve before it solves nothing and maps that one.  So do the
+`bound-small` ops after the first, `bound` at 65x47, x0 = -2, after
+-0.125, at 40^2, x0 = -2, after -0.5, and at 48^2, x0 = -1e3, after
+-1e-3, and `plot eigen --x0 -0.5` (48^2) after it.  Every other solve
+factors, and reuses the column order of the last sparsity pattern factored
+when its pattern is the same (`eigen --count 2` at 64^2 after
+`bound-small`'s), else orders it with COLAMD afresh (each `mesh-sweep`
+size and every other mesh change).
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
 interpreter's exit, importing the same sources as the in-process commands.
 Their lines, framed as the in-process ones, name the command with the
 `python -m tricomi.cli` prefix.
-
-`eigen` at x0 <= -1e80 stays out: its stdout changes from run to run.
 
 An --out path is written as OUT in the argv; each run replaces it with a
 fresh temporary file and hashes that file's bytes, not its path.
@@ -195,6 +191,10 @@ def commands() -> list:
     cmds.append(["eigen", "--x0", "-0.5", "--format", "csv", "--out", OUT])
     cmds.append(["eigen", "--x0", "-0.5", "--nx", "40", "--ny", "40",
                  "--format", "csv", "--out", OUT])
+    cmds.append(["bound", "--x0", "-2", "--nx", "200", "--ny", "200"])
+    cmds.append(["eigen", "--x0", "-1e80", "--nx", "40", "--ny", "40"])
+    cmds.append(["eigen", "--x0", "-1e-300"])
+    cmds.append(["bound", "--x0", "-1e300"])
     return [list(c) for c in dict.fromkeys(map(tuple, cmds))]
 
 

@@ -3,16 +3,22 @@
     PYTHONPATH=src python tools/stages.py LABEL [--sizes 64 128 256 512]
                                                 [--repeats 5] [--dir DIR]
 
-The script calls the library directly.  On each n x n mesh at x0 = -0.5 it
-times `Grid.build`, `assemble`, `area_l2_norm_sq`, the principal solve split
-in two (`splu`, its own factorization of A - shift I, timed by a wrapper on
+The script calls the library directly, but for the two `bound` rows below.
+On each n x n mesh at x0 = -0.5 it times `Grid.build`, `assemble`,
+`area_l2_norm_sq`, the principal solve split in two (`splu`, its own
+factorization of A - shift I, timed by a wrapper on
 scipy.sparse.linalg.splu for the duration of the call, and `arnoldi`, the
 rest of the same call), `trace_norms`, and identity + bound
 (`pohozaev_residual`, the ledger and `bound_check`).  Where the solve finds
 no positive real pair, as at 256^2, the record says so and the later stages
-are not run.  It also times each `verify` check but `all`, through the
-CLI's own table of checks and with its default sampling, at x0 = -0.5 and
--2, and each of the six commands of the benchmark's `cli-cold` workload
+are not run.  Two rows time a whole in-process `bound` through
+`tricomi.cli.run`: `bound_first`, the first `bound` on the mesh (the CLI's
+memoized x0 = -1 solve and the recorded column order are dropped before
+each repeat), and `bound_repeat`, a `bound` at x0 = -2 on the mesh that
+the last `bound` solved, which maps that solve to x0 instead of solving
+again.  It also times each `verify` check but `all`, through the CLI's own
+table of checks and with its default sampling, at x0 = -0.5 and -2, and
+each of the six commands of the benchmark's `cli-cold` workload
 (perfbench/workloads.py) as a `python -m tricomi.cli` process, from start
 to exit.
 
@@ -87,6 +93,29 @@ def _principal_solve(clock, op, repeats: int):
     return lu_s[0], statistics.median(lu_s), statistics.median(rest_s), result
 
 
+def _bound_rows(clock, n: int, repeats: int) -> dict:
+    """`bound_first` and `bound_repeat` on the n x n mesh: medians of an
+    in-process `bound` at x0 = X0 with nothing memoized, and at -2 after
+    it.  Both run at 256^2 too, where `bound` exits 1 without a pair."""
+    import contextlib
+    import io
+
+    from tricomi import cli, eigensolver
+
+    mesh = ["--nx", str(n), "--ny", str(n)]
+
+    def bound(x0, first=False):
+        if first:
+            cli._canonical = eigensolver._last_order = None
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            cli.run(["bound", "--x0", repr(x0), *mesh])
+
+    first, _ = _timed(clock, lambda: bound(X0, first=True), repeats)
+    repeat, _ = _timed(clock, lambda: bound(-2.0), repeats)
+    return {"bound_first": first, "bound_repeat": repeat}
+
+
 def eigen_stages(clock, n: int, repeats: int) -> dict:
     """Stage medians of the principal solve and `bound` on the n x n mesh."""
     from tricomi import eigensolver, pohozaev
@@ -103,6 +132,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
         clock, lambda: pohozaev.area_l2_norm_sq(grid, U), repeats)
     row["splu_first"], row["splu"], row["arnoldi"], (pairs, _) = _principal_solve(
         clock, op, repeats)
+    row.update(_bound_rows(clock, n, repeats))
     if not pairs:
         row["skipped"] = "no positive real eigenvalue: trace_norms and identity_bound not run"
         return row
