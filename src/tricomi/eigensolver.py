@@ -269,13 +269,6 @@ def _is_real(lam) -> bool:
     return not abs(lam.imag) > _REAL_EIG_RTOL * abs(lam)
 
 
-def _kept(w, principal_only: bool) -> list:
-    """Indices of the real eigenvalues in w (sorted by |w|), or with
-    `principal_only` of the first positive one alone, if any."""
-    real = [i for i, lam in enumerate(w) if _is_real(lam)]
-    return [i for i in real if w[i].real > 0][:1] if principal_only else real
-
-
 def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
     """The pair (lam, v) with v turned real (its largest entry rotated onto
     the real axis), its algebraic residual |Av - Re(lam) v| / |v|, and v
@@ -292,35 +285,6 @@ def _real_pair(op: TricomiOperator, lam, v) -> EigenPair:
                      imag=float(lam.imag))
 
 
-# The last sparsity pattern factored and its column order, as
-# (indptr, indices, order), or None: one entry.
-_last_order = None
-
-
-def _shift_invert_solve(shifted: sp.csc_matrix):
-    """The solve b -> shifted^-1 b of one `splu` of `shifted`.
-
-    A pattern other than the last one factored is factored as
-    `splu(shifted)` factors it, with COLAMD's column order, and its indptr
-    and indices are recorded with that order (the inverse of `perm_c`).
-    When both arrays equal the recorded ones, `shifted` is factored as
-    shifted[:, order] with the natural order, and each solve is permuted
-    back: COLAMD's order depends on the pattern alone, so this is the same
-    LU without recomputing it, and its solves are the same bit for bit.  A
-    factorization that raises records nothing.
-    """
-    global _last_order
-    last = _last_order
-    if (last is not None and np.array_equal(last[0], shifted.indptr)
-            and np.array_equal(last[1], shifted.indices)):
-        lu = spla.splu(shifted[:, last[2]], permc_spec="NATURAL")
-        perm_c = np.argsort(last[2])
-        return lambda b: lu.solve(b)[perm_c]
-    lu = spla.splu(shifted)
-    _last_order = shifted.indptr, shifted.indices, np.argsort(lu.perm_c)
-    return lu.solve
-
-
 def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
                         principal_only: bool = False):
     """Up to `count` smallest-magnitude eigenpairs via shift-invert Arnoldi.
@@ -331,20 +295,14 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     normalized to unit L2(Omega) norm with nonnegative mean and carries its
     algebraic residual.
 
-    A - shift I is factored once, to the LU that `eigs(A, sigma=shift)`
-    would build, and one Arnoldi pass over `count` pairs runs on that LU
-    from a fixed start vector.  When the sparsity pattern is the one
-    factored last (the 64^2 mesh at another x0, say), the columns are
-    permuted by the COLAMD order recorded for it instead of ordering them
-    again: the LU, and every eigenpair, stay the same bit for bit
-    (`_shift_invert_solve`).  An odd ny can change the pattern with x0
-    (65x47 stores 13 163 entries at x0 = -0.5 and 12 805 at -1 and -2);
-    the CLI solves at x0 = -1 only.  By default the pass runs at the Ritz
-    tolerance 1e-12 and returns exactly the eigenpairs of that `eigs` call.
-    ARPACK stops at 1e-12, not at machine epsilon: past it the LU solves'
-    own relative residual bounds what the iteration can gain, and neither
-    lambda nor the residual improves.  The callers certify residuals to
-    1e-8.
+    A - shift I is factored once with `splu`, to the LU that
+    `eigs(A, sigma=shift)` would build, and one Arnoldi pass over `count`
+    pairs runs on that LU from a fixed start vector.  By default the pass
+    runs at the Ritz tolerance 1e-12 and returns exactly the eigenpairs of
+    that `eigs` call.  ARPACK stops at 1e-12, not at machine epsilon: past
+    it the LU solves' own relative residual bounds what the iteration can
+    gain, and neither lambda nor the residual improves.  The callers certify
+    residuals to 1e-8.
 
     With `principal_only`, real_pairs holds at most the principal pair (the
     real pair of smallest magnitude with lambda > 0), from the pass at the
@@ -367,15 +325,18 @@ def solve_real_spectrum(op: TricomiOperator, count: int, shift: float = 1e-3, *,
     shifted = op.matrix.tocsc(copy=True)
     shifted.setdiag(shifted.diagonal() - shift)
     try:
-        solve = _shift_invert_solve(shifted)
+        lu = spla.splu(shifted)
     except RuntimeError as exc:
         raise RuntimeError(f"shift-invert factorization failed ({exc})") from exc
-    OPinv = spla.LinearOperator(op.matrix.shape, matvec=solve, dtype=float)
+    OPinv = spla.LinearOperator(op.matrix.shape, matvec=lu.solve, dtype=float)
     w, V = spla.eigs(op.matrix, k=k, sigma=shift, which="LM", v0=v0,
                      tol=_PICK_TOL if principal_only else _RITZ_TOL, OPinv=OPinv)
     order = np.argsort(np.abs(w))
     w, V = w[order], V[:, order]
-    return ([_real_pair(op, w[i], V[:, i]) for i in _kept(w, principal_only)],
+    kept = [i for i, lam in enumerate(w) if _is_real(lam)]
+    if principal_only:
+        kept = [i for i in kept if w[i].real > 0][:1]
+    return ([_real_pair(op, w[i], V[:, i]) for i in kept],
             [complex(lam) for lam in w if not _is_real(lam)])
 
 

@@ -227,19 +227,28 @@ def norm_bundle_from_traces(bc: BoundaryTrace, sigma: BoundaryTrace) -> Boundary
     """Discrete boundary norms with the same quadrature as line_integral.
 
     Single traces give a float in every field; batched traces (all with the
-    same batch axes) give arrays over those axes.
+    same batch axes) give arrays over those axes.  Overflow raises: in a
+    squared field, an OverflowError naming it, the curve and x0.
     """
+
+    def squared(trace, field):
+        try:
+            return getattr(trace, field.replace("_", "")) ** 2
+        except FloatingPointError:
+            raise OverflowError(f"{field}^2 on {trace.curve.kind} overflows a float "
+                                f"at x0={trace.curve.dom.x0!r}") from None
 
     def norm(trace, values):
         return np.sqrt(np.maximum(line_integral(trace, values), 0.0))
 
-    norms = {
-        "u_L2_BC": norm(bc, bc.u**2),
-        "w_ux_L2_BC": norm(bc, np.abs(bc.y) * bc.ux**2),
-        "uy_L2_BC": norm(bc, bc.uy**2),
-        "w_ux_L2_sigma": norm(sigma, np.abs(sigma.y) * sigma.ux**2),
-        "uy_L2_sigma": norm(sigma, sigma.uy**2),
-    }
+    with np.errstate(over="raise"):
+        norms = {
+            "u_L2_BC": norm(bc, squared(bc, "u")),
+            "w_ux_L2_BC": norm(bc, np.abs(bc.y) * squared(bc, "u_x")),
+            "uy_L2_BC": norm(bc, squared(bc, "u_y")),
+            "w_ux_L2_sigma": norm(sigma, np.abs(sigma.y) * squared(sigma, "u_x")),
+            "uy_L2_sigma": norm(sigma, squared(sigma, "u_y")),
+        }
     return BoundaryNormBundle(**{name: float(v) if np.ndim(v) == 0 else v
                                  for name, v in norms.items()})
 

@@ -663,9 +663,11 @@ class TestEdgeInputs:
 
     def test_singular_factorization_names_only_its_cause(self, capsys, monkeypatch):
         # A singular A - shift I (as at x0 = -1e-120, 48^2, where the library
-        # solves at that x0; the CLI solves at x0 = -1, where it is not).
-        # The error names the failed factorization and gives no advice: no
-        # option sets the shift, and a finer grid does not help.
+        # solves at that x0: test_eigensolver.py's
+        # TestRepeatedSolve::test_singular_factorization_is_named; the CLI
+        # solves at x0 = -1, where it is not).  The error names the failed
+        # factorization and gives no advice: no option sets the shift, and a
+        # finer grid does not help.
         import scipy.sparse.linalg as spla
 
         def singular(*args, **kwargs):
@@ -719,6 +721,43 @@ class TestEdgeInputs:
         error = json.loads(err)["error"]
         assert error.endswith(f"lambda's scale |x0|^(-4/3) {fault} a float "
                               f"at x0={float(x0)!r}")
+
+    @pytest.mark.parametrize("x0", ["-1e-100", "-1e-150"])
+    def test_squared_trace_overflow_names_it(self, capsys, x0):
+        # u_x on BC, mapped from x0 = -1, exceeds 1e154 from |x0| ~ 1e-84:
+        # its square overflows although the weighted norm is finite.
+        code, out, err = _run(capsys, "bound", "--x0", x0, "--nx", "48", "--ny", "48")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            f"bound check failed: u_x^2 on BC overflows a float at x0={float(x0)!r}")
+
+    def test_bound_below_the_overflow_passes(self, capsys):
+        code, out, err = _run(capsys, "bound", "--x0", "-1e-80", "--nx", "48", "--ny", "48")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["passed"] is True
+        assert record["identity"]["relative_residual"] == pytest.approx(0.0960, abs=5e-5)
+
+    def test_tiny_x0_bands(self, capsys):
+        # `bound` on 48^2 at x0 = -10^k, k = -300..-1: every k exits as the
+        # band it lies in, with one JSON line naming that band's cause.
+        # Only -1e-158..-1e-84 names the squared field; the other failing
+        # bands are numpy's own messages.
+        bands = [(-300, "lambda's scale |x0|^(-4/3) overflows"),
+                 (-231, "u_x's scale |x0|^(-11/6) overflows"),
+                 (-168, "overflow encountered in multiply"),
+                 (-167, "divide by zero encountered in divide"),
+                 (-158, "u_x^2 on BC overflows"),
+                 (-83, None)]
+        for k in range(-300, 0):
+            cause = next(c for start, c in reversed(bands) if k >= start)
+            code, out, err = _run(capsys, "bound", "--x0", f"-1e{k}", "--nx", "48",
+                                  "--ny", "48")
+            if cause is None:
+                assert (code, err) == (0, ""), k
+            else:
+                assert code == 1 and out == "" and len(err.splitlines()) == 1, k
+                assert cause in json.loads(err)["error"], k
 
     def test_residual_gate_is_relative_to_lambda(self, capsys):
         # x0 -> 0-: lambda grows as |x0|^(-4/3), and with it the algebraic

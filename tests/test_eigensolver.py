@@ -106,6 +106,16 @@ class TestConsistency:
         assert float(np.sum(A.data**2)) == pytest.approx(sum_sq, rel=1e-12)
         assert float(w @ (A @ v)) == pytest.approx(bilinear, rel=1e-12)
 
+    def test_odd_ny_pattern_moves_with_x0(self):
+        # On an odd ny the middle row holds y = 0 at some x0 and about
+        # -1e-16 at others, which turns the damping of that whole row on or
+        # off: 65x47 keeps its unknowns but not its pattern across x0.  The
+        # CLI solves at x0 = -1 only.
+        ops = [assemble(Grid.build(TricomiDomain(x0), 65, 47))
+               for x0 in (-0.5, -0.125, -2.0, -1.0)]
+        assert len({op.n for op in ops}) == 1
+        assert [op.matrix.nnz for op in ops] == [13163, 13163, 12805, 12805]
+
     def test_interior_order_at_least_1_8(self, dom):
         def truncation(n):
             grid = Grid.build(dom, n, n)
@@ -189,9 +199,6 @@ def _count_lu(monkeypatch):
     class Counted:
         def __init__(self, lu):
             self._lu = lu
-
-        def __getattr__(self, name):
-            return getattr(self._lu, name)
 
         def solve(self, b, *args):
             calls["solve"] += 1
@@ -323,27 +330,20 @@ class TestPrincipalOnly:
 
     @pytest.mark.parametrize("n", [64, 80])
     def test_factors_a_minus_shift_identity(self, dom, monkeypatch, n):
-        # The shift comes off the stored diagonal.  A pattern seen first is
-        # factored as exactly the arrays of (A - shift I).tocsc() in COLAMD's
-        # order; seen again, as exactly (A - shift I).tocsc()[:, order] in
-        # the natural order, with order the inverse of COLAMD's perm_c.
+        # The shift comes off the stored diagonal.  Each call factors exactly
+        # the arrays of (A - shift I).tocsc() in splu's default (COLAMD)
+        # column order, the second call as the first.
         import scipy.sparse as sp
-        import scipy.sparse.linalg as spla
-
-        import tricomi.eigensolver as eigensolver
         op = assemble(Grid.build(dom, n, n))
         want = (op.matrix - 1e-3 * sp.eye(op.n)).tocsc()
-        order = np.argsort(spla.splu(want).perm_c)
-        monkeypatch.setattr(eigensolver, "_last_order", None)
         factored = _record_splu(monkeypatch)
         solve_real_spectrum(op, 1)
         solve_real_spectrum(op, 1)
-        (first, first_kw), (again, again_kw) = factored
-        assert first_kw == {} and again_kw == {"permc_spec": "NATURAL"}
-        for M, W in ((first, want), (again, want[:, order])):
-            assert M.format == "csc"
+        assert len(factored) == 2
+        for M, kwargs in factored:
+            assert kwargs == {} and M.format == "csc"
             for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(M, name), getattr(W, name))
+                assert np.array_equal(getattr(M, name), getattr(want, name))
 
     def test_normalizes_only_the_principal_pair(self, dom, monkeypatch):
         # At 80^2 the loose pass finds two real pairs, the spurious negative
@@ -408,16 +408,10 @@ def _assert_same_solve(got, want):
         assert np.array_equal(p.field, q.field)
 
 
-class TestOrderReuse:
-    # A pattern factored again reuses the COLAMD column order recorded for
-    # it, the last one factored alone: the same LU, so the same eigenpairs.
-    @pytest.fixture
-    def cold(self, monkeypatch):
-        """No order recorded; the `splu` calls' keyword arguments."""
-        import tricomi.eigensolver as eigensolver
-        monkeypatch.setattr(eigensolver, "_last_order", None)
-        return _record_splu(monkeypatch)
-
+class TestRepeatedSolve:
+    # A solve depends on its operator alone: repeated on one operator, or
+    # run after solves on another mesh and then on its own mesh at another
+    # x0 (as many unknowns), it is the first solve bit for bit.
     @pytest.mark.parametrize("x0, nx, ny, count, principal_only", [
         (-0.5, 64, 64, 4, True), (-0.5, 80, 80, 4, True), (-0.5, 97, 61, 4, True),
         (-0.5, 65, 47, 8, True), (-0.5, 200, 40, 4, True),
@@ -425,78 +419,28 @@ class TestOrderReuse:
         (-1e3, 48, 48, 4, True),    # the loose pick is a wrong mode, unconverged
         (-0.5, 64, 64, 4, False),   # the default count-pair path
     ])
-    def test_reused_order_gives_the_same_solve(self, cold, x0, nx, ny, count,
-                                               principal_only):
+    def test_repeat_is_the_cold_solve(self, x0, nx, ny, count, principal_only):
         op = assemble(Grid.build(TricomiDomain(x0), nx, ny))
         first = solve_real_spectrum(op, count, principal_only=principal_only)
-        again = solve_real_spectrum(op, count, principal_only=principal_only)
-        assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}]
-        _assert_same_solve(again, first)
+        _assert_same_solve(solve_real_spectrum(op, count, principal_only=principal_only),
+                           first)
+        for other_x0, other_nx, other_ny in ((-2.0, 40, 40), (2.0 * x0, nx, ny)):
+            solve_real_spectrum(assemble(Grid.build(TricomiDomain(other_x0), other_nx,
+                                                    other_ny)), 1)
+        _assert_same_solve(solve_real_spectrum(op, count, principal_only=principal_only),
+                           first)
 
-    def test_one_mesh_shares_its_order_across_x0(self, cold, monkeypatch):
-        # Under the dilation the 64^2 pattern is the same at every x0, so a
-        # sweep over x0 orders once.
-        import tricomi.eigensolver as eigensolver
-        ops = [assemble(Grid.build(TricomiDomain(x0), 64, 64)) for x0 in (-4.0, -0.5)]
-        solve_real_spectrum(ops[0], 4, principal_only=True)
-        again = solve_real_spectrum(ops[1], 4, principal_only=True)
-        monkeypatch.setattr(eigensolver, "_last_order", None)
-        first = solve_real_spectrum(ops[1], 4, principal_only=True)
-        assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}, {}]
-        _assert_same_solve(again, first)
-
-    def test_a_changed_pattern_on_one_mesh_is_ordered_afresh(self, cold, monkeypatch):
-        # 65x47 stores 13 163 entries at x0 = -0.5 and -0.125 but 12 805 at
-        # -2: as many unknowns, another pattern.  Only the second solve
-        # reuses an order, and each solve is the cold one bit for bit.
-        import tricomi.eigensolver as eigensolver
-        ops = [assemble(Grid.build(TricomiDomain(x0), 65, 47)) for x0 in (-0.5, -0.125, -2.0)]
-        assert [op.matrix.nnz for op in ops] == [13163, 13163, 12805]
-        warm = [solve_real_spectrum(op, 4, principal_only=True) for op in ops]
-        assert [kw for _, kw in cold] == [{}, {"permc_spec": "NATURAL"}, {}]
-        for op, got in zip(ops, warm):
-            monkeypatch.setattr(eigensolver, "_last_order", None)
-            _assert_same_solve(got, solve_real_spectrum(op, 4, principal_only=True))
-
-    def test_holds_one_pattern(self, dom, cold):
-        # After another mesh, the first one is ordered by COLAMD again, and
-        # only the last mesh's order is kept.
-        import scipy.sparse.linalg as spla
-
-        import tricomi.eigensolver as eigensolver
-        op64, op80 = (assemble(Grid.build(dom, n, n)) for n in (64, 80))
-        for op in (op64, op80, op64):
-            solve_real_spectrum(op, 1)
-        assert [kw for _, kw in cold] == [{}, {}, {}]
-        indptr, indices, order = eigensolver._last_order
-        last = cold[-1][0]
-        assert np.array_equal(indptr, last.indptr) and np.array_equal(indices, last.indices)
-        assert np.array_equal(order, np.argsort(spla.splu(last).perm_c))
-
-    def test_singular_factorization_records_nothing(self, cold):
+    def test_singular_factorization_is_named(self):
         # At x0 = -1e-120 (48^2) A - shift I is singular in floating point.
-        # Both paths fail with the same message and leave the order as it
-        # was; the hit is set up by a nonsingular matrix of the same pattern.
-        import tricomi.eigensolver as eigensolver
+        # The solve names the failed factorization, and the next healthy
+        # solve is the first one bit for bit.
+        healthy = assemble(Grid.build(TricomiDomain(-0.5), 48, 48))
+        first = solve_real_spectrum(healthy, 4, principal_only=True)
         op = assemble(Grid.build(TricomiDomain(-1e-120), 48, 48))
-
-        def failure():
-            recorded = eigensolver._last_order
-            with pytest.raises(RuntimeError) as exc:
-                solve_real_spectrum(op, 4, principal_only=True)
-            assert eigensolver._last_order is recorded
-            return str(exc.value)
-
-        solve_real_spectrum(assemble(Grid.build(TricomiDomain(-0.5), 48, 48)), 1)
-        first = failure()
-        dominant = op.matrix.tocsc(copy=True)
-        dominant.data[:] = 1.0
-        dominant.setdiag(100.0)
-        eigensolver._shift_invert_solve(dominant)
-        again = failure()
-        assert [kw for _, kw in cold] == [{}, {}, {}, {"permc_spec": "NATURAL"}]
-        assert again == first
-        assert first.startswith("shift-invert factorization failed (")
+        with pytest.raises(RuntimeError) as exc:
+            solve_real_spectrum(op, 4, principal_only=True)
+        assert str(exc.value).startswith("shift-invert factorization failed (")
+        _assert_same_solve(solve_real_spectrum(healthy, 4, principal_only=True), first)
 
 
 def test_arpack_error_is_not_a_factorization_failure(monkeypatch):

@@ -216,6 +216,23 @@ class TestNormBundle:
         exact = quad(lambda t: -t * math.sqrt(1.0 - t), dom.y_C, 0.0)[0]
         assert bundle.w_ux_L2_BC**2 == pytest.approx(exact, rel=1e-7)
 
+    @pytest.mark.parametrize("curve, field, name", [
+        ("BC", "u", "u"), ("BC", "ux", "u_x"), ("BC", "uy", "u_y"),
+        ("Sigma", "ux", "u_x"), ("Sigma", "uy", "u_y")])
+    def test_squared_overflow_names_the_field(self, dom, curve, field, name):
+        # Under numpy's default error state too: no inf reaches the norms.
+        n = 40
+        bc, sg = bc_trace(dom, n), sigma_trace(dom, n)
+        big = np.full(n, 1e200)
+        if curve == "BC":
+            bc = bc.filled(**{field: big})
+        else:
+            sg = sg.filled(**{field: big})
+        with pytest.raises(OverflowError) as exc:
+            norm_bundle_from_traces(bc, sg)
+        assert str(exc.value) == (
+            f"{name}^2 on {curve} overflows a float at x0={dom.x0!r}")
+
     def test_batched_bundle_matches_rows(self, dom):
         # Every field of a batched bundle equals the bundle of each row, bit
         # for bit; single traces give Python floats.

@@ -10,9 +10,8 @@ from tricomi.cli import _VERIFY_CHECKS
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
-_EIGEN_STAGES = {"Grid.build", "assemble", "area_l2_norm_sq", "splu_first", "splu",
-                 "arnoldi", "trace_norms", "identity_bound", "bound_first",
-                 "bound_repeat"}
+_EIGEN_STAGES = {"Grid.build", "assemble", "area_l2_norm_sq", "splu", "arnoldi",
+                 "trace_norms", "identity_bound", "bound_first", "bound_repeat"}
 
 
 def _cli_cold():
@@ -42,8 +41,6 @@ def test_writes_every_stage_at_64(tmp_path):
     assert set(record["eigen"]) == {"64"}
     row = record["eigen"]["64"]
     assert set(row) == _EIGEN_STAGES | {"unknowns"} and row["unknowns"] == 2758
-    # One repeat: its splu is both the first and the median.
-    assert row["splu_first"] == row["splu"]
     assert set(record["verify"]) == {"-0.5", "-2.0"}
     assert all(set(checks) == set(_VERIFY_CHECKS) - {"all"}
                for checks in record["verify"].values())

@@ -59,10 +59,8 @@ the solve before it solves nothing and maps that one.  So do the
 `bound-small` ops after the first, `bound` at 65x47, x0 = -2, after
 -0.125, at 40^2, x0 = -2, after -0.5, and at 48^2, x0 = -1e3, after
 -1e-3, and `plot eigen --x0 -0.5` (48^2) after it.  Every other solve
-factors, and reuses the column order of the last sparsity pattern factored
-when its pattern is the same (`eigen --count 2` at 64^2 after
-`bound-small`'s), else orders it with COLAMD afresh (each `mesh-sweep`
-size and every other mesh change).
+factors A - shift I once with `splu`, which orders the columns with COLAMD:
+71 factorizations over the 204 in-process commands.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
@@ -175,10 +173,11 @@ def commands() -> list:
     # bound takes no --count: both lines record its usage error.
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47", "--count", "8"])
     cmds.append(["bound", "--x0", "-0.125", "--nx", "65", "--ny", "47"])
-    # The same mesh with another pattern (12 805 entries): ordered afresh.
+    # The same mesh at x0 = -2 maps the memoized x0 = -1 solve and factors
+    # nothing (assembled at -2 itself, its pattern would differ).
     cmds.append(["bound", "--x0", "-2", "--nx", "65", "--ny", "47"])
-    # Unconverged picks: afresh at 40^2, reused at -2, afresh at 182^2 and
-    # 242x100.
+    # Unconverged picks at 40^2, 182^2 and 242x100; 40^2 at -2 maps the
+    # memoized solve of -0.5.
     for x0, nx, ny in (("-0.5", "40", "40"), ("-2", "40", "40"),
                        ("-0.5", "182", "182"), ("-0.5", "242", "100")):
         cmds.append(["bound", "--x0", x0, "--nx", nx, "--ny", ny])

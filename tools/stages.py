@@ -13,20 +13,17 @@ rest of the same call), `trace_norms`, and identity + bound
 no positive real pair, as at 256^2, the record says so and the later stages
 are not run.  Two rows time a whole in-process `bound` through
 `tricomi.cli.run`: `bound_first`, the first `bound` on the mesh (the CLI's
-memoized x0 = -1 solve and the recorded column order are dropped before
-each repeat), and `bound_repeat`, a `bound` at x0 = -2 on the mesh that
-the last `bound` solved, which maps that solve to x0 instead of solving
-again.  It also times each `verify` check but `all`, through the CLI's own
-table of checks and with its default sampling, at x0 = -0.5 and -2, and
-each of the six commands of the benchmark's `cli-cold` workload
-(perfbench/workloads.py) as a `python -m tricomi.cli` process, from start
-to exit.
+memoized x0 = -1 solve is dropped before each repeat), and `bound_repeat`,
+a `bound` at x0 = -2 on the mesh that the last `bound` solved, which maps
+that solve to x0 instead of solving again.  Every `splu` orders its
+columns with COLAMD.  It also times each `verify` check but `all`, through
+the CLI's own table of checks and with its default sampling, at x0 = -0.5
+and -2, and each of the six commands of the benchmark's `cli-cold`
+workload (perfbench/workloads.py) as a `python -m tricomi.cli` process,
+from start to exit.
 
 Each figure is the median over the repeats, in seconds scaled to the nominal
 machine speed of perfbench/speed.py, whose `Clock` is imported unchanged.
-The one exception, `splu_first`, is the `splu` of the first solve on each
-mesh: the only one that computes COLAMD's column order, which the later
-repeats reuse for the same pattern.
 As the benchmark does, the process pins itself (and the processes it
 starts) to one CPU with one BLAS thread, and the clock's sampler runs on
 that CPU.  The file records the machine; compare two files only when they
@@ -61,10 +58,9 @@ def _timed(clock, call, repeats: int):
 
 
 def _principal_solve(clock, op, repeats: int):
-    """The first call's `splu` time, the medians of the principal solve's
-    `splu` call and of the rest of the same call, and the last call's
-    result.  Each call's scaled time is split in the ratio of its raw `splu`
-    time to the rest."""
+    """The medians of the principal solve's `splu` call and of the rest of
+    the same call, and the last call's result.  Each call's scaled time is
+    split in the ratio of its raw `splu` time to the rest."""
     import scipy.sparse.linalg as spla
 
     from tricomi import eigensolver
@@ -90,7 +86,7 @@ def _principal_solve(clock, op, repeats: int):
     finally:
         spla.splu = splu
     lu_s, rest_s = zip(*parts)
-    return lu_s[0], statistics.median(lu_s), statistics.median(rest_s), result
+    return statistics.median(lu_s), statistics.median(rest_s), result
 
 
 def _bound_rows(clock, n: int, repeats: int) -> dict:
@@ -100,13 +96,13 @@ def _bound_rows(clock, n: int, repeats: int) -> dict:
     import contextlib
     import io
 
-    from tricomi import cli, eigensolver
+    from tricomi import cli
 
     mesh = ["--nx", str(n), "--ny", str(n)]
 
     def bound(x0, first=False):
         if first:
-            cli._canonical = eigensolver._last_order = None
+            cli._canonical = None
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             cli.run(["bound", "--x0", repr(x0), *mesh])
@@ -130,8 +126,7 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
     U = grid.inside.astype(float)
     row["area_l2_norm_sq"], _ = _timed(
         clock, lambda: pohozaev.area_l2_norm_sq(grid, U), repeats)
-    row["splu_first"], row["splu"], row["arnoldi"], (pairs, _) = _principal_solve(
-        clock, op, repeats)
+    row["splu"], row["arnoldi"], (pairs, _) = _principal_solve(clock, op, repeats)
     row.update(_bound_rows(clock, n, repeats))
     if not pairs:
         row["skipped"] = "no positive real eigenvalue: trace_norms and identity_bound not run"
