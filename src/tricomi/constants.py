@@ -49,7 +49,8 @@ def g1(dom: TricomiDomain, x):
 
 
 def _g2_of(x0: float, x, g):
-    """g2 at abscissae x from g = g(x); the verifier's sweep reuses its g."""
+    """g2 at abscissae x from g = g(x); the verifier's sweep and sigma's
+    traces reuse their g."""
     return 4.0 * (2.0 * x - x0) * g**1.5
 
 

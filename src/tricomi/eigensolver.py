@@ -25,10 +25,11 @@ import scipy.sparse.linalg as spla
 from .geometry import TricomiDomain, _libm_pow
 from .pohozaev import (
     BoundaryNormBundle,
+    BoundaryTrace,
+    _bc_nodes,
+    _sigma_nodes,
     area_l2_norm_sq,
-    bc_trace,
     norm_bundle_from_traces,
-    sigma_trace,
 )
 from .report import csv_table
 
@@ -400,20 +401,22 @@ def boundary_traces(pair: EigenPair) -> dict:
     d = 2.0 * max(grid.hx, grid.hy)
 
     # BC: free boundary, sample u and grad at pulled-back points.
-    bc = bc_trace(grid.dom, _TRACE_NODES)
-    nx_o, ny_o = bc.curve.normal(bc.params)
+    curve, params, weights = _bc_nodes(grid.dom, _TRACE_NODES)
+    nx_o, ny_o = curve.normal(params)
     u, ux, uy = _sample_inward(grid, np.stack((F, Ux, Uy)),
                                np.stack((grid.inside, valid, valid)),
-                               bc.x, bc.y, -nx_o, -ny_o, d)
-    bc = bc.filled(u=u, ux=ux, uy=uy)
+                               *curve.position(params), -nx_o, -ny_o, d)
+    bc = BoundaryTrace(curve, params, weights, u, ux, uy)
 
     # sigma: Dirichlet side, u = 0, grad = (normal derivative) * n.
-    sg = sigma_trace(grid.dom, _TRACE_NODES)
-    nx_o, ny_o = sg.curve.normal(sg.params)
-    u1, = _sample_inward(grid, F[None], grid.inside[None], sg.x, sg.y, -nx_o, -ny_o, d)
-    u2, = _sample_inward(grid, F[None], grid.inside[None], sg.x, sg.y, -nx_o, -ny_o, 2.0 * d)
+    curve, params, weights = _sigma_nodes(grid.dom, _TRACE_NODES)
+    nx_o, ny_o = curve.normal(params)
+    x, y = curve.position(params)
+    u1, = _sample_inward(grid, F[None], grid.inside[None], x, y, -nx_o, -ny_o, d)
+    u2, = _sample_inward(grid, F[None], grid.inside[None], x, y, -nx_o, -ny_o, 2.0 * d)
     un = (-4.0 * u1 + u2) / (2.0 * d)   # normal derivative, u = 0 on sigma
-    return {"BC": bc, "Sigma": sg.filled(ux=un * nx_o, uy=un * ny_o)}
+    return {"BC": bc, "Sigma": BoundaryTrace(curve, params, weights, np.zeros(len(params)),
+                                             un * nx_o, un * ny_o)}
 
 
 def trace_norms(pair: EigenPair) -> tuple[dict, BoundaryNormBundle]:
@@ -490,16 +493,27 @@ class Dilation:
 
     def traces(self, traces: dict) -> dict:
         """x0's {'BC', 'Sigma'} traces of the traces at x0 = -1 that
-        `boundary_traces` gives: `bc_trace` and `sigma_trace` of x0's domain,
-        on as many nodes, filled with the scaled values.  Their nodes are D
-        of the traced nodes up to rounding."""
+        `boundary_traces` gives: on the nodes of `bc_trace` and `sigma_trace`
+        of x0's domain, as many, with the scaled values, each built once.
+        Their nodes are D of the traced nodes up to rounding.  A scaled
+        value that overflows raises OverflowError naming the field, the
+        curve and x0, whatever numpy's errstate."""
         if any(t.curve.dom.x0 != -1.0 for t in traces.values()):
             raise ValueError("a dilation maps traces taken at x0 = -1")
         dom = TricomiDomain(self.x0)
-        su, sux, suy = (self.scale(q) for q in ("u", "u_x", "u_y"))
-        return {kind: make(dom, len(t.params)).filled(u=t.u * su, ux=t.ux * sux, uy=t.uy * suy)
-                for kind, make, t in (("BC", bc_trace, traces["BC"]),
-                                      ("Sigma", sigma_trace, traces["Sigma"]))}
+        scales = {q: self.scale(q) for q in ("u", "u_x", "u_y")}
+        mapped = {"BC": [], "Sigma": []}
+        with np.errstate(over="raise"):
+            for kind, values in mapped.items():
+                t = traces[kind]
+                for q, v in zip(scales, (t.u, t.ux, t.uy)):
+                    try:
+                        values.append(v * scales[q])
+                    except FloatingPointError:
+                        raise OverflowError(f"{q} on {kind} overflows a float "
+                                            f"at x0={self.x0!r}") from None
+        return {kind: BoundaryTrace(*nodes(dom, len(traces[kind].params)), *mapped[kind])
+                for kind, nodes in (("BC", _bc_nodes), ("Sigma", _sigma_nodes))}
 
 
 # -- field export -----------------------------------------------------------

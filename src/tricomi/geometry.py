@@ -117,6 +117,13 @@ class TricomiDomain:
         g *= 2.0 / 3.0
         return np.hypot(x - self.x0, g, out=g)
 
+    def _g_and_h(self, x):
+        """(g, h) at x as arrays, g evaluated once: equal bit for bit to
+        g(x) and h(x)."""
+        x = self._check_range(x)
+        g = self._g(x)
+        return g, self._h_from_g(x, g.copy())
+
     def g(self, x):
         """Height of the normal curve, [9x(2x0 - x)/4]^(1/3) on [2x0, 0]."""
         out = self._g(self._check_range(x))
@@ -242,15 +249,27 @@ def _make_sigma(dom: TricomiDomain) -> BoundaryCurve:
     def normal(t):
         # Endpoint-safe form h(x)^(-1) (x - x0, (2/3) g(x)^2).
         x = -np.asarray(t, dtype=float)
-        hx = dom.h(x)
-        return ((x - dom.x0) / hx, (2.0 / 3.0) * np.asarray(dom.g(x)) ** 2 / hx)
+        g, hx = dom._g_and_h(x)
+        return ((x - dom.x0) / hx, (2.0 / 3.0) * g**2 / hx)
 
     def arc_element(t):
-        # |r'| = (3/2) h(x) / g(x)^2, singular at the endpoints.
         x = -np.asarray(t, dtype=float)
-        return 1.5 * dom.h(x) / np.asarray(dom.g(x)) ** 2
+        return _sigma_arc_element(dom, x, *dom._g_and_h(x))
 
     return BoundaryCurve(dom, "Sigma", (0.0, -2.0 * dom.x0), position, normal, arc_element)
+
+
+def _sigma_arc_element(dom: TricomiDomain, x, g, h):
+    """Sigma's arc element |r'| = (3/2) h / g^2 at abscissae x from the
+    arrays g and h there, singular like distance^(-2/3) at the endpoints.
+    A g^2 of 0 strictly inside (2x0, 0), where g > 0, has underflowed (g's
+    cube-root argument or the square, at |x0| below about 1e-158): it
+    raises OverflowError naming the square and x0, whatever numpy's
+    errstate."""
+    g2 = g**2
+    if not g2.all() and ((g2 == 0.0) & (x < 0.0) & (x > 2.0 * dom.x0)).any():
+        raise OverflowError(f"g^2 on Sigma underflows a float at x0={dom.x0!r}")
+    return 1.5 * h / g2
 
 
 def _boundary_arrays(dom: TricomiDomain, n: int):

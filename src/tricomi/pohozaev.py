@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .constants import G1, G2, ConstantLedger, ledger, optimize_epsilons
-from .geometry import BoundaryCurve, TricomiDomain
+from .constants import ConstantLedger, _g2_of, g1, ledger, optimize_epsilons
+from .geometry import BoundaryCurve, TricomiDomain, _sigma_arc_element
 from .report import VerificationReport
 
 __all__ = [
@@ -50,10 +50,17 @@ class BoundaryTrace:
     weights are quadrature weights in the parameter measure, so that
     integral of f ds ~= sum(f * arc * weights).  The fields u, ux, uy have
     the nodes on their last axis and may carry leading batch axes, one trace
-    per index, all sharing params and weights.  The node positions x, y and
-    the arc element arc at the nodes are computed once, on construction.
-    `bc_trace` and `sigma_trace` give zero fields; `filled` copies set them
-    and share the nodes' geometry.
+    per index, all sharing params and weights.
+
+    What no field changes is computed once, on construction: the node
+    positions x, y and the arc element arc, read by `line_integral` and
+    `norm_bundle_from_traces`, and on BC and sigma the coefficients coef of
+    the simplified integrands, read by `_identity_integrals` (the public
+    omega forms compute them with the same helpers).  On sigma g and h at
+    the nodes are kept, as g (which is y) and h, and arc and coef come from
+    them; elsewhere g and h are None, and on AC coef is too.  `bc_trace`
+    and `sigma_trace` give zero fields; `filled` copies set them and share
+    the nodes' geometry.
     """
 
     curve: BoundaryCurve
@@ -65,22 +72,35 @@ class BoundaryTrace:
     x: np.ndarray = field(init=False, repr=False, compare=False)
     y: np.ndarray = field(init=False, repr=False, compare=False)
     arc: np.ndarray = field(init=False, repr=False, compare=False)
+    g: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    h: np.ndarray = field(default=None, init=False, repr=False, compare=False)
+    coef: tuple = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.params, dtype=float)
         a, b = self.curve.param_range
-        if np.any(np.diff(t) <= 0):
+        if (np.diff(t) <= 0).any():
             raise ValueError("trace nodes must be strictly increasing")
         if t[0] < a - 1e-12 or t[-1] > b + 1e-12:
             raise ValueError("trace nodes outside the curve's parameter range")
         self._check_fields()
-        self.x, self.y = self.curve.position(self.params)
-        self.arc = self.curve.arc_element(self.params)
+        if self.curve.kind == "Sigma":
+            dom = self.curve.dom
+            self.x = -t
+            self.g, self.h = dom._g_and_h(self.x)
+            self.y = self.g
+            self.arc = _sigma_arc_element(dom, self.x, self.g, self.h)
+            self.coef = _sigma_coefficients(dom, self.x, self.g, self.h)
+        else:
+            self.x, self.y = self.curve.position(self.params)
+            self.arc = self.curve.arc_element(self.params)
+            if self.curve.kind == "BC":
+                self.coef = _bc_coefficients(self.y)
 
     def _check_fields(self):
         for name in ("u", "ux", "uy"):
             v = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(v)):
+            if not np.isfinite(v).all():
                 raise ValueError(f"non-finite values in trace field {name}")
 
     def filled(self, u=None, ux=None, uy=None) -> "BoundaryTrace":
@@ -111,7 +131,7 @@ class BoundaryNormBundle:
 
     def __post_init__(self):
         for name, v in self.__dict__.items():
-            if np.any(v < 0) or not np.all(np.isfinite(v)):
+            if not (np.isfinite(v) & (v >= 0)).all():
                 raise ValueError(f"norm {name} must be finite and nonnegative")
 
 
@@ -156,41 +176,72 @@ def _bc_depth(y):
     return y, np.abs(np.minimum(y, 0.0))
 
 
+def _bc_coefficients(y):
+    """The BC forms' coefficients at ordinates y: (-y)^(1/2),
+    4(-y)^(3/2)/(1-y)^(1/2) and -(-y)^(1/2)/(1-y)^(1/2)."""
+    y, my = _bc_depth(y)
+    root, dist = np.sqrt(my), np.sqrt(1.0 - y)
+    return root, 4.0 * my**1.5 / dist, -root / dist
+
+
+def _omega1_bc(coef, ux, uy):
+    root, c1, _ = coef
+    return c1 * (root * ux + uy) ** 2
+
+
+def _omega2_bc(coef, u, ux, uy):
+    root, _, c2 = coef
+    return c2 * u * (root * ux + uy)
+
+
+def _sigma_coefficients(dom: TricomiDomain, x, g, h):
+    """The sigma form's coefficients at abscissae x from g = y and h there:
+    G1 y, G2 y^(1/2) and G1, with G1 = g1/h and G2 = g2/h."""
+    G1v = g1(dom, x) / h
+    return G1v * g, _g2_of(dom.x0, x, g) / h * np.sqrt(g), G1v
+
+
+def _omega1_sigma(coef, ux, uy):
+    G1y, G2r, G1v = coef
+    return G1y * ux**2 + G2r * ux * uy - G1v * uy**2
+
+
 def omega1_BC_simplified(y, ux, uy):
     """On BC: 4(-y)^(3/2)(1-y)^(-1/2)[(-y)^(1/2) u_x + u_y]^2, a perfect square."""
-    y, my = _bc_depth(y)
-    return 4.0 * my**1.5 / np.sqrt(1.0 - y) * (np.sqrt(my) * ux + uy) ** 2
+    return _omega1_bc(_bc_coefficients(y), ux, uy)
 
 
 def omega2_BC_simplified(y, u, ux, uy):
     """On BC: -(-y)^(1/2)(1-y)^(-1/2) u [(-y)^(1/2) u_x + u_y]."""
-    y, my = _bc_depth(y)
-    return -np.sqrt(my) / np.sqrt(1.0 - y) * u * (np.sqrt(my) * ux + uy)
+    return _omega2_bc(_bc_coefficients(y), u, ux, uy)
 
 
 def omega1_sigma_simplified(x, ux, uy, dom: TricomiDomain):
     """On sigma with zero trace: G1 y u_x^2 + G2 y^(1/2) u_x u_y - G1 u_y^2."""
     x = np.asarray(x, dtype=float)
-    y = np.asarray(dom.g(x))
-    G1v = np.asarray(G1(dom, x))
-    G2v = np.asarray(G2(dom, x))
-    return G1v * y * ux**2 + G2v * np.sqrt(y) * ux * uy - G1v * uy**2
+    return _omega1_sigma(_sigma_coefficients(dom, x, *dom._g_and_h(x)), ux, uy)
 
 
 # -- quadrature -------------------------------------------------------------
 
-def _trace(curve: BoundaryCurve, params, weights) -> BoundaryTrace:
+def _zero_trace(curve: BoundaryCurve, params, weights) -> BoundaryTrace:
     """A trace on the given nodes with every field zero."""
     z = np.zeros(len(params))
     return BoundaryTrace(curve, params, weights, z, z, z)
 
 
-def bc_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
-    """Zero trace on trapezoid nodes uniform in y over [y_C, 0]."""
+def _bc_nodes(dom: TricomiDomain, n: int):
+    """(curve, params, weights) of BC: trapezoid nodes uniform in y over
+    [y_C, 0]."""
     w = np.full(n, (0.0 - dom.y_C) / (n - 1))
     w[0] *= 0.5
     w[-1] *= 0.5
-    return _trace(dom.boundary_curve("BC"), np.linspace(dom.y_C, 0.0, n), w)
+    return dom.boundary_curve("BC"), np.linspace(dom.y_C, 0.0, n), w
+
+
+def bc_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
+    """Zero trace on trapezoid nodes uniform in y over [y_C, 0]."""
+    return _zero_trace(*_bc_nodes(dom, n))
 
 
 def _graded(s):
@@ -198,8 +249,9 @@ def _graded(s):
     return s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
 
 
-def sigma_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
-    """Zero trace on midpoint nodes graded toward both endpoints of sigma.
+def _sigma_nodes(dom: TricomiDomain, n: int):
+    """(curve, params, weights) of sigma: midpoint nodes graded toward both
+    endpoints.
 
     The arc element (3/2) h / g^2 is singular like distance^(-2/3) at the
     endpoints; cubic grading of the node map restores algebraic convergence.
@@ -207,7 +259,12 @@ def sigma_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
     s = (np.arange(n) + 0.5) / n
     t = -2.0 * dom.x0 * _graded(s)          # parameter t = -x in (0, -2x0)
     dt_ds = -2.0 * dom.x0 * 30.0 * s**2 * (1.0 - s) ** 2
-    return _trace(dom.boundary_curve("Sigma"), t, dt_ds / n)
+    return dom.boundary_curve("Sigma"), t, dt_ds / n
+
+
+def sigma_trace(dom: TricomiDomain, n: int) -> BoundaryTrace:
+    """Zero trace on midpoint nodes graded toward both endpoints of sigma."""
+    return _zero_trace(*_sigma_nodes(dom, n))
 
 
 def line_integral(trace: BoundaryTrace, values):
@@ -291,10 +348,11 @@ def area_l2_norm_sq(grid, U: np.ndarray) -> float:
 def _identity_integrals(bc: BoundaryTrace, sg: BoundaryTrace):
     """int_BC omega1 ds, int_BC omega2 ds and int_sigma omega1 ds, each a
     float for single traces and an array over the batch axes for batched
-    ones; the sigma form takes the zero Dirichlet trace on sg's domain."""
-    return (line_integral(bc, omega1_BC_simplified(bc.y, bc.ux, bc.uy)),
-            line_integral(bc, omega2_BC_simplified(bc.y, bc.u, bc.ux, bc.uy)),
-            line_integral(sg, omega1_sigma_simplified(sg.x, sg.ux, sg.uy, sg.curve.dom)))
+    ones, from the coefficients the traces hold; the sigma form takes the
+    zero Dirichlet trace on sg's domain."""
+    return (line_integral(bc, _omega1_bc(bc.coef, bc.ux, bc.uy)),
+            line_integral(bc, _omega2_bc(bc.coef, bc.u, bc.ux, bc.uy)),
+            line_integral(sg, _omega1_sigma(sg.coef, sg.ux, sg.uy)))
 
 
 def pohozaev_residual(lam: float, traces: dict) -> dict:
@@ -358,8 +416,9 @@ def verify_trace_inequalities(x0: float, n_traces: int = 1000, seed: int = 0,
     # Bundle k holds uniform (u, ux, uy) in [-1, 1] on BC, then on sigma;
     # the sigma u values are drawn to keep that order and then unused.
     draws = rng.uniform(-1.0, 1.0, (n_traces, 2, 3, n_nodes))
-    bc = bc_trace(dom, n_nodes).filled(u=draws[:, 0, 0], ux=draws[:, 0, 1], uy=draws[:, 0, 2])
-    sg = sigma_trace(dom, n_nodes).filled(ux=draws[:, 1, 1], uy=draws[:, 1, 2])
+    bc = BoundaryTrace(*_bc_nodes(dom, n_nodes), draws[:, 0, 0], draws[:, 0, 1], draws[:, 0, 2])
+    sg = BoundaryTrace(*_sigma_nodes(dom, n_nodes), np.zeros(n_nodes),
+                       draws[:, 1, 1], draws[:, 1, 2])
     nb = norm_bundle_from_traces(bc, sg)
     w1_bc, w2_bc, w1_sg = _identity_integrals(bc, sg)
 

@@ -731,6 +731,18 @@ class TestEdgeInputs:
         assert json.loads(err)["error"] == (
             f"bound check failed: u_x^2 on BC overflows a float at x0={float(x0)!r}")
 
+    @pytest.mark.parametrize("x0, cause", [
+        ("-1e-160", "g^2 on Sigma underflows"),
+        ("-1e-168", "u_x on BC overflows")])
+    def test_tiny_x0_trace_failures_name_the_float(self, capsys, x0, cause):
+        # At -1e-160 g(x)^2 is 0 at sigma's end nodes, so its arc element
+        # would divide by zero; at -1e-168 u_x's scale is a float but the
+        # mapped u_x on BC is not.
+        code, out, err = _run(capsys, "bound", "--x0", x0, "--nx", "48", "--ny", "48")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            f"bound check failed: {cause} a float at x0={float(x0)!r}")
+
     def test_bound_below_the_overflow_passes(self, capsys):
         code, out, err = _run(capsys, "bound", "--x0", "-1e-80", "--nx", "48", "--ny", "48")
         assert (code, err) == (0, "")
@@ -740,13 +752,12 @@ class TestEdgeInputs:
 
     def test_tiny_x0_bands(self, capsys):
         # `bound` on 48^2 at x0 = -10^k, k = -300..-1: every k exits as the
-        # band it lies in, with one JSON line naming that band's cause.
-        # Only -1e-158..-1e-84 names the squared field; the other failing
-        # bands are numpy's own messages.
+        # band it lies in, with one JSON line naming that band's cause:
+        # a scale, the mapped u_x, sigma's g^2 or the squared u_x.
         bands = [(-300, "lambda's scale |x0|^(-4/3) overflows"),
                  (-231, "u_x's scale |x0|^(-11/6) overflows"),
-                 (-168, "overflow encountered in multiply"),
-                 (-167, "divide by zero encountered in divide"),
+                 (-168, "u_x on BC overflows"),
+                 (-167, "g^2 on Sigma underflows"),
                  (-158, "u_x^2 on BC overflows"),
                  (-83, None)]
         for k in range(-300, 0):

@@ -673,6 +673,16 @@ class TestDilation:
                 want = want * s ** power
                 assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want)), (kind, power)
 
+    def test_mapped_overflow_names_the_field(self):
+        # u_x's scale s^(-11/6) is a float at s = 1e-168, but u_x on BC,
+        # mapped, is not; numpy's default errstate too.
+        at_1 = {kind: make(TricomiDomain(-1.0), 40) for kind, make in
+                (("BC", bc_trace), ("Sigma", sigma_trace))}
+        filled = {kind: t.filled(*_manufactured(t.x, t.y)) for kind, t in at_1.items()}
+        with pytest.raises(OverflowError) as exc:
+            Dilation(-1e-168).traces(filled)
+        assert str(exc.value) == "u_x on BC overflows a float at x0=-1e-168"
+
     @pytest.mark.parametrize("x0", [-1e-3, -0.5, -8.0, -1e3])
     def test_lambda_scales_as_the_operator(self, x0):
         # The FD operator at x0 is s^(-4/3) times x0 = -1's on the same

@@ -22,9 +22,9 @@ from tricomi import (
     verify_integrand_equivalence,
     verify_trace_inequalities,
 )
-from tricomi.constants import ledger
+from tricomi.constants import G1, G2, ledger
 from tricomi.eigensolver import Grid
-from tricomi.pohozaev import _SUBSAMPLES, area_l2_norm_sq
+from tricomi.pohozaev import _SUBSAMPLES, _identity_integrals, area_l2_norm_sq
 
 
 def ones(trace):
@@ -197,6 +197,72 @@ class TestQuadrature:
         bad[3] = np.inf
         with pytest.raises(ValueError):
             tr.filled(uy=bad)
+
+
+def _reference_forms(bc, sg):
+    """The three simplified integrands on the traces' nodes, each written
+    as one expression from y, g, G1 and G2."""
+    y, my = bc.y, np.abs(np.minimum(bc.y, 0.0))
+    w1 = 4.0 * my**1.5 / np.sqrt(1.0 - y) * (np.sqrt(my) * bc.ux + bc.uy) ** 2
+    w2 = -np.sqrt(my) / np.sqrt(1.0 - y) * bc.u * (np.sqrt(my) * bc.ux + bc.uy)
+    dom, x = sg.curve.dom, sg.x
+    g = dom.g(x)
+    G1v, G2v = G1(dom, x), G2(dom, x)
+    w3 = G1v * g * sg.ux**2 + G2v * np.sqrt(g) * sg.ux * sg.uy - G1v * sg.uy**2
+    return w1, w2, w3
+
+
+class TestTraceGeometry:
+    """A trace computes its curve's geometry once; the identity reads its
+    coefficients and gives the public forms' integrals bit for bit."""
+
+    @pytest.mark.parametrize("x0", [-4.0, -0.5, -0.05, -1e3])
+    def test_identity_is_the_public_forms_bit_for_bit(self, x0):
+        dom = TricomiDomain(x0)
+        u, ux, uy, vx, vy = np.random.default_rng(7).uniform(-1.0, 1.0, (5, 7, 64))
+        bc = bc_trace(dom, 64).filled(u=u, ux=ux, uy=uy)
+        sg = sigma_trace(dom, 64).filled(ux=vx, uy=vy)
+        forms = (omega1_BC_simplified(bc.y, ux, uy),
+                 omega2_BC_simplified(bc.y, u, ux, uy),
+                 omega1_sigma_simplified(sg.x, vx, vy, dom))
+        for form, ref in zip(forms, _reference_forms(bc, sg)):
+            assert form.shape == (7, 64)
+            assert form.tolist() == ref.tolist()
+        got = _identity_integrals(bc, sg)
+        want = (line_integral(bc, forms[0]), line_integral(bc, forms[1]),
+                line_integral(sg, forms[2]))
+        for a, b in zip(got, want):
+            assert a.shape == (7,)
+            assert a.tolist() == b.tolist()
+
+    @pytest.mark.parametrize("x0", [-4.0, -0.5, -0.05, -1e3])
+    def test_sigma_trace_keeps_g_and_h(self, x0):
+        dom = TricomiDomain(x0)
+        tr = sigma_trace(dom, 400)
+        curve = tr.curve
+        assert tr.y is tr.g
+        assert tr.x.tolist() == curve.position(tr.params)[0].tolist()
+        assert tr.g.tolist() == dom.g(tr.x).tolist()
+        assert tr.h.tolist() == dom.h(tr.x).tolist()
+        assert tr.arc.tolist() == curve.arc_element(tr.params).tolist()
+        assert tr.arc.tolist() == (1.5 * dom.h(tr.x) / dom.g(tr.x) ** 2).tolist()
+
+    def test_sigma_g_squared_underflow_is_named(self):
+        # At x0 = -1e-160 g(x)^2 is 0 at the graded end nodes, where g > 0.
+        dom = TricomiDomain(-1e-160)
+        curve = dom.boundary_curve("Sigma")
+        for make in (lambda: sigma_trace(dom, 400),
+                     lambda: curve.arc_element(-2.0 * dom.x0 * np.array([1e-9, 0.5]))):
+            with pytest.raises(OverflowError) as exc:
+                make()
+            assert str(exc.value) == "g^2 on Sigma underflows a float at x0=-1e-160"
+
+    def test_sigma_arc_element_at_the_endpoints_stays_infinite(self, dom):
+        # g = 0 there: the singularity itself, not an underflow.
+        curve = dom.boundary_curve("Sigma")
+        with np.errstate(divide="ignore"):
+            arc = curve.arc_element(np.array([0.0, -dom.x0, -2.0 * dom.x0]))
+        assert np.isinf(arc[0]) and np.isinf(arc[2]) and np.isfinite(arc[1])
 
 
 class TestNormBundle:

@@ -11,7 +11,8 @@ from tricomi.cli import _VERIFY_CHECKS
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 _EIGEN_STAGES = {"Grid.build", "assemble", "area_l2_norm_sq", "splu", "arnoldi",
-                 "trace_norms", "identity_bound", "bound_first", "bound_repeat"}
+                 "trace_norms", "identity_bound", "bound_first", "bound_repeat",
+                 "bound_x0"}
 
 
 def _cli_cold():

@@ -18,7 +18,9 @@ not move any output.  The commands run in process, through
   the double above -1/2, and at -2/3 and the next double above it.  Some
   of these exit 1 near -sqrt(3)/4, where the h-profile checks fail;
 - `bound` on non-square meshes (65x47, 200x40, 34x32) at x0 = -0.5, and
-  at 48^2 for x0 = -1e-3 and -1e3.  200x40, 34x32 and 41x53 have no
+  at 48^2 for x0 = -1e-3 and -1e3, and for -1e-160 and -1e-168, which
+  exit 1 naming the float that fails: sigma's g^2 underflows, and the
+  mapped u_x on BC overflows.  200x40, 34x32 and 41x53 have no
   positive real pair among the four nearest the shift, and 65x47 picks a
   wrong mode (lambda |x0|^(4/3) = 3.11, +25 %), so `eigen` on each (which
   prints the pairs it found) carries their matrices and cut cells into
@@ -57,10 +59,10 @@ The commands run in one process, and the CLI keeps the last x0 = -1 solve
 with its key (nx, ny, count, principal_only): a command with the key of
 the solve before it solves nothing and maps that one.  So do the
 `bound-small` ops after the first, `bound` at 65x47, x0 = -2, after
--0.125, at 40^2, x0 = -2, after -0.5, and at 48^2, x0 = -1e3, after
--1e-3, and `plot eigen --x0 -0.5` (48^2) after it.  Every other solve
-factors A - shift I once with `splu`, which orders the columns with COLAMD:
-71 factorizations over the 204 in-process commands.
+-0.125, at 40^2, x0 = -2, after -0.5, and at 48^2, x0 = -1e3, -1e-160 and
+-1e-168, after -1e-3, and `plot eigen --x0 -0.5` (48^2) after them.  Every
+other solve factors A - shift I once with `splu`, which orders the columns
+with COLAMD: 71 factorizations over the 206 in-process commands.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
@@ -181,7 +183,7 @@ def commands() -> list:
     for x0, nx, ny in (("-0.5", "40", "40"), ("-2", "40", "40"),
                        ("-0.5", "182", "182"), ("-0.5", "242", "100")):
         cmds.append(["bound", "--x0", x0, "--nx", nx, "--ny", ny])
-    for x0 in ("-1e-3", "-1e3"):
+    for x0 in ("-1e-3", "-1e3", "-1e-160", "-1e-168"):
         cmds.append(["bound", "--x0", x0, "--nx", "48", "--ny", "48"])
     for target in ("h", "domain", "eigen"):
         cmds.append(["plot", target, "--x0", "-0.5"])

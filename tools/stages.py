@@ -15,8 +15,11 @@ are not run.  Two rows time a whole in-process `bound` through
 `tricomi.cli.run`: `bound_first`, the first `bound` on the mesh (the CLI's
 memoized x0 = -1 solve is dropped before each repeat), and `bound_repeat`,
 a `bound` at x0 = -2 on the mesh that the last `bound` solved, which maps
-that solve to x0 instead of solving again.  Every `splu` orders its
-columns with COLAMD.  It also times each `verify` check but `all`, through
+that solve to x0 instead of solving again.  `bound_x0` times the part of
+that repeat which depends on x0, on the CLI's memoized x0 = -1 pair and
+traces, without parsing or printing: `Dilation(-2).traces`, the norm
+bundle, the identity, the ledger and `bound_check`, under the CLI's
+errstate.  Every `splu` orders its columns with COLAMD.  It also times each `verify` check but `all`, through
 the CLI's own table of checks and with its default sampling, at x0 = -0.5
 and -2, and each of the six commands of the benchmark's `cli-cold`
 workload (perfbench/workloads.py) as a `python -m tricomi.cli` process,
@@ -44,6 +47,8 @@ from time import perf_counter
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 X0 = -0.5
 VERIFY_X0S = (-0.5, -2.0)
+# The x0 of `bound_repeat` and `bound_x0`.
+REPEAT_X0 = -2.0
 
 
 def _timed(clock, call, repeats: int):
@@ -108,8 +113,30 @@ def _bound_rows(clock, n: int, repeats: int) -> dict:
             cli.run(["bound", "--x0", repr(x0), *mesh])
 
     first, _ = _timed(clock, lambda: bound(X0, first=True), repeats)
-    repeat, _ = _timed(clock, lambda: bound(-2.0), repeats)
+    repeat, _ = _timed(clock, lambda: bound(REPEAT_X0), repeats)
     return {"bound_first": first, "bound_repeat": repeat}
+
+
+def _bound_x0(clock, n: int, repeats: int) -> float:
+    """Median of the per-x0 part of `bound` at REPEAT_X0 on the n x n mesh,
+    from the x0 = -1 solve and traces that the CLI memoized for it."""
+    import numpy as np
+
+    from tricomi import cli, eigensolver, pohozaev
+    from tricomi.constants import ledger
+
+    traces = cli._principal_traces(n, n)
+    dilation = eigensolver.Dilation(REPEAT_X0)
+    pair = dilation.pair(cli._canonical[1][0][0])
+
+    def per_x0():
+        mapped = dilation.traces(traces)
+        norms = pohozaev.norm_bundle_from_traces(mapped["BC"], mapped["Sigma"])
+        return (pohozaev.pohozaev_residual(pair.lam, mapped),
+                pohozaev.bound_check(pair.lam, norms, ledger(REPEAT_X0)))
+
+    with np.errstate(**cli._RAISE):
+        return _timed(clock, per_x0, repeats)[0]
 
 
 def eigen_stages(clock, n: int, repeats: int) -> dict:
@@ -129,8 +156,10 @@ def eigen_stages(clock, n: int, repeats: int) -> dict:
     row["splu"], row["arnoldi"], (pairs, _) = _principal_solve(clock, op, repeats)
     row.update(_bound_rows(clock, n, repeats))
     if not pairs:
-        row["skipped"] = "no positive real eigenvalue: trace_norms and identity_bound not run"
+        row["skipped"] = ("no positive real eigenvalue: trace_norms, identity_bound "
+                          "and bound_x0 not run")
         return row
+    row["bound_x0"] = _bound_x0(clock, n, repeats)
     pair, = pairs
     row["trace_norms"], (traces, norms) = _timed(
         clock, lambda: eigensolver.trace_norms(pair), repeats)
