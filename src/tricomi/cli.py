@@ -27,11 +27,14 @@ traces the pair at -1, on the grid it was solved on, maps the traces onto
 x0's trace nodes, and evaluates the identity and the bound at x0, with
 x0's ledger.  Where lambda's factor |x0|^(-4/3) is no normal float (|x0|
 below about 1e-231 or above about 1e231) the command exits 1 naming it.
-The last x0 = -1 solve is memoized, one entry per process (`_canonical`):
-the pairs, the complex eigenvalues and, once `bound` has traced it, the
-principal pair's traces, keyed by (nx, ny, count, principal_only).  A
-solve with another key replaces it.  So commands on one mesh in one
-process (a sweep over x0) solve once; a cold process gains nothing.
+Two `functools.lru_cache(maxsize=1)` functions memoize the x0 = -1 work,
+one entry each per process.  `_canonical(nx, ny, count, principal_only)`
+keeps the last solve: the pairs and the complex eigenvalues.
+`_principal_traces(nx, ny)` keeps the principal pair's traces that `bound`
+took last.  A call with other arguments replaces that function's entry
+alone, so an `eigen` between two `bound`s on one mesh makes the second
+solve again but not trace again.  So commands on one mesh in one process
+(a sweep over x0) solve once; a cold process gains nothing.
 
 Start-up and exit dominate a short command.  Each command loads only the
 layers it runs: `constants`, `plot h|domain` and `verify starshape` load
@@ -270,23 +273,12 @@ def _cmd_verify(args):
                   if failed else None)
 
 
-# The last solve at x0 = -1, the frame of every solve, as (key, (pairs,
-# complex_pairs), traces), or None: one entry.  The key, (nx, ny, count,
-# principal_only), is everything that solve depends on; traces are the
-# principal pair's {'BC', 'Sigma'} traces once `bound` has traced it, else
-# None.  A new key replaces the entry, a solve that raises leaves it as it
-# was, and no command writes to what it holds.
-_canonical = None
-
-
-def _solve_canonical(nx: int, ny: int, count: int, principal_only: bool):
-    """(pairs, complex_pairs) on the nx x ny mesh at x0 = -1: the memoized
-    ones when the key is `_canonical`'s, else solved and memoized."""
-    global _canonical
-    key = (nx, ny, count, principal_only)
-    if _canonical is not None and _canonical[0] == key:
-        log.debug("solve reused at x0=-1, %d x %d", nx, ny)
-        return _canonical[1]
+@functools.lru_cache(maxsize=1)
+def _canonical(nx: int, ny: int, count: int, principal_only: bool):
+    """(pairs, complex_pairs) on the nx x ny mesh at x0 = -1, the frame of
+    every solve.  The arguments are everything the solve depends on.  One
+    entry per process: a call with other arguments replaces it, and a solve
+    that raises leaves it as it was.  No command writes to what it holds."""
     from . import eigensolver   # scipy.sparse: imported only by commands that solve
 
     def size(op):
@@ -295,10 +287,8 @@ def _solve_canonical(nx: int, ny: int, count: int, principal_only: bool):
     dom = TricomiDomain(-1.0)
     grid = _stage("Grid.build", lambda: eigensolver.Grid.build(dom, nx, ny))
     op = _stage("assemble", lambda: eigensolver.assemble(grid), size)
-    solved = _stage("solve", lambda: eigensolver.solve_real_spectrum(
+    return _stage("solve", lambda: eigensolver.solve_real_spectrum(
         op, count, principal_only=principal_only), lambda _: size(op))
-    _canonical = (key, solved, None)
-    return solved
 
 
 def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = False):
@@ -309,25 +299,22 @@ def _solve(x0: float, nx: int, ny: int, count: int, *, principal_only: bool = Fa
 
     dilation = eigensolver.Dilation(x0)
     lam = dilation.scale("lambda")
-    pairs, complex_diag = _solve_canonical(nx, ny, count, principal_only)
+    hits = _canonical.cache_info().hits
+    pairs, complex_diag = _canonical(nx, ny, count, principal_only)
+    if _canonical.cache_info().hits > hits:
+        log.debug("solve reused at x0=-1, %d x %d", nx, ny)
     return [dilation.pair(p) for p in pairs], [c * lam for c in complex_diag]
 
 
+@functools.lru_cache(maxsize=1)
 def _principal_traces(nx: int, ny: int) -> dict:
-    """The principal pair's traces at x0 = -1 on the nx x ny mesh: the
-    memoized ones, else traced and memoized with the solve."""
-    global _canonical
+    """The principal pair's {'BC', 'Sigma'} traces at x0 = -1 on the nx x ny
+    mesh.  One entry per process, kept apart from `_canonical`'s: a solve
+    with another key leaves it, since a repeated solve is bit-identical."""
     from . import eigensolver
 
-    key = (nx, ny, _PAIR_COUNT, True)
-    if _canonical is None or _canonical[0] != key:
-        _solve_canonical(*key)
-    _, solved, traces = _canonical
-    if traces is None:
-        pair, = solved[0]
-        traces = eigensolver.boundary_traces(pair)
-        _canonical = (key, solved, traces)
-    return traces
+    (pair,), _ = _canonical(nx, ny, _PAIR_COUNT, True)
+    return eigensolver.boundary_traces(pair)
 
 
 def _residual_ok(pair) -> bool:

@@ -103,9 +103,16 @@ class TricomiDomain:
         argument is never below zero; the clamp turns a -0.0 at either end
         into 0.0.  A 0-d x gives a 0-d array: the buffer comes from empty_like,
         since a ufunc on 0-d operands returns a numpy scalar, which cannot
-        be written in place."""
-        v = np.multiply(9.0, x, out=np.empty_like(x))
-        v *= 2.0 * self.x0 - x
+        be written in place.  From |x0| about 1e154 the argument overflows:
+        that raises OverflowError naming it and x0, whatever numpy's
+        errstate."""
+        try:
+            with np.errstate(over="raise"):
+                v = np.multiply(9.0, x, out=np.empty_like(x))
+                v *= 2.0 * self.x0 - x
+        except FloatingPointError:
+            raise OverflowError("g's cube-root argument 9x(2x0 - x)/4 overflows "
+                                f"a float at x0={self.x0!r}") from None
         v /= 4.0
         np.maximum(v, 0.0, out=v)
         return np.cbrt(v, out=v)

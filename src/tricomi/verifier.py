@@ -178,9 +178,7 @@ def _sweep(x0: float, grid_size: int) -> _Sweep:
     dom = TricomiDomain(x0)
     led = ledger(x0)
     xs, on_linspace = _nodes(led, grid_size)
-    gx = dom.g(xs)
-    # xs already lies in [2x0, 0], so h reuses g instead of evaluating it again.
-    arrays = (xs, gx, dom._h_from_g(xs, gx.copy()), on_linspace)
+    arrays = (xs, *dom._g_and_h(xs), on_linspace)
     for a in arrays:
         a.flags.writeable = False
     return _Sweep(grid_size, dom, led, *arrays)

@@ -28,9 +28,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture(autouse=True)
 def _without_the_canonical_solve():
-    """Each test starts without the CLI's memoized x0 = -1 solve, so a test
-    that patches the solver, `splu` or `cli._solve` runs what it patches,
+    """Each test starts without the CLI's memoized x0 = -1 solve and traces
+    (`cli._canonical`, `cli._principal_traces`), so a test that patches the
+    solver, `splu`, `boundary_traces` or `cli._solve` runs what it patches,
     whatever ran before it."""
     cli = sys.modules.get("tricomi.cli")
     if cli is not None:
-        cli._canonical = None
+        cli._canonical.cache_clear()
+        cli._principal_traces.cache_clear()

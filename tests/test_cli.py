@@ -715,7 +715,7 @@ class TestEdgeInputs:
         # float: the command exits 1 before it solves, naming that scale,
         # never with a NaN or a 0 in its output.
         from tricomi import cli
-        monkeypatch.setattr(cli, "_solve_canonical", None)
+        monkeypatch.setattr(cli, "_canonical", None)
         code, out, err = _run(capsys, command, "--x0", x0)
         assert code == 1 and out == "" and len(err.splitlines()) == 1
         error = json.loads(err)["error"]
@@ -770,6 +770,34 @@ class TestEdgeInputs:
                 assert code == 1 and out == "" and len(err.splitlines()) == 1, k
                 assert cause in json.loads(err)["error"], k
 
+    def test_large_x0_bands(self, capsys):
+        # `bound` on 48^2 at x0 = -10^k, k = 0..300: every k exits as the
+        # band it lies in, with one JSON line naming that band's cause:
+        # the ledger's C4, g's cube-root argument on x0's sigma nodes, or
+        # a scale that underflows.
+        bands = [(0, None),
+                 (78, "C4 = (1.5*x0^4)^(1/3) overflows"),
+                 (154, "g's cube-root argument 9x(2x0 - x)/4 overflows"),
+                 (168, "u_x's scale |x0|^(-11/6) underflows"),
+                 (231, "lambda's scale |x0|^(-4/3) underflows")]
+        for k in range(0, 301):
+            cause = next(c for start, c in reversed(bands) if k >= start)
+            code, out, err = _run(capsys, "bound", "--x0", f"-1e{k}", "--nx", "48",
+                                  "--ny", "48")
+            if cause is None:
+                assert (code, err) == (0, ""), k
+            else:
+                assert code == 1 and out == "" and len(err.splitlines()) == 1, k
+                assert cause in json.loads(err)["error"], k
+
+    @pytest.mark.parametrize("check", ["starshape", "integrands"])
+    def test_g_argument_overflow_names_it(self, capsys, check):
+        code, out, err = _run(capsys, "verify", check, "--x0", "-1e160")
+        assert code == 1 and out == "" and len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == (
+            "verification failed: g's cube-root argument 9x(2x0 - x)/4 overflows "
+            "a float at x0=-1e+160")
+
     def test_residual_gate_is_relative_to_lambda(self, capsys):
         # x0 -> 0-: lambda grows as |x0|^(-4/3), and with it the algebraic
         # residual of a converged pair.  Here it is above 1e-8 but below
@@ -786,6 +814,14 @@ class TestEdgeInputs:
         from tricomi import cli
         x0s = cli._x0_list(argparse.Namespace(x0=None, x0_range=(-2.0, -0.1, 5)))
         assert [type(v) for v in x0s] == [float] * 5
+
+
+def _memoized(cli, *key):
+    """Whether the CLI's x0 = -1 memo holds the solve of `key`: a call with
+    it is a cache hit."""
+    hits = cli._canonical.cache_info().hits
+    cli._canonical(*key)
+    return cli._canonical.cache_info().hits > hits
 
 
 class TestCanonicalFrame:
@@ -840,11 +876,31 @@ class TestCanonicalFrame:
         for argv in (("bound", "--x0", "-0.5"), ("bound", "--x0", "-3"),
                      ("plot", "eigen", "--x0", "-2"), ("bound", "--x0", "-1e-3")):
             assert _run(capsys, *argv, *mesh)[0] == 0
-        assert len(factored) == 1 and cli._canonical[0] == (48, 48, 4, True)
+        assert _memoized(cli, 48, 48, 4, True) and len(factored) == 1
         assert _run(capsys, "eigen", "--x0", "-0.5", *mesh)[0] == 0
-        assert len(factored) == 2 and cli._canonical[0] == (48, 48, 4, False)
+        assert _memoized(cli, 48, 48, 4, False) and len(factored) == 2
         assert _run(capsys, "bound", "--x0", "-0.5")[0] == 0
-        assert len(factored) == 3 and cli._canonical[0] == (64, 64, 4, True)
+        assert _memoized(cli, 64, 64, 4, True) and len(factored) == 3
+
+    def test_the_traces_outlive_another_solve(self, capsys, monkeypatch):
+        # The solve and the principal traces are memoized apart: `eigen`
+        # (another key) replaces the solve, so the next `bound` solves
+        # again, but the traces of the first `bound` serve every later one.
+        import scipy.sparse.linalg as spla
+
+        from tricomi import eigensolver
+        splu, factored = spla.splu, []
+        monkeypatch.setattr(spla, "splu", lambda *a, **k: factored.append(1) or splu(*a, **k))
+        traces, traced = eigensolver.boundary_traces, []
+        monkeypatch.setattr(eigensolver, "boundary_traces",
+                            lambda pair: traced.append(1) or traces(pair))
+        counts = []
+        for argv in (("bound", "--x0", "-0.5"), ("eigen", "--x0", "-0.5"),
+                     ("bound", "--x0", "-2"), ("bound", "--x0", "-3"),
+                     ("plot", "eigen", "--x0", "-1")):
+            assert _run(capsys, *argv, "--nx", "48", "--ny", "48")[0] == 0
+            counts.append((len(factored), len(traced)))
+        assert counts == [(1, 1), (2, 1), (3, 1), (3, 1), (3, 1)]
 
     def test_a_reused_solve_logs_one_line(self, capsys, monkeypatch):
         mesh = ("--nx", "48", "--ny", "48")
@@ -859,8 +915,8 @@ class TestCanonicalFrame:
     def test_commands_leave_the_memo_as_they_found_it(self, capsys, tmp_path):
         from tricomi import cli
         assert _run(capsys, "bound", "--x0", "-0.5", "--nx", "48", "--ny", "48")[0] == 0
-        key, (pairs, complex_diag), traces = cli._canonical
-        pair, = pairs
+        (pair,), _ = cli._canonical(48, 48, 4, True)
+        traces = cli._principal_traces(48, 48)
         before = [a.copy() for a in (pair.field, pair.grid.xs, pair.grid.ys,
                                      pair.grid.inside)]
         before += [getattr(t, f).copy() for t in traces.values() for f in ("u", "ux", "uy")]
@@ -868,7 +924,8 @@ class TestCanonicalFrame:
                      ("eigen", "--x0", "-3", "--format", "csv", "--out",
                       str(tmp_path / "u.csv"))):
             assert _run(capsys, *argv, "--nx", "48", "--ny", "48")[0] == 0
-        assert cli._canonical[0] == key and cli._canonical[1][0][0] is pair
+        assert cli._canonical(48, 48, 4, True)[0][0] is pair
+        assert cli._principal_traces(48, 48) is traces
         after = [pair.field, pair.grid.xs, pair.grid.ys, pair.grid.inside]
         after += [getattr(t, f) for t in traces.values() for f in ("u", "ux", "uy")]
         assert all(np.array_equal(a, b) for a, b in zip(after, before))
@@ -879,7 +936,7 @@ class TestCanonicalFrame:
 
         from tricomi import cli
         assert _run(capsys, "bound", "--x0", "-0.5", "--nx", "48", "--ny", "48")[0] == 0
-        entry = cli._canonical
+        entry = cli._canonical(48, 48, 4, True)
 
         def failing(A, k, **kwargs):
             raise spla.ArpackNoConvergence("No convergence",
@@ -887,7 +944,7 @@ class TestCanonicalFrame:
 
         monkeypatch.setattr(spla, "eigs", failing)
         assert _run(capsys, "bound", "--x0", "-0.5", "--nx", "40", "--ny", "40")[0] == 1
-        assert cli._canonical is entry
+        assert cli._canonical(48, 48, 4, True) is entry
 
     @pytest.mark.parametrize("x0", ["-0.5", "-2"])
     def test_200_squared_certifies_the_healthy_pair(self, capsys, x0):

@@ -126,6 +126,18 @@ class TestDomainBasics:
         # is never negative; the kernel clamps a residue below zero to 0.
         assert dom._g(np.asarray(1e-17)) == 0.0
 
+    @pytest.mark.parametrize("errstate", [{}, {"all": "ignore"}, {"all": "raise"}])
+    def test_cube_root_argument_overflow_names_it(self, errstate):
+        # 9x(2x0 - x) exceeds the largest float near the apex from |x0|
+        # about 1e154; 1e153 still computes.
+        assert np.isfinite(TricomiDomain(-1e153).g(-1e153))
+        dom = TricomiDomain(-1e160)
+        for f in (dom.g, dom.h, dom._g_and_h):
+            with np.errstate(**errstate), pytest.raises(OverflowError) as exc:
+                f(np.array([-1.0, dom.x0]))
+            assert str(exc.value) == ("g's cube-root argument 9x(2x0 - x)/4 overflows "
+                                      "a float at x0=-1e+160")
+
     def test_arrays_equal_scalar_calls(self, dom):
         lo = 2.0 * dom.x0
         rng = np.random.default_rng(11)

@@ -17,10 +17,13 @@ not move any output.  The commands run in process, through
   x0 = -sqrt(3)/4 and the next double below it, at -0.45 inside R2a, at
   the double above -1/2, and at -2/3 and the next double above it.  Some
   of these exit 1 near -sqrt(3)/4, where the h-profile checks fail;
+- `verify starshape` at x0 = -1e160, which exits 1 naming g's cube-root
+  argument 9x(2x0 - x)/4, which overflows;
 - `bound` on non-square meshes (65x47, 200x40, 34x32) at x0 = -0.5, and
-  at 48^2 for x0 = -1e-3 and -1e3, and for -1e-160 and -1e-168, which
-  exit 1 naming the float that fails: sigma's g^2 underflows, and the
-  mapped u_x on BC overflows.  200x40, 34x32 and 41x53 have no
+  at 48^2 for x0 = -1e-3 and -1e3, and for -1e-160, -1e-168 and
+  -1e160, which exit 1 naming the float that fails: sigma's g^2
+  underflows, the mapped u_x on BC overflows, and g's cube-root argument
+  overflows on x0's sigma nodes.  200x40, 34x32 and 41x53 have no
   positive real pair among the four nearest the shift, and 65x47 picks a
   wrong mode (lambda |x0|^(4/3) = 3.11, +25 %), so `eigen` on each (which
   prints the pairs it found) carries their matrices and cut cells into
@@ -55,14 +58,16 @@ them the commands reach every path of `solve_real_spectrum`:
 The traces are taken at x0 = -1 only, where the BC samples resolve at the
 first four rungs of `trace_norms`' pull-back ladder (d, 1.5d, 2d and 3d).
 
-The commands run in one process, and the CLI keeps the last x0 = -1 solve
-with its key (nx, ny, count, principal_only): a command with the key of
-the solve before it solves nothing and maps that one.  So do the
-`bound-small` ops after the first, `bound` at 65x47, x0 = -2, after
--0.125, at 40^2, x0 = -2, after -0.5, and at 48^2, x0 = -1e3, -1e-160 and
--1e-168, after -1e-3, and `plot eigen --x0 -0.5` (48^2) after them.  Every
-other solve factors A - shift I once with `splu`, which orders the columns
-with COLAMD: 71 factorizations over the 206 in-process commands.
+The commands run in one process, and the CLI memoizes the last x0 = -1
+solve by (nx, ny, count, principal_only) and, apart from it, the last
+principal traces by (nx, ny): a command with the key of the solve before
+it solves nothing and maps that one.  So do the `bound-small` ops after
+the first, `bound` at 65x47, x0 = -2, after -0.125, at 40^2, x0 = -2,
+after -0.5, and at 48^2, x0 = -1e3, -1e-160, -1e-168 and -1e160, after
+-1e-3, and `plot eigen --x0 -0.5` (48^2) after them.  Every other solve
+factors A - shift I once with `splu`, which orders the columns with
+COLAMD: 71 factorizations over the 208 in-process commands, and 55
+calls of `boundary_traces`.
 
 Then the six commands of the benchmark's `cli-cold` workload run as
 `python -m tricomi.cli` processes, through `tricomi.cli.main` and the
@@ -167,6 +172,7 @@ def commands() -> list:
                "-0.49999999999999994", "-0.6666666666666666", "-0.6666666666666665"):
         cmds.append(["verify", "all", "--x0", x0])
         cmds.append(["constants", "--x0", x0])
+    cmds.append(["verify", "starshape", "--x0", "-1e160"])
     for nx, ny in (("65", "47"), ("200", "40"), ("34", "32")):
         cmds.append(["bound", "--x0", "-0.5", "--nx", nx, "--ny", ny])
     for nx, ny in (("65", "47"), ("200", "40"), ("34", "32"), ("41", "53")):
@@ -183,7 +189,7 @@ def commands() -> list:
     for x0, nx, ny in (("-0.5", "40", "40"), ("-2", "40", "40"),
                        ("-0.5", "182", "182"), ("-0.5", "242", "100")):
         cmds.append(["bound", "--x0", x0, "--nx", nx, "--ny", ny])
-    for x0 in ("-1e-3", "-1e3", "-1e-160", "-1e-168"):
+    for x0 in ("-1e-3", "-1e3", "-1e-160", "-1e-168", "-1e160"):
         cmds.append(["bound", "--x0", x0, "--nx", "48", "--ny", "48"])
     for target in ("h", "domain", "eigen"):
         cmds.append(["plot", target, "--x0", "-0.5"])

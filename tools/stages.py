@@ -13,17 +13,18 @@ rest of the same call), `trace_norms`, and identity + bound
 no positive real pair, as at 256^2, the record says so and the later stages
 are not run.  Two rows time a whole in-process `bound` through
 `tricomi.cli.run`: `bound_first`, the first `bound` on the mesh (the CLI's
-memoized x0 = -1 solve is dropped before each repeat), and `bound_repeat`,
-a `bound` at x0 = -2 on the mesh that the last `bound` solved, which maps
-that solve to x0 instead of solving again.  `bound_x0` times the part of
-that repeat which depends on x0, on the CLI's memoized x0 = -1 pair and
-traces, without parsing or printing: `Dilation(-2).traces`, the norm
-bundle, the identity, the ledger and `bound_check`, under the CLI's
-errstate.  Every `splu` orders its columns with COLAMD.  It also times each `verify` check but `all`, through
-the CLI's own table of checks and with its default sampling, at x0 = -0.5
-and -2, and each of the six commands of the benchmark's `cli-cold`
-workload (perfbench/workloads.py) as a `python -m tricomi.cli` process,
-from start to exit.
+memoized x0 = -1 solve and traces are emptied before each repeat), and
+`bound_repeat`, a `bound` at x0 = -2 on the mesh that the last `bound`
+solved, which maps that solve to x0 instead of solving again.  `bound_x0`
+times the part of that repeat which depends on x0, the CLI's own
+`cli._bound` on the pair and traces that the CLI memoized at x0 = -1,
+without parsing or printing: `Dilation(-2).traces`, the norm bundle, the
+identity, the ledger, `bound_check` and the JSON record, under the CLI's
+errstate.  Every `splu` orders its columns with COLAMD.  It also times
+each `verify` check but `all`, through the CLI's own table of checks and
+with its default sampling, at x0 = -0.5 and -2, and each of the six
+commands of the benchmark's `cli-cold` workload (perfbench/workloads.py)
+as a `python -m tricomi.cli` process, from start to exit.
 
 Each figure is the median over the repeats, in seconds scaled to the nominal
 machine speed of perfbench/speed.py, whose `Clock` is imported unchanged.
@@ -107,7 +108,8 @@ def _bound_rows(clock, n: int, repeats: int) -> dict:
 
     def bound(x0, first=False):
         if first:
-            cli._canonical = None
+            cli._canonical.cache_clear()
+            cli._principal_traces.cache_clear()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             cli.run(["bound", "--x0", repr(x0), *mesh])
@@ -118,25 +120,18 @@ def _bound_rows(clock, n: int, repeats: int) -> dict:
 
 
 def _bound_x0(clock, n: int, repeats: int) -> float:
-    """Median of the per-x0 part of `bound` at REPEAT_X0 on the n x n mesh,
-    from the x0 = -1 solve and traces that the CLI memoized for it."""
+    """Median of the CLI's own per-x0 step of `bound`, `cli._bound`, at
+    REPEAT_X0 on the n x n mesh, on the pair and traces that the CLI
+    memoized at x0 = -1, under the CLI's errstate."""
     import numpy as np
 
-    from tricomi import cli, eigensolver, pohozaev
-    from tricomi.constants import ledger
+    from tricomi import cli
 
-    traces = cli._principal_traces(n, n)
-    dilation = eigensolver.Dilation(REPEAT_X0)
-    pair = dilation.pair(cli._canonical[1][0][0])
-
-    def per_x0():
-        mapped = dilation.traces(traces)
-        norms = pohozaev.norm_bundle_from_traces(mapped["BC"], mapped["Sigma"])
-        return (pohozaev.pohozaev_residual(pair.lam, mapped),
-                pohozaev.bound_check(pair.lam, norms, ledger(REPEAT_X0)))
-
+    args = cli._parser().parse_args(
+        ["bound", f"--x0={REPEAT_X0!r}", "--nx", str(n), "--ny", str(n)])
+    (pair,), _ = cli._solve(REPEAT_X0, n, n, cli._PAIR_COUNT, principal_only=True)
     with np.errstate(**cli._RAISE):
-        return _timed(clock, per_x0, repeats)[0]
+        return _timed(clock, lambda: cli._bound(args, pair), repeats)[0]
 
 
 def eigen_stages(clock, n: int, repeats: int) -> dict:
